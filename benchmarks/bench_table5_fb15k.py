@@ -1,6 +1,6 @@
 """Table 5: link prediction of the full model lineup on FB15k-like vs FB15k-237-like.
 
-Regenerates the paper artefact from the shared workbench and reports the
+Regenerates the paper artefact from the shared runner and reports the
 wall-clock cost of the experiment driver through pytest-benchmark.
 """
 
@@ -9,6 +9,6 @@ from repro.experiments import table5_fb15k
 from conftest import run_experiment
 
 
-def test_table5_fb15k(benchmark, workbench):
-    result = run_experiment(benchmark, table5_fb15k, workbench)
+def test_table5_fb15k(benchmark, runner):
+    result = run_experiment(benchmark, table5_fb15k, runner)
     assert result["experiment"]

@@ -1,6 +1,6 @@
 """Tables 9, 10 and 12: FHits@10 by relation category and prediction side.
 
-Regenerates the paper artefact from the shared workbench and reports the
+Regenerates the paper artefact from the shared runner and reports the
 wall-clock cost of the experiment driver through pytest-benchmark.
 """
 
@@ -9,6 +9,6 @@ from repro.experiments import table9_10_12_category_hits
 from conftest import run_experiment
 
 
-def test_table9_category_hits(benchmark, workbench):
-    result = run_experiment(benchmark, table9_10_12_category_hits, workbench)
+def test_table9_category_hits(benchmark, runner):
+    result = run_experiment(benchmark, table9_10_12_category_hits, runner)
     assert result["experiment"]

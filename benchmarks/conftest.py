@@ -1,6 +1,6 @@
 """Shared benchmark fixtures.
 
-A single session-scoped :class:`Workbench` backs every benchmark so that each
+A single session-scoped :class:`~repro.api.Runner` backs every benchmark so that each
 (model, dataset) pair is trained once and every table/figure is regenerated
 from the same artefacts — mirroring how the paper's experiment suite reuses
 the same trained models across its tables.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentConfig, Workbench
+from repro.api import ExperimentSpec, Runner
 
 
 def pytest_addoption(parser):
@@ -35,20 +35,19 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(scope="session")
-def workbench(request) -> Workbench:
-    config = ExperimentConfig(
-        scale=request.config.getoption("--repro-scale"),
-        epochs=request.config.getoption("--repro-epochs"),
-        dim=16,
-        num_negatives=2,
-        seed=13,
-    )
-    return Workbench(config)
+def runner(request) -> Runner:
+    spec = ExperimentSpec(name="benchmarks")
+    spec.dataset.scale = request.config.getoption("--repro-scale")
+    spec.dataset.seed = 13
+    spec.model.dim = 16
+    spec.training.epochs = request.config.getoption("--repro-epochs")
+    spec.training.num_negatives = 2
+    return Runner(spec)
 
 
-def run_experiment(benchmark, driver, workbench):
+def run_experiment(benchmark, driver, runner):
     """Benchmark one experiment driver and print the table it regenerates."""
-    result = benchmark.pedantic(driver, args=(workbench,), iterations=1, rounds=1)
+    result = benchmark.pedantic(driver, args=(runner,), iterations=1, rounds=1)
     print()
     print(result["text"])
     return result

@@ -50,7 +50,7 @@ def main() -> None:
 
     from repro.api.pipeline import ensure_categories
 
-    categories = ensure_categories(runner.store, runner.config, WN18RR)
+    categories = ensure_categories(runner.store, runner.spec, WN18RR)
     results_on_clean = {
         model: runner.store[("evaluation", model, WN18RR)] for model in spec.models
     }

@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-kgc",
-    version="0.4.0",
+    version="0.5.0",
     description=(
         "Reproduction of 'Realistic Re-evaluation of Knowledge Graph Completion "
         "Methods: An Experimental Study' (SIGMOD 2020)"

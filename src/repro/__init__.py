@@ -14,7 +14,7 @@ The package is organised by subsystem:
 * :mod:`repro.experiments` — one driver per table/figure of the paper.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.5.0"
 
 from . import kg  # noqa: F401  (re-export of the most commonly used subsystem)
 

@@ -1,9 +1,8 @@
-"""The keyed artifact store behind the pipeline runner and the Workbench shim.
+"""The keyed artifact store behind the pipeline runner and its builders.
 
 Every expensive object an experiment produces — datasets, the simulated
 Freebase snapshot, audits, trained scorers, evaluation results — lives in one
-:class:`ArtifactStore` under a structured key, replacing the private
-per-kind dict caches the old ``Workbench`` god-object kept:
+:class:`ArtifactStore` under a structured key:
 
 ========================== ==================================================
 key                        artifact
@@ -121,8 +120,8 @@ class ArtifactStore:
     """A keyed cache of experiment artifacts, stamped with a spec fingerprint."""
 
     def __init__(self, fingerprint: str = "") -> None:
-        #: Fingerprint of the spec this store's artifacts belong to (empty for
-        #: ad-hoc stores, e.g. behind a legacy ``Workbench``).
+        #: Fingerprint of the spec this store's artifacts belong to (empty
+        #: until a ``Runner`` adopts and stamps the store).
         self.fingerprint = fingerprint
         self._artifacts: Dict[ArtifactKey, Any] = {}
 

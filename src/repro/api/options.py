@@ -1,26 +1,24 @@
 """Evaluation options: one schema-derived dataclass instead of a keyword pile.
 
-Historically :class:`repro.eval.LinkPredictionEvaluator` and
-:func:`repro.eval.evaluate_model` each grew one keyword per evaluation knob
-(batch size, workers, shard size, backend, dtype, block budget, …) and the
-two surfaces had to be kept in sync by hand.  :class:`EvalOptions` collapses
-that surface into a single value object whose fields mirror the
-``evaluation`` section of the knob schema (:mod:`repro.api.schema`) —
-name-for-name, default-for-default — plus the handful of engine-level extras
-that are not experiment knobs (currently ``mp_start_method``).
+:class:`repro.eval.LinkPredictionEvaluator` and
+:func:`repro.eval.evaluate_model` take their evaluation knobs (batch size,
+workers, shard size, backend, dtype, block budget, …) as one value object,
+:class:`EvalOptions`, whose fields mirror the ``evaluation`` section of the
+knob schema (:mod:`repro.api.schema`) — name-for-name, default-for-default —
+plus the handful of engine-level extras that are not experiment knobs
+(currently ``mp_start_method``).  ``ExperimentSpec.eval_options()`` builds one
+from a spec.
 
-The old keywords keep working through a deprecation shim
-(:meth:`EvalOptions.from_legacy_kwargs`); a regression test asserts the
-schema ↔ dataclass field sync in both directions, so a knob added to the
-schema without a matching field here (or vice versa) fails CI.
+A regression test asserts the schema ↔ dataclass field sync in both
+directions, so a knob added to the schema without a matching field here (or
+vice versa) fails CI.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from . import schema
 
@@ -28,17 +26,6 @@ from . import schema
 #: knobs (engine-level plumbing, never part of an experiment declaration).
 #: The schema-sync regression test allows exactly these extras.
 NON_SCHEMA_FIELDS = ("mp_start_method",)
-
-#: Legacy evaluator keyword -> ``EvalOptions`` field.
-LEGACY_KEYWORDS: Dict[str, str] = {
-    "eval_batch_size": "batch_size",
-    "n_workers": "workers",
-    "shard_size": "shard_size",
-    "mp_start_method": "mp_start_method",
-    "backend": "backend",
-    "eval_dtype": "eval_dtype",
-    "score_block_budget": "score_block_budget",
-}
 
 
 @dataclass(frozen=True)
@@ -64,51 +51,6 @@ class EvalOptions:
     score_block_budget: Optional[int] = schema.EVALUATION_DEFAULTS["score_block_budget"]
     #: Multiprocessing start method override (None = platform best).
     mp_start_method: Optional[str] = None
-
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def from_legacy_kwargs(
-        cls,
-        legacy: Dict[str, Any],
-        base: Optional["EvalOptions"] = None,
-        owner: str = "LinkPredictionEvaluator",
-    ) -> "EvalOptions":
-        """Fold deprecated per-knob keywords into an :class:`EvalOptions`.
-
-        Unknown keywords raise :class:`TypeError` (they were never accepted);
-        known ones emit a :class:`DeprecationWarning` naming the replacement
-        field and override ``base``.
-        """
-        unknown = sorted(set(legacy) - set(LEGACY_KEYWORDS))
-        if unknown:
-            raise TypeError(
-                f"{owner} got unexpected keyword argument(s) {', '.join(unknown)}; "
-                f"evaluation knobs are EvalOptions fields: "
-                + ", ".join(field.name for field in dataclasses.fields(cls))
-            )
-        replacements = ", ".join(
-            f"{keyword}= -> EvalOptions.{LEGACY_KEYWORDS[keyword]}" for keyword in sorted(legacy)
-        )
-        warnings.warn(
-            f"passing evaluation knobs to {owner} as keywords is deprecated; "
-            f"pass options=EvalOptions(...) instead ({replacements})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        values = {LEGACY_KEYWORDS[keyword]: value for keyword, value in legacy.items()}
-        return dataclasses.replace(base or cls(), **values)
-
-    @classmethod
-    def from_experiment_config(cls, config: Any) -> "EvalOptions":
-        """The options an :class:`ExperimentConfig` (or spec section) declares."""
-        return cls(
-            batch_size=config.eval_batch_size,
-            workers=config.eval_workers,
-            shard_size=config.eval_shard_size,
-            backend=getattr(config, "eval_backend", schema.EVALUATION_DEFAULTS["backend"]),
-            eval_dtype=getattr(config, "eval_dtype", schema.EVALUATION_DEFAULTS["eval_dtype"]),
-            score_block_budget=getattr(config, "score_block_budget", None),
-        )
 
     # -- validation / normalization ----------------------------------------
     def validation_errors(self) -> List[str]:

@@ -1,13 +1,14 @@
 """Named pipeline stages and the :class:`Runner` that executes a spec.
 
-The old ``Workbench`` god-object built every artifact lazily behind four
-private dict caches.  This module decomposes that surface into two pieces:
+Two pieces:
 
 * **builders** (``ensure_dataset``, ``ensure_redundancy``, ``ensure_scorer``,
   ``ensure_evaluation``, ...): pure build-on-miss functions over an explicit
-  :class:`~repro.api.artifacts.ArtifactStore`.  The legacy ``Workbench``
-  delegates to exactly these functions, which is why a spec run is
-  bit-identical to the equivalent Workbench session.
+  :class:`~repro.api.artifacts.ArtifactStore`.  Each takes the
+  :class:`ExperimentSpec` and resolves the (model, dataset) pair's overrides
+  inside its build closure; datasets are always built from the global
+  sections.  The paper drivers in :mod:`repro.experiments` call the same
+  builders with ``runner.store`` and ``runner.spec``.
 * **stages**: the named, composable phases of an experiment —
   ``ingest -> audit -> deredundify -> train -> evaluate -> report`` — executed
   in canonical order by a :class:`Runner` over one store.
@@ -36,12 +37,13 @@ logger = logging.getLogger("repro.pipeline")
 
 
 # --------------------------------------------------------------------------- builders
-def ensure_dataset(store: ArtifactStore, config, name: str):
+def ensure_dataset(store: ArtifactStore, spec: ExperimentSpec, name: str):
     """Build (or fetch) one of the six benchmark replicas by key.
 
     Replica pairs are built together (the de-redundant variant derives from
     its original), and the FB15k build also deposits the simulated Freebase
-    snapshot under ``("snapshot",)``.
+    snapshot under ``("snapshot",)``.  Construction reads the spec's global
+    sections: overrides patch analyses and models, never a replica.
     """
     from ..core.deredundancy import make_fb15k237_like, make_wn18rr_like, make_yago_dr_like
     from ..kg.freebase import fb15k_like
@@ -56,21 +58,22 @@ def ensure_dataset(store: ArtifactStore, config, name: str):
     with store.lock(key):
         if key in store:
             return store[key]
+        scale, seed = spec.dataset.scale, spec.dataset.seed
         if name in (schema.FB15K, schema.FB15K237):
-            fb, snapshot = fb15k_like(config.scale, config.seed)
+            fb, snapshot = fb15k_like(scale, seed)
             store.put(("snapshot",), snapshot)
             store.put(("dataset", schema.FB15K), fb)
             store.put(("dataset", schema.FB15K237), make_fb15k237_like(fb))
         elif name in (schema.WN18, schema.WN18RR):
-            wn = wn18_like(config.scale, config.seed + 3)
+            wn = wn18_like(scale, seed + 3)
             store.put(("dataset", schema.WN18), wn)
             store.put(("dataset", schema.WN18RR), make_wn18rr_like(wn))
         elif name in (schema.YAGO, schema.YAGO_DR):
-            yago = yago3_like(config.scale, config.seed + 7)
+            yago = yago3_like(scale, seed + 7)
+            theta = spec.audit.yago_theta
             store.put(("dataset", schema.YAGO), yago)
             store.put(
-                ("dataset", schema.YAGO_DR),
-                make_yago_dr_like(yago, theta_1=config.yago_theta, theta_2=config.yago_theta),
+                ("dataset", schema.YAGO_DR), make_yago_dr_like(yago, theta_1=theta, theta_2=theta)
             )
         else:
             raise KeyError(
@@ -80,10 +83,10 @@ def ensure_dataset(store: ArtifactStore, config, name: str):
     return store[key]
 
 
-def ensure_snapshot(store: ArtifactStore, config):
+def ensure_snapshot(store: ArtifactStore, spec: ExperimentSpec):
     """The simulated Freebase snapshot behind the FB15k-like benchmark."""
     if ("snapshot",) not in store:
-        ensure_dataset(store, config, schema.FB15K)
+        ensure_dataset(store, spec, schema.FB15K)
     return store[("snapshot",)]
 
 
@@ -94,32 +97,34 @@ def register_dataset(store: ArtifactStore, dataset) -> None:
 
 
 def ingest_dataset_into_store(
-    store: ArtifactStore, config, directory, name: Optional[str] = None, gzipped=None
+    store: ArtifactStore, spec: ExperimentSpec, directory, name: Optional[str] = None
 ):
     """Stream-ingest a TSV directory through the bounded-memory pipeline.
 
-    With ``config.ingest_fused`` the splits stay chunked array views that feed
-    training and sharded evaluation directly (see
+    The ``ingest`` section sets the chunk budget and gzip detection.  With
+    ``ingest.fused`` the splits stay chunked array views that feed training
+    and sharded evaluation directly (see
     :func:`repro.kg.streaming.ingest_dataset`); results are bit-identical to
-    the materialized path either way.
+    the materialized path either way.  Re-ingesting a name drops every
+    artifact derived from the old data.
     """
     from ..kg.streaming import ingest_dataset
 
     report = ingest_dataset(
         directory,
         name=name,
-        chunk_size=config.ingest_chunk_size,
-        max_queue_chunks=config.ingest_max_queue_chunks,
-        gzipped=gzipped,
-        fused=getattr(config, "ingest_fused", False),
+        chunk_size=spec.ingest.chunk_size,
+        max_queue_chunks=spec.ingest.max_queue_chunks,
+        gzipped=spec.ingest.gzipped,
+        fused=spec.ingest.fused,
     )
     register_dataset(store, report.dataset)
     store.put(("ingest_report", report.dataset.name), report)
     return report.dataset
 
 
-def apply_spec_deltas(store: ArtifactStore, config, deltas, base_name: str):
-    """Advance dataset ``base_name`` through the pinned prefix of a delta log.
+def apply_spec_deltas(store: ArtifactStore, spec: ExperimentSpec, base_name: str):
+    """Advance dataset ``base_name`` through the pinned prefix of the spec's delta log.
 
     The applied state is cached as a versioned snapshot under
     ``("dataset_snapshot", base_name, "<seq>-<chain>")``, where ``chain``
@@ -137,6 +142,7 @@ def apply_spec_deltas(store: ArtifactStore, config, deltas, base_name: str):
     """
     from ..kg.deltas import DeltaLog, LiveDatasetMaintainer
 
+    deltas = spec.deltas
     log = DeltaLog(deltas.log)
     batches = log.batches(deltas.as_of)
     last_seq = batches[-1].seq if batches else -1
@@ -149,7 +155,7 @@ def apply_spec_deltas(store: ArtifactStore, config, deltas, base_name: str):
         return dict(metadata.notes) if metadata is not None else {}
 
     def build():
-        start = store.ensure(base_key, lambda: ensure_dataset(store, config, base_name))
+        start = store.ensure(base_key, lambda: ensure_dataset(store, spec, base_name))
         current = store.get(("dataset", base_name))
         if current is not None:
             notes = _notes(current)
@@ -180,15 +186,14 @@ def apply_spec_deltas(store: ArtifactStore, config, deltas, base_name: str):
     return snapshot
 
 
-def ensure_redundancy(store: ArtifactStore, config, dataset_name: str):
+def ensure_redundancy(store: ArtifactStore, spec: ExperimentSpec, dataset_name: str):
     """The Section 4 redundancy report of one dataset."""
     from ..core.redundancy import analyse_redundancy
 
     def build():
-        dataset = ensure_dataset(store, config, dataset_name)
-        theta = (
-            config.yago_theta if dataset_name.startswith("YAGO") else config.audit_theta
-        )
+        dataset = ensure_dataset(store, spec, dataset_name)
+        audit = spec.config_for(dataset=dataset_name).audit
+        theta = audit.yago_theta if dataset_name.startswith("YAGO") else audit.theta
         index = getattr(dataset, "audit_index", None)
         if index is not None:
             # Fused-ingest datasets carry the pair index built during the
@@ -199,28 +204,30 @@ def ensure_redundancy(store: ArtifactStore, config, dataset_name: str):
     return store.ensure(("redundancy", dataset_name), build)
 
 
-def ensure_leakage(store: ArtifactStore, config, dataset_name: str):
+def ensure_leakage(store: ArtifactStore, spec: ExperimentSpec, dataset_name: str):
     from ..core.leakage import analyse_leakage
 
     return store.ensure(
         ("leakage", dataset_name),
         lambda: analyse_leakage(
-            ensure_dataset(store, config, dataset_name),
-            ensure_redundancy(store, config, dataset_name),
+            ensure_dataset(store, spec, dataset_name),
+            ensure_redundancy(store, spec, dataset_name),
         ),
     )
 
 
-def ensure_categories(store: ArtifactStore, config, dataset_name: str):
+def ensure_categories(store: ArtifactStore, spec: ExperimentSpec, dataset_name: str):
     from ..core.categories import dataset_relation_categories
 
     return store.ensure(
         ("categories", dataset_name),
-        lambda: dataset_relation_categories(ensure_dataset(store, config, dataset_name)),
+        lambda: dataset_relation_categories(ensure_dataset(store, spec, dataset_name)),
     )
 
 
-def ensure_scorer(store: ArtifactStore, config, model_name: str, dataset_name: str):
+def ensure_scorer(
+    store: ArtifactStore, spec: ExperimentSpec, model_name: str, dataset_name: str
+):
     """A trained scorer (embedding model, AMIE, simple rule or Cartesian baseline)."""
     from ..core.baselines import SimpleRuleModel
     from ..core.cartesian import CartesianProductPredictor
@@ -230,7 +237,7 @@ def ensure_scorer(store: ArtifactStore, config, model_name: str, dataset_name: s
     from ..rules.predictor import RuleBasedPredictor
 
     def build():
-        dataset = ensure_dataset(store, config, dataset_name)
+        dataset = ensure_dataset(store, spec, dataset_name)
         if model_name == "AMIE":
             rules = AmieMiner(dataset.train, AmieConfig()).mine()
             return RuleBasedPredictor(rules.rules, dataset.train, dataset.num_entities)
@@ -240,13 +247,14 @@ def ensure_scorer(store: ArtifactStore, config, model_name: str, dataset_name: s
             return CartesianProductPredictor(
                 dataset.train, dataset.num_entities, density_threshold=0.75
             )
+        pair = spec.config_for(model=model_name, dataset=dataset_name)
         model = make_model(
             model_name,
             dataset.num_entities,
             dataset.num_relations,
-            config.model_config(model_name),
+            pair.model_config(model_name),
         )
-        training = config.training_config()
+        training = pair.training_config()
         if training.checkpoint_dir:
             # One subdirectory per (model, dataset) pair so a whole
             # benchmark session's checkpoints never collide.
@@ -259,18 +267,18 @@ def ensure_scorer(store: ArtifactStore, config, model_name: str, dataset_name: s
     return store.ensure(("scorer", model_name, dataset_name), build)
 
 
-def ensure_evaluation(store: ArtifactStore, config, model_name: str, dataset_name: str):
+def ensure_evaluation(
+    store: ArtifactStore, spec: ExperimentSpec, model_name: str, dataset_name: str
+):
     """Cached link-prediction evaluation of one scorer on one dataset."""
     from ..eval.ranking import LinkPredictionEvaluator
-    from .options import EvalOptions
 
     def build():
-        dataset = ensure_dataset(store, config, dataset_name)
-        evaluator = LinkPredictionEvaluator(
-            dataset, options=EvalOptions.from_experiment_config(config)
-        )
+        dataset = ensure_dataset(store, spec, dataset_name)
+        options = spec.config_for(model=model_name, dataset=dataset_name).eval_options()
+        evaluator = LinkPredictionEvaluator(dataset, options=options)
         return evaluator.evaluate(
-            ensure_scorer(store, config, model_name, dataset_name), model_name=model_name
+            ensure_scorer(store, spec, model_name, dataset_name), model_name=model_name
         )
 
     return store.ensure(("evaluation", model_name, dataset_name), build)
@@ -349,7 +357,6 @@ class Runner:
             )
         store.fingerprint = fingerprint
         self.store = store
-        self.config = spec.to_experiment_config()
         #: Stages of the current :meth:`run` call (lets deredundify backfill
         #: the audit of its freshly built dataset when both were selected).
         self._selected_stages: Tuple[str, ...] = ()
@@ -397,7 +404,7 @@ class Runner:
         if target is None:
             return
         self._ensure_source()
-        apply_spec_deltas(self.store, self.config, self.spec.deltas, target)
+        apply_spec_deltas(self.store, self.spec, target)
 
     # -- execution ---------------------------------------------------------------
     def run(self, stages: Optional[Sequence[str]] = None) -> RunReport:
@@ -415,14 +422,9 @@ class Runner:
         self._selected_stages = tuple(selected)
         # Enable-never-disable: the spec can switch telemetry on, but a spec
         # with it off must not silence a session someone enabled explicitly.
-        if (
-            self.config.telemetry_enabled
-            or self.config.telemetry_trace_path
-            or self.config.telemetry_profile
-        ):
-            configure_telemetry(
-                enabled=True, profile=self.config.telemetry_profile or None
-            )
+        settings = self.spec.telemetry
+        if settings.enabled or settings.trace_path or settings.profile:
+            configure_telemetry(enabled=True, profile=settings.profile or None)
         telemetry = get_telemetry()
         profiles: Dict[str, Dict[str, Any]] = {}
         self._ensure_deltas()
@@ -470,8 +472,8 @@ class Runner:
                 report.telemetry["cache"] = dict(cache_stats)
             if profiles:
                 report.telemetry["profile"] = profiles
-            if self.config.telemetry_trace_path:
-                trace_path = write_trace_jsonl(records, self.config.telemetry_trace_path)
+            if settings.trace_path:
+                trace_path = write_trace_jsonl(records, settings.trace_path)
                 report.telemetry["trace_path"] = str(trace_path)
                 logger.info("[%s] trace written to %s", self.spec.name, trace_path)
         elif cache_stats is not None:
@@ -495,11 +497,7 @@ class Runner:
         if ("dataset", dataset_section.source_name) in self.store:
             return
         ingest_dataset_into_store(
-            self.store,
-            self.config,
-            dataset_section.source,
-            name=dataset_section.source_name,
-            gzipped=self.spec.ingest.gzipped,
+            self.store, self.spec, dataset_section.source, name=dataset_section.source_name
         )
 
     def _materialize_derived(self) -> None:
@@ -516,14 +514,12 @@ class Runner:
         if not source_name or ("dataset", derived_name) in self.store:
             return
         self._ensure_source()
-        config = self.spec.config_for(dataset=source_name)
-        dataset = ensure_dataset(self.store, config, source_name)
-        redundancy = ensure_redundancy(self.store, config, source_name)
+        theta = self.spec.config_for(dataset=source_name).audit.theta
         derived = remove_redundant_relations(
-            dataset,
-            theta_1=config.audit_theta,
-            theta_2=config.audit_theta,
-            report=redundancy,
+            ensure_dataset(self.store, self.spec, source_name),
+            theta_1=theta,
+            theta_2=theta,
+            report=ensure_redundancy(self.store, self.spec, source_name),
         )
         register_dataset(self.store, derived)
 
@@ -542,7 +538,7 @@ class Runner:
         derived = self._derived_name()
         for name in self.dataset_names():
             if name != derived:
-                dataset = ensure_dataset(self.store, self.config, name)
+                dataset = ensure_dataset(self.store, self.spec, name)
                 # Generated replicas never pass through the streaming
                 # pipeline (which records the ingest.chunk_* series), so the
                 # stage accounts for their triples here.
@@ -552,14 +548,10 @@ class Runner:
                 )
 
     def _audit_dataset(self, name: str) -> None:
-        # Construction always uses the *global* config (overrides patch the
-        # analysis thresholds, never how a replica is built), so the same
-        # spec materializes the same datasets whatever stage subset runs.
-        ensure_dataset(self.store, self.config, name)
-        config = self.spec.config_for(dataset=name)
-        ensure_redundancy(self.store, config, name)
-        ensure_leakage(self.store, config, name)
-        ensure_categories(self.store, config, name)
+        ensure_dataset(self.store, self.spec, name)
+        ensure_redundancy(self.store, self.spec, name)
+        ensure_leakage(self.store, self.spec, name)
+        ensure_categories(self.store, self.spec, name)
 
     def _stage_audit(self, report: RunReport) -> None:
         """Redundancy, leakage and relation-category audits per dataset."""
@@ -589,25 +581,20 @@ class Runner:
         """Train every (model, dataset) pair of the lineup."""
         self._ensure_listed_datasets()
         for dataset_name in self.spec.datasets:
-            # Materialize with the global config before per-pair overrides
-            # apply — construction must not depend on the stage subset.
-            ensure_dataset(self.store, self.config, dataset_name)
+            # Materialized even for an empty lineup, so the report covers it.
+            ensure_dataset(self.store, self.spec, dataset_name)
             for model_name in self.lineup():
-                config = self.spec.config_for(model=model_name, dataset=dataset_name)
-                ensure_scorer(self.store, config, model_name, dataset_name)
+                ensure_scorer(self.store, self.spec, model_name, dataset_name)
 
     def _stage_evaluate(self, report: RunReport) -> None:
         """Link-prediction evaluation of every (model, dataset) pair."""
         self._ensure_listed_datasets()
         for dataset_name in self.spec.datasets:
-            ensure_dataset(self.store, self.config, dataset_name)
-            rows = []
-            for model_name in self.lineup():
-                config = self.spec.config_for(model=model_name, dataset=dataset_name)
-                rows.append(
-                    ensure_evaluation(self.store, config, model_name, dataset_name).as_row()
-                )
-            report.rows[dataset_name] = rows
+            ensure_dataset(self.store, self.spec, dataset_name)
+            report.rows[dataset_name] = [
+                ensure_evaluation(self.store, self.spec, model_name, dataset_name).as_row()
+                for model_name in self.lineup()
+            ]
 
     def _stage_report(self, report: RunReport) -> None:
         """Render the human-readable session report."""

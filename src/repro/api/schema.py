@@ -6,8 +6,8 @@ carrying the canonical default, type, valid range/choices, help text and the
 CLI flag spelling.  Everything else **derives** from these definitions:
 
 * :class:`repro.api.spec.ExperimentSpec` sections and their validation,
-* :class:`repro.experiments.config.ExperimentConfig` field defaults,
-* :class:`repro.models.trainer.TrainingConfig` field defaults,
+* :class:`repro.models.trainer.TrainingConfig` and
+  :class:`repro.api.options.EvalOptions` field defaults,
 * the generated ``repro-kgc`` CLI flags (and their ``REPRO_*`` environment
   overrides), and
 * the TOML keys of a spec file.

@@ -15,8 +15,11 @@ training lifecycle and evaluation protocol — as one typed, nested object that
 The spec is the paper's thesis applied to our own tooling: results are only
 trustworthy when the full procedure is declared, so an experiment should be a
 *file you rerun*, not flags you retype.  ``repro-kgc run spec.toml`` executes
-a spec through :class:`repro.api.pipeline.Runner` with metrics bit-identical
-to the equivalent legacy flag invocation.
+a spec through :class:`repro.api.pipeline.Runner`.  The spec is the only
+config type: :meth:`ExperimentSpec.config_for` resolves one (model, dataset)
+pair's overrides, and :meth:`~ExperimentSpec.model_config`,
+:meth:`~ExperimentSpec.training_config` and :meth:`~ExperimentSpec.eval_options`
+build the component configs from its sections.
 
 Serialization notes: TOML has no null, so ``dump`` omits ``None``-valued
 knobs and ``load`` maps absence back to the default — exact because every
@@ -27,12 +30,13 @@ even if library defaults change later.
 
 from __future__ import annotations
 
+import copy
 import difflib
 import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -330,73 +334,59 @@ class ExperimentSpec:
 
     def config_for(
         self, model: Optional[str] = None, dataset: Optional[str] = None
-    ):
-        """The effective :class:`~repro.experiments.config.ExperimentConfig`.
+    ) -> "ExperimentSpec":
+        """The effective spec of one (model, dataset) pair.
 
-        Starts from the global sections, then applies the per-dataset patch,
-        then the per-model patch (most specific wins).  With no overrides this
-        equals :meth:`to_experiment_config` — which is what makes a spec run
-        bit-identical to the legacy ``Workbench`` path.
+        A copy whose sections carry the per-dataset patch and then the
+        per-model patch (most specific wins), with ``overrides`` emptied
+        because they are already applied.  With no overrides the sections
+        equal this spec's own.
         """
-        from ..experiments.config import ExperimentConfig
-
-        merged = {name: self.section_values(name) for name in _SECTION_CLASSES}
+        resolved = copy.deepcopy(self)
+        resolved.overrides = {}
         for scope, key in (("datasets", dataset), ("models", model)):
-            if key is None:
-                continue
-            patch = self.overrides.get(scope, {}).get(key, {})
-            for section_name, knobs in patch.items():
-                merged[section_name].update(knobs)
-        kwargs = _experiment_config_kwargs(merged)
-        kwargs["models"] = tuple(self.models)
-        kwargs["include_amie"] = self.include_amie
-        return ExperimentConfig(**kwargs)
+            for section_name, knobs in self.overrides.get(scope, {}).get(key, {}).items():
+                setattr(resolved, section_name, replace(getattr(resolved, section_name), **knobs))
+        return resolved
 
-    def to_experiment_config(self):
-        """The global (no-override) :class:`ExperimentConfig` of this spec."""
+    def to_experiment_config(self) -> "ExperimentSpec":
+        """The global sections alone: :meth:`config_for` with no model or dataset."""
         return self.config_for()
 
+    # -- component configs --------------------------------------------------------------
+    # The model and trainer modules are imported on call: this module is
+    # imported by every spec consumer and must stay light.
+    def model_config(self, model_name: str):
+        """The :class:`~repro.models.base.ModelConfig` that builds ``model_name``.
 
-def _experiment_config_kwargs(merged: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Map merged section values onto ``ExperimentConfig`` keyword arguments."""
-    dataset, ingest, audit = merged["dataset"], merged["ingest"], merged["audit"]
-    model, training, evaluation = merged["model"], merged["training"], merged["evaluation"]
-    telemetry = merged["telemetry"]
-    return dict(
-        scale=dataset["scale"],
-        seed=dataset["seed"],
-        dim=model["dim"],
-        epochs=training["epochs"],
-        batch_size=training["batch_size"],
-        num_negatives=training["num_negatives"],
-        learning_rate=training["learning_rate"],
-        optimizer=training["optimizer"],
-        loss=training["loss"],
-        margin=training["margin"],
-        sampler=training["sampler"],
-        sparse_updates=training["sparse_updates"],
-        row_budget=training["row_budget"],
-        validate_every=training["validate_every"],
-        patience=training["patience"],
-        restore_best=training["restore_best"],
-        checkpoint_dir=training["checkpoint_dir"],
-        checkpoint_every=training["checkpoint_every"],
-        weight_decay=training["weight_decay"],
-        eval_batch_size=evaluation["batch_size"],
-        eval_workers=evaluation["workers"],
-        eval_shard_size=evaluation["shard_size"],
-        eval_backend=evaluation["backend"],
-        eval_dtype=evaluation["eval_dtype"],
-        score_block_budget=evaluation["score_block_budget"],
-        ingest_chunk_size=ingest["chunk_size"],
-        ingest_max_queue_chunks=ingest["max_queue_chunks"],
-        ingest_fused=ingest["fused"],
-        audit_theta=audit["theta"],
-        yago_theta=audit["yago_theta"],
-        telemetry_enabled=telemetry["enabled"],
-        telemetry_trace_path=telemetry["trace_path"],
-        telemetry_profile=telemetry["profile"],
-    )
+        Every model reads the ``model`` section, seeded by ``dataset.seed``,
+        and chooses its own shapes from ``dim`` (ConvE's reshape); call it on
+        :meth:`config_for` to apply a model's patch.
+        """
+        from ..models.base import ModelConfig
+
+        return ModelConfig(dim=self.model.dim, seed=self.dataset.seed)
+
+    def training_config(self):
+        """The :class:`~repro.models.trainer.TrainingConfig` of the ``training`` section.
+
+        Seeded by ``dataset.seed``; validation passes run with the
+        ``evaluation`` section's batch size and worker count.
+        """
+        from ..models.trainer import TrainingConfig
+
+        return TrainingConfig(
+            **self.section_values("training"),
+            seed=self.dataset.seed,
+            validation_batch_size=self.evaluation.batch_size,
+            validation_workers=self.evaluation.workers,
+        )
+
+    def eval_options(self):
+        """The :class:`~repro.api.options.EvalOptions` of the ``evaluation`` section."""
+        from .options import EvalOptions
+
+        return EvalOptions(**self.section_values("evaluation"))
 
 
 def _prune_none(data: Dict[str, Any]) -> Dict[str, Any]:

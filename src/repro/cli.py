@@ -34,7 +34,8 @@ Eight subcommands cover the workflows a downstream user needs:
     ``--quiet`` select the level).
 ``repro-kgc experiment``
     Regenerate one of the paper's tables or figures by its key (see
-    ``repro.experiments.EXPERIMENT_INDEX``), or ``all`` of them.
+    ``repro.experiments.EXPERIMENT_INDEX``), or ``all`` of them, through one
+    :class:`~repro.api.pipeline.Runner` over the flags' spec.
 
 Per-knob flags are **generated from the knob schema**
 (:mod:`repro.api.schema`): one knob definition yields the CLI flag, a
@@ -57,7 +58,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .api import schema
-from .api.options import EvalOptions
 from .api.spec import (
     ExperimentSpec,
     SpecValidationError,
@@ -80,7 +80,7 @@ from .core import (
     render_table,
 )
 from .eval import evaluate_model
-from .experiments import EXPERIMENT_INDEX, Workbench
+from .experiments import EXPERIMENT_INDEX
 from .kg import (
     Dataset,
     DatasetIOError,
@@ -733,15 +733,15 @@ def command_ingest(args: argparse.Namespace) -> int:
 def command_train(args: argparse.Namespace) -> int:
     """Train one model on one dataset and print its evaluation row."""
     _configure_logging(args.verbose, args.quiet)
-    config = _spec_from_args(args, "train").to_experiment_config()
-    dataset = _resolve_dataset(args.dataset, config.scale, config.seed)
+    spec = _spec_from_args(args, "train")
+    dataset = _resolve_dataset(args.dataset, spec.dataset.scale, spec.dataset.seed)
     model = make_model(
         args.model,
         dataset.num_entities,
         dataset.num_relations,
-        config.model_config(args.model),
+        spec.model_config(args.model),
     )
-    training = config.training_config()
+    training = spec.training_config()
     training.verbose = not args.quiet
     run = TrainingRun(model, dataset, training)
     if args.resume:
@@ -762,10 +762,7 @@ def command_train(args: argparse.Namespace) -> int:
         summary += f" (restored best epoch {result.best_epoch})"
     print(summary)
     evaluation = evaluate_model(
-        model,
-        dataset,
-        model_name=args.model,
-        options=EvalOptions.from_experiment_config(config),
+        model, dataset, model_name=args.model, options=spec.eval_options()
     )
     print(render_table([evaluation.as_row()], title="Link prediction"))
     if args.export_artifact:
@@ -892,10 +889,11 @@ def command_experiment(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"unknown experiment {unknown[0]!r}; available: {', '.join(EXPERIMENT_INDEX)}, all"
         )
-    config = _spec_from_args(args, "experiment").to_experiment_config()
-    workbench = Workbench(config)
+    from .api.pipeline import Runner
+
+    runner = Runner(_spec_from_args(args, "experiment"))
     for key in keys:
-        result = EXPERIMENT_INDEX[key](workbench)
+        result = EXPERIMENT_INDEX[key](runner)
         print(result["text"])
         print()
     return 0

@@ -179,34 +179,13 @@ class LinkPredictionEvaluator:
         extra_ground_truth: Optional[TripleSet] = None,
         options: Optional[EvalOptions] = None,
         known_index: Optional[Any] = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            # Pre-EvalOptions keyword surface (eval_batch_size=, n_workers=,
-            # ...): folded in with a DeprecationWarning; unknown keywords
-            # still raise TypeError as they always did.
-            options = EvalOptions.from_legacy_kwargs(legacy, base=options)
-        options = (options or EvalOptions()).normalized()
-        #: How this evaluation runs — the schema-derived option object.
-        self.options = options
+        #: How this evaluation runs — the schema-derived option object.  Its
+        #: backend + dtype are applied to scorers exposing
+        #: ``set_score_backend`` at ``evaluate()`` time; a score block budget
+        #: enables the fused score+rank path.
+        self.options = (options or EvalOptions()).normalized()
         self.dataset = dataset
-        #: Unique queries per batched scorer call (bounds the (B, E) matrix).
-        self.eval_batch_size = options.batch_size
-        #: Worker processes for the sharded batched path; ``1`` keeps the
-        #: exact in-process evaluation (no pool is ever created).
-        self.n_workers = options.workers
-        #: Queries per shard (``None`` = one balanced shard per worker).
-        self.shard_size = options.shard_size
-        #: Multiprocessing start method override (``None`` = platform best).
-        self.mp_start_method = options.mp_start_method
-        #: Array backend + dtype the scorer's batched kernels compute on; the
-        #: defaults are the bit-identity reference configuration.  Applied to
-        #: scorers exposing ``set_score_backend`` at ``evaluate()`` time.
-        self.backend = options.backend
-        self.eval_dtype = options.eval_dtype
-        #: Max elements of a resident score block; a value enables the fused
-        #: score+rank path (never materializes the (B, E) host matrix).
-        self.score_block_budget = options.score_block_budget
         if known_index is None and filter_triples is None and extra_ground_truth is None:
             # Fused-ingest datasets carry the index grown during the stream
             # (see repro.eval.sharding.StreamingKnownIndexBuilder).
@@ -244,11 +223,12 @@ class LinkPredictionEvaluator:
         through ``set_score_backend`` keep their configuration under a default
         evaluator, and scorers without the knob are left untouched.
         """
-        if self.backend == "numpy" and self.eval_dtype == "fp64":
+        backend, eval_dtype = self.options.backend, self.options.eval_dtype
+        if backend == "numpy" and eval_dtype == "fp64":
             return
         configure = getattr(scorer, "set_score_backend", None)
         if configure is not None:
-            configure(self.backend, self.eval_dtype)
+            configure(backend, eval_dtype)
 
     def _side_work(
         self, triples: Sequence[Triple], side: str
@@ -333,11 +313,12 @@ class LinkPredictionEvaluator:
         self._configure_scorer(scorer)
         if not batched:
             return self._evaluate_per_triple(scorer, triples, result, sides)
-        batch_size = self.eval_batch_size if eval_batch_size is None else max(1, int(eval_batch_size))
-        workers = self.n_workers if n_workers is None else max(1, int(n_workers))
-        shards = self.shard_size if shard_size is None else max(1, int(shard_size))
+        options = self.options
+        batch_size = options.batch_size if eval_batch_size is None else max(1, int(eval_batch_size))
+        workers = options.workers if n_workers is None else max(1, int(n_workers))
+        shards = options.shard_size if shard_size is None else max(1, int(shard_size))
         if score_block_budget is _UNSET:
-            block_budget = self.score_block_budget
+            block_budget = options.score_block_budget
         else:
             block_budget = (
                 None if score_block_budget is None else max(1, int(score_block_budget))  # type: ignore[arg-type]
@@ -353,7 +334,7 @@ class LinkPredictionEvaluator:
         # share one instrumented entry point.
         side_ranks = evaluate_shards(
             scorer, work, known, workers, shards, batch_size,
-            self.mp_start_method, block_budget,
+            options.mp_start_method, block_budget,
         )
         scattered = {
             side: self._scatter_ranks(side_ranks[side], positions[side], len(triples))
@@ -413,13 +394,8 @@ def evaluate_model(
     extra_ground_truth: Optional[TripleSet] = None,
     model_name: Optional[str] = None,
     options: Optional[EvalOptions] = None,
-    **legacy,
 ) -> EvaluationResult:
     """Convenience wrapper constructing the evaluator with default filtering."""
-    if legacy:
-        options = EvalOptions.from_legacy_kwargs(
-            legacy, base=options, owner="evaluate_model"
-        )
     evaluator = LinkPredictionEvaluator(
         dataset,
         extra_ground_truth=extra_ground_truth,

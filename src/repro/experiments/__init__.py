@@ -1,16 +1,15 @@
-"""Experiment drivers: one function per table/figure of the paper."""
+"""Experiment drivers: one function per table/figure of the paper.
 
-from .config import (
-    ALL_DATASETS,
-    FB15K,
-    FB15K237,
-    WN18,
-    WN18RR,
-    YAGO,
-    YAGO_DR,
-    ExperimentConfig,
-    Workbench,
-)
+Every driver takes a :class:`repro.api.Runner` and builds what it needs on
+demand through the pipeline builders over ``runner.store`` and
+``runner.spec``, so drivers sharing one runner train each (model, dataset)
+pair once::
+
+    runner = Runner(ExperimentSpec(models=["TransE", "DistMult"]))
+    print(table6_wn18(runner)["text"])
+"""
+
+from ..api.schema import ALL_DATASETS, FB15K, FB15K237, WN18, WN18RR, YAGO, YAGO_DR
 from .dataset_experiments import (
     ablation_thresholds,
     figure2_mediators,
@@ -56,8 +55,6 @@ EXPERIMENT_INDEX = {
 }
 
 __all__ = [
-    "ExperimentConfig",
-    "Workbench",
     "ALL_DATASETS",
     "FB15K",
     "FB15K237",

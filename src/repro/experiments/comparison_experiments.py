@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
+from ..api.pipeline import (
+    Runner,
+    ensure_categories,
+    ensure_dataset,
+    ensure_evaluation,
+    ensure_leakage,
+)
+from ..api.schema import FB15K, FB15K237, WN18, WN18RR, YAGO
 from ..core.reporting import render_matrix, render_table
 from ..eval.comparison import (
     best_model_counts,
@@ -12,22 +20,32 @@ from ..eval.comparison import (
     outperformance_redundancy_share,
     per_relation_win_percentages,
 )
-from .config import FB15K, FB15K237, WN18, WN18RR, YAGO, Workbench
+from ..eval.ranking import EvaluationResult
 
 
-def table7_outperform_redundancy(workbench: Workbench) -> Dict[str, object]:
+def _evaluations(
+    runner: Runner, models: Sequence[str], dataset_name: str
+) -> Dict[str, EvaluationResult]:
+    return {
+        name: ensure_evaluation(runner.store, runner.spec, name, dataset_name)
+        for name in models
+    }
+
+
+def table7_outperform_redundancy(runner: Runner) -> Dict[str, object]:
     """Table 7: among test triples where a model beats TransE, the redundant share.
 
     Computed on the FB15k-like and WN18-like (redundant) benchmarks, as in the
     paper; the redundant set is "test triples with reverse or duplicate
     counterparts in the training set".
     """
-    models = [m for m in workbench.config.models if m != "TransE"]
+    models = [m for m in runner.spec.models if m != "TransE"]
     tables: Dict[str, Dict[str, Dict[str, float]]] = {}
     rows: List[Dict[str, object]] = []
     for label, dataset_name in (("FB15k-like", FB15K), ("WN18-like", WN18)):
-        results = workbench.evaluations(["TransE", *models], dataset_name)
-        redundant = workbench.leakage(dataset_name).redundant_test_triples()
+        results = _evaluations(runner, ["TransE", *models], dataset_name)
+        leakage = ensure_leakage(runner.store, runner.spec, dataset_name)
+        redundant = leakage.redundant_test_triples()
         shares = outperformance_redundancy_share(results, "TransE", redundant)
         tables[label] = shares
         for model, metric_shares in shares.items():
@@ -43,9 +61,9 @@ def table7_outperform_redundancy(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def table8_best_model_counts(workbench: Workbench) -> Dict[str, object]:
+def table8_best_model_counts(runner: Runner) -> Dict[str, object]:
     """Table 8: number of test relations on which each model is the most accurate."""
-    models = workbench.lineup()
+    models = runner.lineup()
     tables: Dict[str, Dict[str, Dict[str, int]]] = {}
     rows: List[Dict[str, object]] = []
     for label, dataset_name in (
@@ -53,7 +71,7 @@ def table8_best_model_counts(workbench: Workbench) -> Dict[str, object]:
         ("WN18RR-like", WN18RR),
         ("YAGO3-10-like", YAGO),
     ):
-        results = workbench.evaluations(models, dataset_name)
+        results = _evaluations(runner, models, dataset_name)
         counts = best_model_counts(results)
         tables[label] = counts
         for metric, model_counts in counts.items():
@@ -68,13 +86,13 @@ def table8_best_model_counts(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def figure5_6_per_relation_heatmap(workbench: Workbench) -> Dict[str, object]:
+def figure5_6_per_relation_heatmap(runner: Runner) -> Dict[str, object]:
     """Figures 5 and 6: per-relation share of test triples each model wins."""
-    models = list(workbench.config.models)
+    models = list(runner.spec.models)
     heatmaps: Dict[str, Dict[str, Dict[str, float]]] = {}
     for label, dataset_name in (("FB15k-237-like", FB15K237), ("WN18RR-like", WN18RR)):
-        dataset = workbench.dataset(dataset_name)
-        results = workbench.evaluations(models, dataset_name)
+        dataset = ensure_dataset(runner.store, runner.spec, dataset_name)
+        results = _evaluations(runner, models, dataset_name)
         matrix = per_relation_win_percentages(results)
         heatmaps[label] = {
             dataset.relation_name(relation): wins for relation, wins in sorted(matrix.items())
@@ -90,13 +108,13 @@ def figure5_6_per_relation_heatmap(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def figure7_8_category_breakdown(workbench: Workbench) -> Dict[str, object]:
+def figure7_8_category_breakdown(runner: Runner) -> Dict[str, object]:
     """Figures 7 and 8: best-model break-down by relation category."""
-    models = workbench.lineup()
+    models = runner.lineup()
     breakdowns: Dict[str, Dict[str, Dict[str, int]]] = {}
     for label, dataset_name in (("FB15k-237-like", FB15K237), ("YAGO3-10-like", YAGO)):
-        results = workbench.evaluations(models, dataset_name)
-        categories = workbench.relation_categories(dataset_name)
+        results = _evaluations(runner, models, dataset_name)
+        categories = ensure_categories(runner.store, runner.spec, dataset_name)
         breakdowns[label] = category_best_model_breakdown(results, categories)
     text_blocks = [
         render_matrix(breakdown, row_label="model", title=f"Figure {fig}: best-FMRR wins by relation category ({label})")
@@ -109,17 +127,17 @@ def figure7_8_category_breakdown(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def table9_10_12_category_hits(workbench: Workbench) -> Dict[str, object]:
+def table9_10_12_category_hits(runner: Runner) -> Dict[str, object]:
     """Tables 9, 10 and 12: FHits@10 by relation category, head vs tail prediction."""
-    models = workbench.lineup()
+    models = runner.lineup()
     tables: Dict[str, List[Dict[str, object]]] = {}
     text_blocks: List[str] = []
     for table_number, (label, dataset_name) in zip(
         (9, 10, 12),
         (("FB15k-237-like", FB15K237), ("WN18RR-like", WN18RR), ("YAGO3-10-like", YAGO)),
     ):
-        results = workbench.evaluations(models, dataset_name)
-        categories = workbench.relation_categories(dataset_name)
+        results = _evaluations(runner, models, dataset_name)
+        categories = ensure_categories(runner.store, runner.spec, dataset_name)
         table = category_side_hits(results, categories)
         rows: List[Dict[str, object]] = []
         for model, per_category in table.items():

@@ -6,17 +6,19 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..api.pipeline import Runner, ensure_dataset, ensure_leakage, ensure_snapshot
+from ..api.schema import ALL_DATASETS, FB15K, WN18, YAGO
 from ..core.cartesian import find_cartesian_relations
 from ..core.redundancy import analyse_redundancy
 from ..core.reporting import render_key_values, render_table
 from ..kg.statistics import dataset_statistics, relation_frequency_share
-from .config import ALL_DATASETS, FB15K, WN18, YAGO, Workbench
 
 
-def table1_statistics(workbench: Workbench) -> Dict[str, object]:
+def table1_statistics(runner: Runner) -> Dict[str, object]:
     """Table 1: statistics of the six evaluation datasets."""
     rows = [
-        dataset_statistics(workbench.dataset(name)).as_row() for name in ALL_DATASETS
+        dataset_statistics(ensure_dataset(runner.store, runner.spec, name)).as_row()
+        for name in ALL_DATASETS
     ]
     return {
         "experiment": "table1",
@@ -25,7 +27,7 @@ def table1_statistics(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def figure2_mediators(workbench: Workbench) -> Dict[str, object]:
+def figure2_mediators(runner: Runner) -> Dict[str, object]:
     """Figure 2/Section 4.1 (descriptive): mediator nodes and concatenated edges.
 
     The paper's Figure 2 is an illustration of CVT nodes; the quantitative
@@ -34,8 +36,8 @@ def figure2_mediators(workbench: Workbench) -> Dict[str, object]:
     how many relations carry an explicit ``reverse_property`` annotation, and
     how much of the FB15k-like benchmark is made of concatenated edges.
     """
-    snapshot = workbench.snapshot()
-    fb15k = workbench.dataset(FB15K)
+    snapshot = ensure_snapshot(runner.store, runner.spec)
+    fb15k = ensure_dataset(runner.store, runner.spec, FB15K)
     cvt_triples = sum(1 for h, _, t in snapshot.triples if "cvt/" in h or "cvt/" in t)
     concatenated = set(snapshot.concatenated_relations)
     benchmark_concat_triples = sum(
@@ -60,9 +62,9 @@ def figure2_mediators(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def figure4_redundancy_pie(workbench: Workbench) -> Dict[str, object]:
+def figure4_redundancy_pie(runner: Runner) -> Dict[str, object]:
     """Figure 4: redundancy bitmap breakdown of the FB15k-like test set."""
-    leakage = workbench.leakage(FB15K)
+    leakage = ensure_leakage(runner.store, runner.spec, FB15K)
     breakdown = leakage.bitmap_breakdown()
     rows = [{"case": bitmap, "share_percent": share} for bitmap, share in breakdown.items()]
     return {
@@ -75,12 +77,12 @@ def figure4_redundancy_pie(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def section42_leakage(workbench: Workbench) -> Dict[str, object]:
+def section42_leakage(runner: Runner) -> Dict[str, object]:
     """Section 4.2.1/4.2.2 headline statistics for all three raw benchmarks."""
     rows: List[Dict[str, object]] = []
     for name in (FB15K, WN18, YAGO):
-        leakage = workbench.leakage(name)
-        dataset = workbench.dataset(name)
+        leakage = ensure_leakage(runner.store, runner.spec, name)
+        dataset = ensure_dataset(runner.store, runner.spec, name)
         rows.append(
             {
                 "dataset": name,
@@ -97,7 +99,7 @@ def section42_leakage(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def ablation_thresholds(workbench: Workbench) -> Dict[str, object]:
+def ablation_thresholds(runner: Runner) -> Dict[str, object]:
     """Ablation (ours): sensitivity of the detectors to the θ thresholds.
 
     DESIGN.md calls out the 0.8 overlap threshold and the 0.8 Cartesian
@@ -105,7 +107,7 @@ def ablation_thresholds(workbench: Workbench) -> Dict[str, object]:
     analysis; this ablation sweeps both and reports how many redundant /
     Cartesian relations are detected at each setting.
     """
-    fb15k = workbench.dataset(FB15K)
+    fb15k = ensure_dataset(runner.store, runner.spec, FB15K)
     triples = fb15k.all_triples()
     rows: List[Dict[str, object]] = []
     for theta in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95):

@@ -10,12 +10,43 @@ convergence and our training runs are small) while dropout is kept.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
 
 from ..autodiff import Tensor, conv2d
 from .base import KGEModel, ModelConfig, iter_row_slices
+
+
+def _reshape_height(dim: int, kernel_size: int) -> int:
+    """Rows of ConvE's 2D embedding reshape when none is configured.
+
+    A height fits when it divides ``dim`` and the stacked
+    ``2*height x dim/height`` image is at least ``kernel_size`` both ways.
+    The fitting height nearest 4 wins (the smaller on a tie), so every
+    ``dim`` that 4 rows fit keeps the 4-row reshape.  Raises
+    :class:`ValueError` naming the nearest dims that work when no height
+    fits (prime dims, or dims too small for the kernel).
+    """
+
+    def heights(candidate: int):
+        return [
+            h
+            for h in range(1, candidate + 1)
+            if candidate % h == 0 and 2 * h >= kernel_size and candidate // h >= kernel_size
+        ]
+
+    fitting = heights(dim)
+    if fitting:
+        return min(fitting, key=lambda h: (abs(h - 4), h))
+    below = next((d for d in range(dim - 1, 0, -1) if heights(d)), None)
+    above = next(d for d in itertools.count(dim + 1) if heights(d))
+    nearby = ", ".join(str(d) for d in (below, above) if d is not None)
+    raise ValueError(
+        f"no ConvE embedding reshape of dim {dim} fits kernel_size {kernel_size}; "
+        f"nearest dims that work: {nearby} (or set embedding_height)"
+    )
 
 
 class ConvE(KGEModel):
@@ -25,6 +56,8 @@ class ConvE(KGEModel):
 
     ``embedding_height`` / ``embedding_width``
         The 2D reshape of the embedding (their product must equal ``dim``).
+        Without a height the model picks the divisor of ``dim`` nearest 4
+        whose reshape fits the kernel.
     ``num_filters``
         Convolution output channels (default 8).
     ``kernel_size``
@@ -38,7 +71,11 @@ class ConvE(KGEModel):
     def __init__(self, num_entities: int, num_relations: int, config: Optional[ModelConfig] = None) -> None:
         super().__init__(num_entities, num_relations, config)
         dim = self.config.dim
-        self.height = int(self.config.extra.get("embedding_height", 4))
+        self.kernel_size = int(self.config.extra.get("kernel_size", 3))
+        if "embedding_height" in self.config.extra:
+            self.height = int(self.config.extra["embedding_height"])
+        else:
+            self.height = _reshape_height(dim, self.kernel_size)
         self.width = int(self.config.extra.get("embedding_width", dim // self.height))
         if self.height * self.width != dim:
             raise ValueError(
@@ -46,7 +83,6 @@ class ConvE(KGEModel):
                 f"({self.height} * {self.width} != {dim})"
             )
         self.num_filters = int(self.config.extra.get("num_filters", 8))
-        self.kernel_size = int(self.config.extra.get("kernel_size", 3))
         self.dropout_rate = float(self.config.extra.get("dropout", 0.1))
 
         stacked_height = 2 * self.height

@@ -88,8 +88,9 @@ class TrainingConfig:
 
     Hyper-parameter defaults derive from the knob schema of
     :mod:`repro.api.schema` — the same definitions behind
-    ``ExperimentSpec.training``, ``ExperimentConfig`` and the generated CLI
-    flags — so the four surfaces cannot drift apart.
+    ``ExperimentSpec.training`` (whose ``training_config()`` builds this
+    class) and the generated CLI flags — so the three surfaces cannot drift
+    apart.
     """
 
     epochs: int = TRAINING_DEFAULTS["epochs"]

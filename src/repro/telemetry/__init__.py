@@ -14,7 +14,7 @@ baseline).
 
 Enablement flows from the ``[telemetry]`` knob section
 (:mod:`repro.api.schema`): the spec/CLI/env knobs land in
-``ExperimentConfig.telemetry_*``, the pipeline ``Runner`` calls
+``ExperimentSpec.telemetry``, the pipeline ``Runner`` calls
 :func:`configure`, and every layer below simply uses ``get_telemetry()``.
 Crucially, the telemetry section never perturbs spec fingerprints and the
 instrumented code paths never branch on telemetry state in a way that

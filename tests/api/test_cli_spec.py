@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import ExperimentSpec, Runner, schema
 from repro.cli import GENERATED_KNOB_FLAGS, build_parser, main
-from repro.experiments import ExperimentConfig, Workbench
 
 EXAMPLE_SPECS = sorted((Path(__file__).parents[2] / "examples" / "specs").glob("*.toml"))
 
@@ -64,13 +63,13 @@ def test_parser_defaults_equal_schema_defaults_for_all_subcommands():
 def test_train_defaults_no_longer_drift_from_the_config():
     """The historical drift: train hardcoded dim=24/epochs=40/negatives=4."""
     args = build_parser().parse_args(["train"])
-    config = ExperimentConfig()
-    assert args.dim == config.dim == 16
-    assert args.epochs == config.epochs == 30
-    assert args.negatives == config.num_negatives == 2
-    assert args.batch_size == config.batch_size
-    assert args.learning_rate == config.learning_rate
-    assert args.optimizer == config.optimizer
+    spec = ExperimentSpec()
+    assert args.dim == spec.model.dim == 16
+    assert args.epochs == spec.training.epochs == 30
+    assert args.negatives == spec.training.num_negatives == 2
+    assert args.batch_size == spec.training.batch_size
+    assert args.learning_rate == spec.training.learning_rate
+    assert args.optimizer == spec.training.optimizer
 
 
 def test_train_exposes_every_training_and_evaluation_knob():
@@ -200,33 +199,18 @@ def test_shipped_example_specs_validate_and_round_trip(path):
 
 
 # ------------------------------------------------------------------ run subcommand
-def test_run_headline_spec_is_bit_identical_to_the_legacy_path(capsys):
+def test_run_headline_spec_is_bit_identical_to_the_direct_path(capsys, direct_row):
     """Acceptance: `repro-kgc run examples/specs/headline_tiny.toml` metrics
-    equal the equivalent legacy Workbench/flag invocation bit for bit."""
+    equal the direct `repro-kgc train` path bit for bit."""
     spec_path = next(path for path in EXAMPLE_SPECS if path.name == "headline_tiny.toml")
     spec = ExperimentSpec.load(spec_path)
     report = Runner(spec).run()
 
-    legacy = Workbench(
-        ExperimentConfig(
-            scale=spec.dataset.scale,
-            seed=spec.dataset.seed,
-            dim=spec.model.dim,
-            epochs=spec.training.epochs,
-            batch_size=spec.training.batch_size,
-            num_negatives=spec.training.num_negatives,
-            learning_rate=spec.training.learning_rate,
-            optimizer=spec.training.optimizer,
-            eval_batch_size=spec.evaluation.batch_size,
-            models=tuple(spec.models),
-            include_amie=spec.include_amie,
-        )
-    )
     assert set(report.rows) == set(spec.datasets)
     for dataset_name in spec.datasets:
         for row in report.rows[dataset_name]:
-            legacy_row = legacy.evaluation(row["model"], dataset_name).as_row()
-            assert dict(row) == dict(legacy_row), (row["model"], dataset_name)
+            direct = direct_row(spec, row["model"], dataset_name)
+            assert dict(row) == dict(direct), (row["model"], dataset_name)
 
     # And the CLI surface prints those very numbers.
     assert main(["run", str(spec_path), "--quiet"]) == 0

@@ -1,4 +1,4 @@
-"""EvalOptions: schema sync, the legacy-keyword shim, and validation.
+"""EvalOptions: schema sync, construction from a spec, and validation.
 
 The satellite's regression test lives here: the ``EvalOptions`` dataclass and
 the schema's ``evaluation`` section must agree field-for-field and
@@ -10,11 +10,9 @@ import dataclasses
 
 import pytest
 
-from repro.api import EvalOptions, schema
-from repro.api.options import LEGACY_KEYWORDS, NON_SCHEMA_FIELDS
-from repro.eval import LinkPredictionEvaluator, evaluate_model
-from repro.experiments import ExperimentConfig
-from repro.models import ModelConfig, make_model
+from repro.api import EvalOptions, ExperimentSpec, schema
+from repro.api.options import NON_SCHEMA_FIELDS
+from repro.eval import LinkPredictionEvaluator
 
 
 # ------------------------------------------------------------------ schema sync
@@ -36,58 +34,23 @@ def test_every_field_is_either_a_schema_knob_or_a_declared_extra():
         )
 
 
-def test_legacy_keyword_map_targets_real_fields():
-    fields = {field.name for field in dataclasses.fields(EvalOptions)}
-    assert set(LEGACY_KEYWORDS.values()) <= fields
-
-
-# ------------------------------------------------------------------ legacy shim
-def test_legacy_keywords_warn_and_map_to_fields():
-    with pytest.warns(DeprecationWarning, match="options=EvalOptions"):
-        options = EvalOptions.from_legacy_kwargs(
-            {"eval_batch_size": 7, "n_workers": 2, "eval_dtype": "fp32"}
-        )
-    assert options.batch_size == 7
-    assert options.workers == 2
-    assert options.eval_dtype == "fp32"
-    assert options.backend == EvalOptions().backend      # untouched fields keep defaults
-
-
-def test_unknown_legacy_keyword_is_a_type_error():
-    with pytest.raises(TypeError, match="banana"):
-        EvalOptions.from_legacy_kwargs({"banana": 1})
-
-
-def test_evaluator_accepts_legacy_keywords_with_a_deprecation_warning(toy_dataset):
-    with pytest.warns(DeprecationWarning, match="eval_batch_size"):
-        evaluator = LinkPredictionEvaluator(toy_dataset, eval_batch_size=3, n_workers=1)
-    assert evaluator.options.batch_size == 3
-    assert evaluator.eval_batch_size == 3                # legacy attribute preserved
-
-
+# ------------------------------------------------------------------ construction
 def test_evaluator_rejects_unknown_keywords(toy_dataset):
     with pytest.raises(TypeError, match="typo_knob"):
         LinkPredictionEvaluator(toy_dataset, typo_knob=1)
 
 
-def test_legacy_and_options_paths_produce_identical_results(toy_dataset):
-    model = make_model("DistMult", 8, 4, ModelConfig(dim=8, seed=5))
-    model.train_mode(False)
-    modern = evaluate_model(model, toy_dataset, options=EvalOptions(batch_size=3))
-    with pytest.warns(DeprecationWarning):
-        legacy = evaluate_model(model, toy_dataset, eval_batch_size=3)
-    for ours, theirs in zip(modern.records, legacy.records):
-        assert ours.raw_rank == theirs.raw_rank
-        assert ours.filtered_rank == theirs.filtered_rank
-
-
-# ------------------------------------------------------------------ construction
-def test_from_experiment_config_reads_the_eval_knobs():
-    config = ExperimentConfig(eval_batch_size=9, eval_workers=2)
-    options = EvalOptions.from_experiment_config(config)
+def test_spec_eval_options_reads_the_evaluation_section():
+    spec = ExperimentSpec()
+    spec.evaluation.batch_size = 9
+    spec.evaluation.workers = 2
+    spec.evaluation.score_block_budget = 64
+    options = spec.eval_options()
     assert options.batch_size == 9
     assert options.workers == 2
-    assert options.shard_size == config.eval_shard_size
+    assert options.shard_size == spec.evaluation.shard_size
+    assert options.score_block_budget == 64
+    assert options.mp_start_method is None
 
 
 # ------------------------------------------------------------------ validation

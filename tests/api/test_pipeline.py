@@ -1,12 +1,13 @@
-"""Pipeline-layer tests: the artifact store, the staged runner, and the
-bit-identity contract between a spec run and the legacy Workbench path."""
+"""Pipeline-layer tests: the artifact store, the staged runner, the builders,
+and the bit-identity contract between a spec run and the direct path that
+``repro-kgc train`` runs."""
 
 import numpy as np
 import pytest
 
 from repro.api import ArtifactStore, ExperimentSpec, Runner
+from repro.api.pipeline import ensure_dataset, ensure_evaluation
 from repro.api.spec import SpecValidationError
-from repro.experiments import ExperimentConfig, Workbench
 from repro.telemetry import read_trace_jsonl, scoped
 
 
@@ -103,7 +104,7 @@ def test_runner_stage_subset_and_report_shape():
 
 
 # ------------------------------------------------------------------ bit-identity
-def test_spec_run_is_bit_identical_to_workbench():
+def test_spec_run_is_bit_identical_to_the_direct_path(direct_row):
     """The acceptance contract: same knobs => bit-identical metrics."""
     spec = ExperimentSpec(
         name="parity",
@@ -115,13 +116,11 @@ def test_spec_run_is_bit_identical_to_workbench():
     spec.training.epochs = 3
     report = Runner(spec).run()
 
-    workbench = Workbench(
-        ExperimentConfig(dim=8, epochs=3, models=("TransE", "DistMult"))
-    )
     for dataset_name in spec.datasets:
+        assert [row["model"] for row in report.rows[dataset_name]] == ["TransE", "DistMult", "AMIE"]
         for row in report.rows[dataset_name]:
-            legacy = workbench.evaluation(row["model"], dataset_name).as_row()
-            assert dict(row) == dict(legacy), (row["model"], dataset_name)
+            direct = direct_row(spec, row["model"], dataset_name)
+            assert dict(row) == dict(direct), (row["model"], dataset_name)
 
 
 def test_per_model_override_changes_only_that_model():
@@ -130,13 +129,16 @@ def test_per_model_override_changes_only_that_model():
     spec.overrides = {"models": {"TransE": {"training": {"epochs": 1}}}}
     runner = Runner(spec)
     runner.run(stages=["train"])
-    # Equivalent manual runs: DistMult trained with the global 2 epochs,
+    # Equivalent separate runs: DistMult trained with the global 2 epochs,
     # TransE with the overridden single epoch.
-    base = Workbench(ExperimentConfig(dim=8, epochs=2, models=("DistMult",)))
-    patched = Workbench(ExperimentConfig(dim=8, epochs=1, models=("TransE",)))
-    for model_name, reference in (("DistMult", base), ("TransE", patched)):
+    base = _tiny_spec()
+    patched = _tiny_spec(epochs=1)
+    patched.models = ["TransE"]
+    for model_name, reference_spec in (("DistMult", base), ("TransE", patched)):
+        reference = Runner(reference_spec)
+        reference.run(stages=["train"])
         ours = runner.store[("scorer", model_name, "WN18RR-like")]
-        theirs = reference.scorer(model_name, "WN18RR-like")
+        theirs = reference.store[("scorer", model_name, "WN18RR-like")]
         for name, parameter in theirs.parameters().items():
             assert np.array_equal(parameter.data, ours.parameters()[name].data), (
                 model_name, name,
@@ -227,23 +229,22 @@ def test_dataset_construction_ignores_audit_overrides_for_any_stage_subset():
     assert list(built_a.train) == list(built_b.train)
     assert built_a.num_relations == built_b.num_relations
     # The override still reaches the audit itself.
-    assert via_audit.spec.config_for(dataset="YAGO3-10-like-DR").yago_theta == 0.95
+    assert via_audit.spec.config_for(dataset="YAGO3-10-like-DR").audit.yago_theta == 0.95
 
 
-# ------------------------------------------------------------------ workbench shim
-def test_workbench_exposes_and_shares_the_artifact_store():
-    config = ExperimentConfig(dim=8, epochs=1, models=("DistMult",))
-    workbench = Workbench(config)
-    assert isinstance(workbench.artifacts, ArtifactStore)
-    dataset = workbench.dataset("WN18RR-like")
-    assert workbench.artifacts[("dataset", "WN18RR-like")] is dataset
-    evaluation = workbench.evaluation("DistMult", "WN18RR-like")
-    assert workbench.artifacts[("evaluation", "DistMult", "WN18RR-like")] is evaluation
+# ------------------------------------------------------------------ builders
+def test_builders_fill_and_share_the_runner_store():
+    spec = _tiny_spec(epochs=1)
+    runner = Runner(spec)
+    dataset = ensure_dataset(runner.store, runner.spec, "WN18RR-like")
+    assert runner.store[("dataset", "WN18RR-like")] is dataset
+    evaluation = ensure_evaluation(runner.store, runner.spec, "DistMult", "WN18RR-like")
+    assert runner.store[("evaluation", "DistMult", "WN18RR-like")] is evaluation
 
-    # A second Workbench over the same store reuses every artifact.
-    sibling = Workbench(config, store=workbench.artifacts)
-    assert sibling.dataset("WN18RR-like") is dataset
-    assert sibling.evaluation("DistMult", "WN18RR-like") is evaluation
+    # A second runner over the same store reuses every artifact.
+    sibling = Runner(spec, store=runner.store)
+    assert ensure_dataset(sibling.store, sibling.spec, "WN18RR-like") is dataset
+    assert ensure_evaluation(sibling.store, sibling.spec, "DistMult", "WN18RR-like") is evaluation
 
 
 # ------------------------------------------------------------------ telemetry

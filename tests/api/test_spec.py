@@ -51,20 +51,21 @@ def test_schema_flags_and_dests_are_unique_per_section_set():
 
 
 def test_derived_defaults_are_the_schema_defaults():
-    """ExperimentConfig, TrainingConfig and the evaluator/ingester constants
-    all derive from the schema — the drift the spec API was built to kill."""
+    """The spec's component configs, TrainingConfig and the evaluator/ingester
+    constants all derive from the schema — the drift the spec API was built
+    to kill."""
     from repro.eval.ranking import DEFAULT_EVAL_BATCH_SIZE
-    from repro.experiments.config import ExperimentConfig
     from repro.kg.streaming import DEFAULT_CHUNK_SIZE, DEFAULT_MAX_QUEUE_CHUNKS
     from repro.models.trainer import TrainingConfig
 
-    config = ExperimentConfig()
+    spec = ExperimentSpec()
+    spec_training = spec.training_config()
     training = TrainingConfig()
     t = schema.TRAINING_DEFAULTS
-    assert (config.dim, config.epochs, config.num_negatives) == (
+    assert (spec.model_config("TransE").dim, spec_training.epochs, spec_training.num_negatives) == (
         schema.MODEL_DEFAULTS["dim"], t["epochs"], t["num_negatives"],
     )
-    assert (config.batch_size, config.learning_rate, config.optimizer) == (
+    assert (spec_training.batch_size, spec_training.learning_rate, spec_training.optimizer) == (
         t["batch_size"], t["learning_rate"], t["optimizer"],
     )
     assert (training.epochs, training.batch_size, training.num_negatives) == (
@@ -79,9 +80,29 @@ def test_derived_defaults_are_the_schema_defaults():
 
 
 def test_default_spec_equals_default_experiment_config():
-    from repro.experiments.config import ExperimentConfig
+    assert ExperimentSpec().to_experiment_config() == ExperimentSpec()
 
-    assert ExperimentSpec().to_experiment_config() == ExperimentConfig()
+
+def test_component_configs_read_the_spec_sections():
+    """model_config / training_config / eval_options build the component
+    configs field for field from the sections, seeded by dataset.seed."""
+    spec = ExperimentSpec()
+    spec.dataset.seed = 5
+    spec.model.dim = 24
+    spec.training.epochs = 3
+    spec.training.row_budget = 64
+    spec.evaluation.batch_size = 7
+    spec.evaluation.workers = 2
+    model = spec.model_config("ConvE")
+    assert (model.dim, model.seed, model.extra) == (24, 5, {})
+    training = spec.training_config()
+    for name, value in spec.section_values("training").items():
+        assert getattr(training, name) == value, name
+    assert training.seed == 5
+    assert (training.validation_batch_size, training.validation_workers) == (7, 2)
+    options = spec.eval_options()
+    for name, value in spec.section_values("evaluation").items():
+        assert getattr(options, name) == value, name
 
 
 # ------------------------------------------------------------------ explicit round-trips
@@ -341,17 +362,22 @@ def test_config_for_applies_dataset_then_model_patches():
         }
     )
     base = spec.to_experiment_config()
-    assert base.epochs == schema.TRAINING_DEFAULTS["epochs"]
+    assert base.training.epochs == schema.TRAINING_DEFAULTS["epochs"]
+    assert base.overrides == {}
 
     per_dataset = spec.config_for(dataset="WN18-like")
-    assert per_dataset.epochs == 7
-    assert per_dataset.audit_theta == 0.5
+    assert per_dataset.training.epochs == 7
+    assert per_dataset.audit.theta == 0.5
 
     # The model patch lands after the dataset patch.
     combined = spec.config_for(model="ConvE", dataset="WN18-like")
-    assert combined.dim == 8
-    assert combined.epochs == 2
-    assert combined.audit_theta == 0.5
+    assert combined.model.dim == 8
+    assert combined.training.epochs == 2
+    assert combined.audit.theta == 0.5
+    assert combined.model_config("ConvE").dim == 8
+    # Resolving never mutates the spec itself.
+    assert spec.training.epochs == schema.TRAINING_DEFAULTS["epochs"]
+    assert spec.model.dim == schema.MODEL_DEFAULTS["dim"]
 
 
 def test_diff_specs_reports_dotted_paths():

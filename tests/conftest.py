@@ -1,5 +1,6 @@
 """Shared fixtures: tiny synthetic benchmarks, a handcrafted toy dataset, and
-the multi-process test guard (skip without fork/spawn, cap worker counts)."""
+the multi-process test guard (skip without fork/spawn, cap worker counts).
+Warnings are errors for the whole suite."""
 
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ def pytest_configure(config):
         "multiprocess: the test spawns evaluation worker processes; skipped on "
         "platforms without fork/spawn/forkserver support",
     )
+    # A warning is a test failure: deprecated call paths must not linger.
+    config.addinivalue_line("filterwarnings", "error")
 
 
 def pytest_collection_modifyitems(config, items):

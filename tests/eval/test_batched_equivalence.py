@@ -6,6 +6,7 @@ unique ``(h, r)`` / ``(r, t)`` query exactly once per run."""
 import numpy as np
 import pytest
 
+from repro.api import EvalOptions
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import LinkPredictionEvaluator
@@ -108,7 +109,7 @@ class _CountingScorer:
 def test_each_unique_query_scored_exactly_once(toy_dataset, eval_batch_size):
     triples = _query_rich_triples(toy_dataset)
     scorer = _CountingScorer(toy_dataset.num_entities)
-    evaluator = LinkPredictionEvaluator(toy_dataset, eval_batch_size=eval_batch_size)
+    evaluator = LinkPredictionEvaluator(toy_dataset, options=EvalOptions(batch_size=eval_batch_size))
     evaluator.evaluate(scorer, test_triples=triples)
     unique_tail_queries = {(h, r) for h, r, _ in triples}
     unique_head_queries = {(r, t) for _, r, t in triples}

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import EvalOptions
 from repro.backend import ScoreComputeMixin, get_backend
 from repro.kg import Dataset, TripleSet, Vocabulary
 from repro.eval import evaluate_model, fused_rank_row
@@ -193,7 +194,7 @@ def test_fp_reduced_evaluation_metrics_identical_on_integer_scores(
     scorer = _IntegerTableScorer(integer_dataset.num_entities)
     reference = evaluate_model(scorer, integer_dataset)
     scorer.set_score_backend("numpy", "fp64")  # reset between runs
-    reduced = evaluate_model(scorer, integer_dataset, eval_dtype=eval_dtype)
+    reduced = evaluate_model(scorer, integer_dataset, options=EvalOptions(eval_dtype=eval_dtype))
     assert len(reference.records) == len(reduced.records)
     for expected, actual in zip(reference.records, reduced.records):
         assert expected.raw_rank == actual.raw_rank

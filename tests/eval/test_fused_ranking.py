@@ -13,6 +13,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.api import EvalOptions
 from repro.backend import get_backend
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
@@ -81,7 +82,7 @@ def test_fused_rank_row_adds_back_target_in_known_set():
 def test_fused_evaluation_identical_for_embedding_models(name, budget, toy_dataset):
     scorer = _embedding_scorer(name, toy_dataset)
     reference = evaluate_model(scorer, toy_dataset)
-    fused = evaluate_model(scorer, toy_dataset, score_block_budget=budget)
+    fused = evaluate_model(scorer, toy_dataset, options=EvalOptions(score_block_budget=budget))
     _assert_identical_results(reference, fused)
 
 
@@ -93,13 +94,13 @@ def test_fused_evaluation_identical_for_rule_scorers(budget, toy_dataset):
     ]
     for scorer in scorers:
         reference = evaluate_model(scorer, toy_dataset)
-        fused = evaluate_model(scorer, toy_dataset, score_block_budget=budget)
+        fused = evaluate_model(scorer, toy_dataset, options=EvalOptions(score_block_budget=budget))
         _assert_identical_results(reference, fused)
 
 
 def test_explicit_none_budget_uses_materializing_path(toy_dataset):
     scorer = _embedding_scorer("DistMult", toy_dataset)
-    evaluator = LinkPredictionEvaluator(toy_dataset, score_block_budget=4096)
+    evaluator = LinkPredictionEvaluator(toy_dataset, options=EvalOptions(score_block_budget=4096))
     overridden = evaluator.evaluate(scorer, score_block_budget=None)
     reference = evaluate_model(scorer, toy_dataset)
     _assert_identical_results(reference, overridden)
@@ -107,7 +108,7 @@ def test_explicit_none_budget_uses_materializing_path(toy_dataset):
 
 def test_evaluator_level_budget_is_the_default(toy_dataset):
     scorer = _embedding_scorer("ComplEx", toy_dataset)
-    evaluator = LinkPredictionEvaluator(toy_dataset, score_block_budget=1)
+    evaluator = LinkPredictionEvaluator(toy_dataset, options=EvalOptions(score_block_budget=1))
     fused = evaluator.evaluate(scorer)
     reference = evaluate_model(scorer, toy_dataset)
     _assert_identical_results(reference, fused)
@@ -120,6 +121,6 @@ def test_fused_evaluation_identical_across_workers(budget, toy_dataset):
     scorer = _embedding_scorer("TransE", toy_dataset)
     reference = evaluate_model(scorer, toy_dataset)
     fused = evaluate_model(
-        scorer, toy_dataset, n_workers=2, score_block_budget=budget
+        scorer, toy_dataset, options=EvalOptions(workers=2, score_block_budget=budget)
     )
     _assert_identical_results(reference, fused)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import EvalOptions
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import (
@@ -246,11 +247,11 @@ def test_constructor_knobs_and_evaluate_model_passthrough(toy_dataset, capped_wo
     model.train_mode(False)
     baseline = LinkPredictionEvaluator(toy_dataset).evaluate(model)
     via_constructor = LinkPredictionEvaluator(
-        toy_dataset, n_workers=capped_workers(2), shard_size=1
+        toy_dataset, options=EvalOptions(workers=capped_workers(2), shard_size=1)
     ).evaluate(model)
     _assert_identical_results(baseline, via_constructor)
     via_wrapper = evaluate_model(
-        model, toy_dataset, n_workers=capped_workers(2), model_name="ComplEx"
+        model, toy_dataset, options=EvalOptions(workers=capped_workers(2)), model_name="ComplEx"
     )
     assert baseline.metrics().as_dict() == via_wrapper.metrics().as_dict()
 

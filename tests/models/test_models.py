@@ -163,6 +163,39 @@ def test_conve_rejects_inconsistent_reshape():
         )
 
 
+def _conve(dim: int, **extra):
+    model = make_model(
+        "ConvE", NUM_ENTITIES, NUM_RELATIONS, ModelConfig(dim=dim, seed=3, extra=extra)
+    )
+    model.train_mode(False)
+    return model
+
+
+@pytest.mark.parametrize("dim", [12, 16, 24])
+def test_conve_default_reshape_is_four_rows_where_they_fit(dim):
+    """Without embedding_height ConvE builds bit-identically to height 4."""
+    chosen, explicit = _conve(dim), _conve(dim, embedding_height=4)
+    assert chosen.height == 4
+    for name, parameter in explicit.parameters().items():
+        assert np.array_equal(chosen.parameters()[name].data, parameter.data), name
+    np.testing.assert_array_equal(chosen.score_all_tails(1, 2), explicit.score_all_tails(1, 2))
+    np.testing.assert_array_equal(chosen.score_all_heads(2, 3), explicit.score_all_heads(2, 3))
+
+
+@pytest.mark.parametrize("dim", [8, 9, 10, 18])
+def test_conve_picks_a_fitting_reshape_when_four_rows_do_not_fit(dim):
+    model = _conve(dim)
+    assert model.height * model.width == dim
+    assert 2 * model.height >= model.kernel_size and model.width >= model.kernel_size
+    scores = model.score_all_tails(0, 1)
+    assert scores.shape == (NUM_ENTITIES,) and np.all(np.isfinite(scores))
+
+
+def test_conve_without_a_fitting_reshape_names_dims_that_work():
+    with pytest.raises(ValueError, match="6, 8"):
+        _conve(7)
+
+
 def test_distmult_is_symmetric_complex_is_not():
     distmult = build("DistMult")
     complex_model = build("ComplEx")
