@@ -239,8 +239,9 @@ def ensure_scorer(
     def build():
         dataset = ensure_dataset(store, spec, dataset_name)
         if model_name == "AMIE":
-            rules = AmieMiner(dataset.train, AmieConfig()).mine()
-            return RuleBasedPredictor(rules.rules, dataset.train, dataset.num_entities)
+            with get_telemetry().span("amie.mine", dataset=dataset_name):
+                rules = AmieMiner(dataset.train, AmieConfig()).mine()
+                return RuleBasedPredictor(rules.rules, dataset.train, dataset.num_entities)
         if model_name == "SimpleModel":
             return SimpleRuleModel(dataset.train, dataset.num_entities)
         if model_name == "CartesianProduct":

@@ -13,8 +13,10 @@ Design notes
 * Gradients are accumulated into ``Tensor.grad`` as plain numpy arrays.
 * Broadcasting is supported; ``_unbroadcast`` sums gradients back to the
   original shape.
-* ``Tensor.gather`` is the embedding lookup: its backward pass uses
-  ``np.add.at`` so repeated indices accumulate correctly.  When the gathered
+* ``Tensor.gather`` is the embedding lookup: its backward pass scatters
+  with the backend's ``scatter_add`` (``np.add.at`` semantics; the numpy
+  backend runs it as a bitwise-equal flat 1-D scatter) so repeated indices
+  accumulate correctly.  When the gathered
   tensor is a :class:`Parameter` with ``sparse_updates`` enabled, the backward
   pass skips the dense scatter entirely and appends the ``(indices, rows)``
   pair to the parameter's :class:`SparseGrad` instead — a training batch then
@@ -71,9 +73,10 @@ class SparseGrad:
     * :meth:`to_dense` materializes the full dense gradient.
 
     Both reductions replay the segments in accumulation order, each segment
-    scattered with ``np.add.at`` before being added to the running total, so
-    the result is bit-identical to the dense backward path (which scatters
-    each gather into a full zero table and sums the tables the same way).
+    scattered with the backend's ``scatter_add`` (bitwise ``np.add.at``)
+    before being added to the running total, so the result is bit-identical
+    to the dense backward path (which scatters each gather into a full zero
+    table and sums the tables the same way).
     """
 
     __slots__ = ("shape", "_segments")
@@ -528,8 +531,8 @@ class Tensor:
     def gather(self, indices: np.ndarray) -> "Tensor":
         """Row lookup (embedding gather) along axis 0.
 
-        Repeated indices are handled correctly in the backward pass via
-        ``np.add.at``.  For a :class:`Parameter` with ``sparse_updates``
+        Repeated indices are handled correctly in the backward pass via the
+        backend's ``scatter_add``.  For a :class:`Parameter` with ``sparse_updates``
         enabled the backward pass appends the raw ``(indices, rows)`` pair to
         the parameter's :class:`SparseGrad` instead of materializing a dense
         scatter, keeping the step cost proportional to the batch.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
@@ -10,7 +11,7 @@ from .base import ArrayBackend, numpy_dtype
 
 
 class NumpyBackend(ArrayBackend):
-    """Host numpy arrays; every operation is the seed implementation verbatim."""
+    """Host numpy arrays; every operation is bitwise equal to the seed implementation."""
 
     name = "numpy"
     supports_autodiff = True
@@ -59,7 +60,33 @@ class NumpyBackend(ArrayBackend):
         return table[indices]
 
     def scatter_add(self, target: np.ndarray, indices: Any, updates: Any) -> None:
-        np.add.at(target, indices, updates)
+        """``np.add.at(target, indices, updates)``, via a 1-D scatter where possible.
+
+        For a C-contiguous target with two or more dims and in-range signed
+        integer row indices, the rows are scattered as flat offsets ``index *
+        width + column`` into ``target.reshape(-1)`` (a view).  Each cell
+        receives its contributions in the same order as the 2-D
+        ``np.add.at``, so the sums are bitwise equal, negative indices
+        included.  The 1-D ``np.add.at`` is several times faster than the
+        2-D one.  Anything else (a tuple of per-axis indices, or an
+        out-of-range index, which raises ``IndexError``) takes ``np.add.at``
+        on the target itself.
+        """
+        index = np.asarray(indices)
+        if (
+            isinstance(indices, tuple)
+            or target.ndim < 2
+            or not target.flags.c_contiguous
+            or index.dtype.kind != "i"
+            or (index.size and not -len(target) <= index.min() <= index.max() < len(target))
+        ):
+            np.add.at(target, indices, updates)
+            return
+        width = math.prod(target.shape[1:])
+        rows = index.astype(np.int64, copy=False).reshape(-1, 1)
+        offsets = (rows * width + np.arange(width)).reshape(-1)
+        values = np.broadcast_to(updates, index.shape + target.shape[1:]).reshape(-1)
+        np.add.at(target.reshape(-1), offsets, values)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b

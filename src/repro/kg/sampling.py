@@ -12,16 +12,23 @@ provided:
   negatives on 1-to-n / n-to-1 relations.
 
 Both can *filter* negatives, i.e. resample corruptions that happen to be known
-positive triples.
+positive triples.  The known triples are held as one sorted array of packed
+``int64`` keys ``(r * E + h) * E + t`` (``E`` the entity radix), so each
+resample round is a single ``np.searchsorted`` over the batch instead of a
+per-row set lookup; the rng draws are the same either way, so the negatives
+are too.  The Bernoulli head probabilities are counted from the same keys and
+stored as a table indexed by relation id.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .triples import TripleSet
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class NegativeSampler:
@@ -42,7 +49,45 @@ class NegativeSampler:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.filtered = filtered
         self.max_resample_rounds = max_resample_rounds
-        self._known = train.as_set()
+        triples = np.asarray(train.to_array(), dtype=np.int64).reshape(-1, 3)
+        if len(triples) and int(triples.min()) < 0:
+            raise ValueError("training triples must have non-negative ids")
+        # Every train id and every drawable entity fits the radices, so a
+        # row with an id outside them cannot be a training triple.
+        self._entity_radix = max(
+            int(num_entities), int(triples[:, (0, 2)].max()) + 1 if len(triples) else 0
+        )
+        self._relation_radix = int(triples[:, 1].max()) + 1 if len(triples) else 0
+        if self._relation_radix * self._entity_radix * self._entity_radix - 1 > _INT64_MAX:
+            raise ValueError(
+                f"cannot pack triple keys into int64: {self._entity_radix} entities "
+                f"x {self._relation_radix} relations overflows"
+            )
+        #: Sorted, unique packed keys of the training triples.
+        self._known_keys = np.unique(self._pack(triples))
+
+    def _pack(self, triples: np.ndarray) -> np.ndarray:
+        """``(r * E + h) * E + t`` per row; rows must be inside the radices."""
+        radix = self._entity_radix
+        return (triples[:, 1] * radix + triples[:, 0]) * radix + triples[:, 2]
+
+    def _is_known(self, triples: np.ndarray) -> np.ndarray:
+        """Boolean mask: which rows of ``triples`` are training triples."""
+        known = np.zeros(len(triples), dtype=bool)
+        if not len(self._known_keys):
+            return known
+        heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
+        inside = (
+            (heads >= 0) & (heads < self._entity_radix)
+            & (tails >= 0) & (tails < self._entity_radix)
+            & (relations >= 0) & (relations < self._relation_radix)
+        )
+        rows = np.flatnonzero(inside)
+        keys = self._pack(triples[rows])
+        slots = np.searchsorted(self._known_keys, keys)
+        slots[slots == len(self._known_keys)] = 0
+        known[rows] = self._known_keys[slots] == keys
+        return known
 
     # -- protocol ------------------------------------------------------------
     def corrupt_side(self, positives: np.ndarray) -> np.ndarray:
@@ -87,19 +132,22 @@ class NegativeSampler:
     def _resample_known_positives(
         self, negatives: np.ndarray, corrupt_head: np.ndarray
     ) -> np.ndarray:
-        """Resample any corruption that is a known training triple."""
+        """Resample any corruption that is a known training triple.
+
+        Only rows redrawn in one round can clash in the next (the others are
+        unchanged), so each round after the first re-tests just those rows.
+        """
+        candidates = np.arange(len(negatives))
         for _ in range(self.max_resample_rounds):
-            clashes = np.array(
-                [tuple(row) in self._known for row in negatives], dtype=bool
-            )
-            if not clashes.any():
+            rows = candidates[self._is_known(negatives[candidates])]
+            if not len(rows):
                 break
-            fresh = self.rng.integers(0, self.num_entities, size=int(clashes.sum()))
-            rows = np.flatnonzero(clashes)
+            fresh = self.rng.integers(0, self.num_entities, size=len(rows))
             head_rows = rows[corrupt_head[rows]]
             tail_rows = rows[~corrupt_head[rows]]
             negatives[head_rows, 0] = fresh[: len(head_rows)]
             negatives[tail_rows, 2] = fresh[len(head_rows):]
+            candidates = rows
         return negatives
 
 
@@ -116,27 +164,35 @@ class BernoulliNegativeSampler(NegativeSampler):
     For each relation the probability of corrupting the head is
     ``tph / (tph + hpt)`` where ``tph`` is the average number of tails per
     head and ``hpt`` the average number of heads per tail, both measured on
-    the training set.
+    the training set.  ``_head_probability[r]`` holds it for every relation
+    id below the relation radix, plus one trailing ``0.5`` slot that every
+    relation absent from train (or out of range) reads.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._head_probability = self._relation_head_probabilities()
 
-    def _relation_head_probabilities(self) -> Dict[int, float]:
-        probabilities: Dict[int, float] = {}
-        for relation in self.train.relations:
-            pairs = self.train.pairs_of(relation)
-            heads = {h for h, _ in pairs}
-            tails = {t for _, t in pairs}
-            tails_per_head = len(pairs) / len(heads) if heads else 0.0
-            heads_per_tail = len(pairs) / len(tails) if tails else 0.0
-            total = tails_per_head + heads_per_tail
-            probabilities[relation] = tails_per_head / total if total else 0.5
+    def _relation_head_probabilities(self) -> np.ndarray:
+        radix, relations = self._entity_radix, self._relation_radix
+        keys = self._known_keys
+        # Keys sort by (r, h, t): ``keys // E`` is the (r, h) pair key and
+        # ``keys // E**2`` the relation; (r, t) pairs are re-packed.
+        pair_relations = keys // radix // radix
+        head_keys = np.unique(keys // radix)
+        tail_keys = np.unique(pair_relations * radix + keys % radix)
+        pairs = np.bincount(pair_relations, minlength=relations).astype(np.float64)
+        heads = np.bincount(head_keys // radix, minlength=relations).astype(np.float64)
+        tails = np.bincount(tail_keys // radix, minlength=relations).astype(np.float64)
+        probabilities = np.full(relations + 1, 0.5)
+        present = pairs > 0
+        tails_per_head = pairs[present] / heads[present]
+        heads_per_tail = pairs[present] / tails[present]
+        probabilities[:relations][present] = tails_per_head / (tails_per_head + heads_per_tail)
         return probabilities
 
     def corrupt_side(self, positives: np.ndarray) -> np.ndarray:
-        probs = np.array(
-            [self._head_probability.get(int(r), 0.5) for r in positives[:, 1]]
-        )
-        return self.rng.random(len(positives)) < probs
+        relations = positives[:, 1]
+        absent = len(self._head_probability) - 1
+        slots = np.where((relations >= 0) & (relations < absent), relations, absent)
+        return self.rng.random(len(positives)) < self._head_probability[slots]

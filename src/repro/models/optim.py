@@ -233,6 +233,8 @@ class Adam(Optimizer):
     #: A dense Adam update moves every row with nonzero momentum regardless
     #: of the current gradient, so it is never row-bounded.
     dense_update_is_row_bounded = False
+    #: Initial length of the per-step-count bias-correction tables.
+    _BIAS_TABLE_SIZE = 64
 
     def __init__(
         self,
@@ -252,6 +254,10 @@ class Adam(Optimizer):
         self._second_moment = {name: np.zeros_like(p.data) for name, p in self.parameters.items()}
         self._step_count = 0
         self._row_steps: Dict[str, np.ndarray] = {}
+        # Bias-correction tables indexed by step count (derived state, not
+        # checkpointed); see ``_bias_corrections``.
+        self._bias1 = np.empty(0)
+        self._bias2 = np.empty(0)
 
     def step(self) -> bool:
         self._step_count += 1
@@ -269,31 +275,44 @@ class Adam(Optimizer):
         v_hat = v / (1.0 - self.beta2 ** self._step_count)
         parameter.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
+    def _bias_corrections(self, steps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``1 - beta1 ** k`` and ``1 - beta2 ** k`` per entry of ``steps``.
+
+        The values come from tables built with the same *scalar* ``beta **
+        int`` the dense path computes (numpy's vectorized pow differs from
+        Python's by an ulp at some exponents, which would break the per-row
+        equivalence).  The tables start at ``_BIAS_TABLE_SIZE`` entries and
+        double whenever a step count outgrows them.
+        """
+        needed = int(steps.max()) + 1 if steps.size else 0
+        if needed > len(self._bias1):
+            size = max(2 * len(self._bias1), self._BIAS_TABLE_SIZE)
+            while size < needed:
+                size *= 2
+            self._bias1 = np.array([1.0 - self.beta1 ** k for k in range(size)])
+            self._bias2 = np.array([1.0 - self.beta2 ** k for k in range(size)])
+        return self._bias1[steps], self._bias2[steps]
+
     def _update_sparse(
         self, name: str, parameter: Parameter, indices: np.ndarray, rows: np.ndarray
     ) -> None:
+        # ``indices`` are unique (coalesced), so the updated moment rows can
+        # be reused instead of gathered again.
         m = self._first_moment[name]
         v = self._second_moment[name]
         steps = self._row_steps.get(name)
         if steps is None:
             steps = self._row_steps[name] = np.zeros(parameter.data.shape[0], dtype=np.int64)
-        steps[indices] += 1
-        t = steps[indices]
-        # Bias corrections via the same *scalar* ``beta ** int`` the dense
-        # path computes (numpy's vectorized pow differs from Python's by an
-        # ulp at some exponents, which would break the per-row equivalence).
+        t = steps[indices] + 1
+        steps[indices] = t
+        bias1, bias2 = self._bias_corrections(t)
         trailing = [1] * (rows.ndim - 1)
-        bias1 = np.empty(len(t)).reshape(-1, *trailing)
-        bias2 = np.empty(len(t)).reshape(-1, *trailing)
-        flat1, flat2 = bias1.reshape(-1), bias2.reshape(-1)
-        for value in np.unique(t):
-            mask = t == value
-            flat1[mask] = 1.0 - self.beta1 ** int(value)
-            flat2[mask] = 1.0 - self.beta2 ** int(value)
-        m[indices] = self.beta1 * m[indices] + (1.0 - self.beta1) * rows
-        v[indices] = self.beta2 * v[indices] + (1.0 - self.beta2) * rows ** 2
-        m_hat = m[indices] / bias1
-        v_hat = v[indices] / bias2
+        m_rows = self.beta1 * m[indices] + (1.0 - self.beta1) * rows
+        v_rows = self.beta2 * v[indices] + (1.0 - self.beta2) * rows ** 2
+        m[indices] = m_rows
+        v[indices] = v_rows
+        m_hat = m_rows / bias1.reshape(-1, *trailing)
+        v_hat = v_rows / bias2.reshape(-1, *trailing)
         parameter.data[indices] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -346,13 +346,16 @@ class TrainingRun:
         )
 
     def _train_batch(self, batch: np.ndarray, epoch: int, batch_index: int) -> float:
-        negatives, positive_index = self.sampler.sample(batch, self.config.num_negatives)
-        positive_scores = self.model.score_triples(batch[:, 0], batch[:, 1], batch[:, 2])
-        negative_scores = self.model.score_triples(
-            negatives[:, 0], negatives[:, 1], negatives[:, 2]
-        )
-        loss = self.loss_fn(positive_scores, negative_scores, positive_index)
-        value = float(loss.item())
+        telemetry = get_telemetry()
+        with telemetry.span("train.sample"):
+            negatives, positive_index = self.sampler.sample(batch, self.config.num_negatives)
+        with telemetry.span("train.forward"):
+            positive_scores = self.model.score_triples(batch[:, 0], batch[:, 1], batch[:, 2])
+            negative_scores = self.model.score_triples(
+                negatives[:, 0], negatives[:, 1], negatives[:, 2]
+            )
+            loss = self.loss_fn(positive_scores, negative_scores, positive_index)
+            value = float(loss.item())
         if not np.isfinite(value):
             raise NaNLossError(
                 f"non-finite loss ({value!r}) training {self.model.name} on "
@@ -360,28 +363,33 @@ class TrainingRun:
                 f"lower the learning rate ({self.config.learning_rate}) or switch "
                 f"optimizers ({self.config.optimizer!r})"
             )
-        # The model's zero_grad is the single authoritative pre-backward clear:
-        # it wipes dense and sparse gradients and drops model-level caches.
-        self.model.zero_grad()
-        loss.backward()
-        row_bounded = self.optimizer.step()
-        if row_bounded:
-            # Every update only moved rows inside the batch's gradient
-            # support, so constraining those rows is complete — and the
-            # schedule is identical in sparse and dense mode, which keeps
-            # SGD/Adagrad bit-comparable across the two.
-            touched_entities = np.unique(
-                np.concatenate([batch[:, 0], batch[:, 2], negatives[:, 0], negatives[:, 2]])
-            )
-            touched_relations = np.unique(np.concatenate([batch[:, 1], negatives[:, 1]]))
-            self._rows_touched.add(len(touched_entities) + len(touched_relations))
-            self.model.apply_constraints(
-                touched_entities=touched_entities, touched_relations=touched_relations
-            )
-        else:
-            # Dense Adam momentum (or a budget-densified step) moves rows
-            # outside the batch; only an all-rows pass keeps constraints tight.
-            self.model.apply_constraints()
+        with telemetry.span("train.backward"):
+            # The model's zero_grad is the single authoritative pre-backward
+            # clear: it wipes dense and sparse gradients and drops model-level
+            # caches.
+            self.model.zero_grad()
+            loss.backward()
+        with telemetry.span("train.step"):
+            row_bounded = self.optimizer.step()
+        with telemetry.span("train.constrain"):
+            if row_bounded:
+                # Every update only moved rows inside the batch's gradient
+                # support, so constraining those rows is complete — and the
+                # schedule is identical in sparse and dense mode, which keeps
+                # SGD/Adagrad bit-comparable across the two.
+                touched_entities = np.unique(
+                    np.concatenate([batch[:, 0], batch[:, 2], negatives[:, 0], negatives[:, 2]])
+                )
+                touched_relations = np.unique(np.concatenate([batch[:, 1], negatives[:, 1]]))
+                self._rows_touched.add(len(touched_entities) + len(touched_relations))
+                self.model.apply_constraints(
+                    touched_entities=touched_entities, touched_relations=touched_relations
+                )
+            else:
+                # Dense Adam momentum (or a budget-densified step) moves rows
+                # outside the batch; only an all-rows pass keeps constraints
+                # tight.
+                self.model.apply_constraints()
         return value
 
     def _log_epoch(self, epoch: int, mean_loss: float, started: float) -> None:

@@ -315,3 +315,44 @@ def test_telemetry_run_traces_every_stage_and_changes_no_rank(tmp_path):
     for stage_profile in profile.values():
         assert stage_profile["wall_seconds"] >= 0.0
         assert "rss_peak_bytes" in stage_profile
+
+
+def test_training_spans_nest_under_their_epoch_and_stage():
+    """``train.sample/forward/backward/step/constrain`` open once per batch
+    inside ``train.epoch``, and AMIE mining opens ``amie.mine``, all under the
+    ``pipeline.train`` stage span."""
+    spec = ExperimentSpec(
+        name="spans-tiny", datasets=["WN18-like"], models=["DistMult"], include_amie=True
+    )
+    spec.model.dim = 8
+    spec.training.epochs = 2
+    with scoped() as telemetry:
+        telemetry.enabled = True
+        Runner(spec).run()
+        records = telemetry.trace_records()
+
+    by_id = {record["id"]: record for record in records}
+
+    def parent(record):
+        return by_id[record["parent_id"]]["name"]
+
+    [stage] = [record for record in records if record["name"] == "pipeline.train"]
+    epochs = [record for record in records if record["name"] == "train.epoch"]
+    assert len(epochs) == 2
+    assert all(parent(epoch) == "pipeline.train" for epoch in epochs)
+    [mine] = [record for record in records if record["name"] == "amie.mine"]
+    assert parent(mine) == "pipeline.train"
+    assert mine["attrs"] == {"dataset": "WN18-like"}
+
+    layers = ("train.sample", "train.forward", "train.backward", "train.step", "train.constrain")
+    per_layer = {
+        name: [record for record in records if record["name"] == name] for name in layers
+    }
+    batches = len(per_layer["train.sample"])
+    assert batches > 0
+    for name, spans in per_layer.items():
+        assert len(spans) == batches, name
+        assert all(parent(span) == "train.epoch" for span in spans), name
+    # The layers nest inside their epochs, which nest inside the stage.
+    inside = sum(span["duration"] for spans in per_layer.values() for span in spans)
+    assert inside <= sum(epoch["duration"] for epoch in epochs) <= stage["duration"]

@@ -116,6 +116,40 @@ def test_scatter_add_accumulates_duplicates():
     np.testing.assert_array_equal(target[3], [5.0, 6.0])
 
 
+def _scatter_cases():
+    rng = np.random.default_rng(7)
+    rows = rng.integers(-9, 9, size=40)                     # duplicates, negatives
+    yield "1d", rng.normal(size=9), rows, rng.normal(size=40)
+    yield "2d_zero", np.zeros((9, 5)), rows, rng.normal(size=(40, 5))
+    yield "2d_nonzero", rng.normal(size=(9, 5)), rows, rng.normal(size=(40, 5))
+    yield "3d", rng.normal(size=(9, 3, 4)), rows, rng.normal(size=(40, 3, 4))
+    yield "2d_index", rng.normal(size=(9, 5)), rows.reshape(8, 5), rng.normal(size=(8, 5, 5))
+    yield "broadcast_row", rng.normal(size=(9, 5)), rows, rng.normal(size=5)
+    yield "int32_index", rng.normal(size=(9, 5)), rows.astype(np.int32), rng.normal(size=(40, 5))
+    yield "non_contiguous", rng.normal(size=(5, 9)).T, rows, rng.normal(size=(40, 5))
+    yield "per_axis_tuple", rng.normal(size=(9, 5)), (rows, rows % 5), rng.normal(size=40)
+    yield "empty", rng.normal(size=(9, 5)), rows[:0], np.empty((0, 5))
+
+
+@pytest.mark.parametrize("case", list(_scatter_cases()), ids=lambda case: case[0])
+def test_scatter_add_is_bitwise_the_add_at_reference(case):
+    _, target, indices, updates = case
+    expected = target.copy()
+    np.add.at(expected, indices, updates)
+    result = target.copy(order="K")
+    assert result.flags.c_contiguous == target.flags.c_contiguous
+    get_backend("numpy").scatter_add(result, indices, updates)
+    assert result.shape == expected.shape
+    assert result.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [9, -10])
+def test_scatter_add_out_of_range_index_raises(bad):
+    target = np.zeros((9, 5))
+    with pytest.raises(IndexError):
+        get_backend("numpy").scatter_add(target, np.array([0, bad, 1]), np.ones((3, 5)))
+
+
 def test_rng_is_a_host_numpy_generator_on_every_backend():
     for name in available_backends():
         rng = get_backend(name).rng(123)

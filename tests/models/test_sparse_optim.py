@@ -156,6 +156,77 @@ def test_optimizer_state_dict_roundtrip():
     assert np.array_equal(parameter.data, clone_param.data)
 
 
+def _dense_adam_rows(start, grads, learning_rate):
+    """A dense 1-row Adam stepped once per gradient: the lazy row's oracle."""
+    parameter = Parameter(start.copy())
+    optimizer = Adam({"row": parameter}, learning_rate=learning_rate)
+    for grad in grads:
+        parameter.zero_grad()
+        parameter.gather(np.array([0])).backward(grad)
+        optimizer.step()
+    return parameter.data[0]
+
+
+def test_lazy_adam_mixes_step_counts_beyond_the_bias_table():
+    """One update holds a row past the initial table size and a first-step row."""
+    rng = np.random.default_rng(5)
+    busy_steps = Adam._BIAS_TABLE_SIZE + 9
+    busy_grads = [rng.normal(size=(1, 3)) for _ in range(busy_steps)]
+    fresh_grad = rng.normal(size=(1, 3))
+    start = rng.normal(size=(3, 3))
+
+    parameter = Parameter(start.copy(), sparse_updates=True)
+    lazy = Adam({"table": parameter}, learning_rate=0.03)
+    for step, grad in enumerate(busy_grads):
+        parameter.zero_grad()
+        if step == busy_steps - 1:
+            # The last update touches row 0 (step count past the table) and
+            # row 2 (its first step) together.
+            parameter.gather(np.array([0, 2])).backward(np.concatenate([grad, fresh_grad]))
+        else:
+            parameter.gather(np.array([0])).backward(grad)
+        lazy.step()
+
+    assert lazy._row_steps["table"].tolist() == [busy_steps, 0, 1]
+    busy = _dense_adam_rows(start[:1], busy_grads, 0.03)
+    fresh = _dense_adam_rows(start[2:], [fresh_grad], 0.03)
+    assert parameter.data[0].tobytes() == busy.tobytes()
+    assert parameter.data[2].tobytes() == fresh.tobytes()
+    assert parameter.data[1].tobytes() == start[1].tobytes()
+
+
+def test_lazy_adam_resumes_bit_identically_past_the_bias_table():
+    """A fresh Adam loaded at step counts beyond the initial table keeps going."""
+    rng = np.random.default_rng(8)
+    first = [
+        (rng.integers(0, 4, size=3), rng.normal(size=(3, 2)))
+        for _ in range(Adam._BIAS_TABLE_SIZE * 2 + 5)
+    ]
+    extra = [(rng.integers(0, 4, size=3), rng.normal(size=(3, 2))) for _ in range(6)]
+    start = rng.normal(size=(4, 2))
+
+    def run(parameter, optimizer, steps):
+        for indices, grad in steps:
+            parameter.zero_grad()
+            parameter.gather(indices).backward(grad)
+            optimizer.step()
+
+    parameter = Parameter(start.copy(), sparse_updates=True)
+    optimizer = Adam({"table": parameter}, learning_rate=0.01)
+    run(parameter, optimizer, first)
+    assert optimizer._row_steps["table"].max() > Adam._BIAS_TABLE_SIZE
+
+    state = {key: np.array(value, copy=True) for key, value in optimizer.state_dict().items()}
+    clone_param = Parameter(parameter.data.copy(), sparse_updates=True)
+    clone = Adam({"table": clone_param}, learning_rate=0.01)
+    clone.load_state_dict(state)
+    run(parameter, optimizer, extra)
+    run(clone_param, clone, extra)
+    assert clone_param.data.tobytes() == parameter.data.tobytes()
+    for key, value in optimizer.state_dict().items():
+        assert np.asarray(clone.state_dict()[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
 @pytest.mark.parametrize("optimizer_name", ["sgd", "adagrad"])
 @pytest.mark.parametrize("model_name", ALL_EMBEDDING_MODELS)
 def test_sparse_training_is_bit_identical_to_dense_for_all_models(
