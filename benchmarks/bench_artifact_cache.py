@@ -15,7 +15,7 @@ stream-to-shard ingest path, all on the shipped headline spec
    directory; the advisory per-entry locks must let both finish with rows
    bit-identical to the serial run (shared work, no corruption).
 4. **Fused residency** — ``ingest_dataset(fused=True)`` versus the
-   materialized path *plus* the audit/filter index builds it subsumes,
+   materialized path *plus* the audit pair-index build it subsumes,
    measured with ``tracemalloc`` on a synthetic dump: the fused peak must
    stay within ``BENCH_MAX_FUSED_RESIDENCY_RATIO`` (default 1.0×) of the
    materialized peak, with bit-identical triples.
@@ -97,20 +97,15 @@ def _measure_fused_residency(directory: Path) -> dict:
     def materialized() -> Tuple[int, list]:
         tracemalloc.start()
         report = ingest_dataset(directory, chunk_size=CHUNK_SIZE, fused=False)
-        # The downstream index builds the fused path subsumes: the §4 audit's
-        # pair sets and the evaluator's filtered-ranking ground truth.
+        # The downstream index build the fused path subsumes: the §4 audit's
+        # pair sets.
         from repro.core.redundancy import build_pair_sets
 
         pair_sets = build_pair_sets(report.dataset.all_triples())
-        tails: dict = {}
-        heads: dict = {}
-        for h, r, t in report.dataset.known_triples():
-            tails.setdefault((h, r), set()).add(t)
-            heads.setdefault((r, t), set()).add(h)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         triples = list(report.dataset.train)
-        del pair_sets, tails, heads
+        del pair_sets
         return peak, triples
 
     def fused() -> Tuple[int, list]:
@@ -119,7 +114,6 @@ def _measure_fused_residency(directory: Path) -> dict:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert report.dataset.audit_index is not None
-        assert report.dataset.known_index is not None
         assert report.peak_resident_triples <= report.residency_bound
         return peak, list(report.dataset.train)
 

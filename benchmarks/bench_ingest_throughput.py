@@ -23,8 +23,8 @@ machine-readable report (``BENCH_ingest_throughput.json`` by default,
 
 - every streamed run's peak residency must stay within its
   ``chunk_size * (max_queue_chunks + 2)`` bound — always enforced;
-- the fused stream-to-shard run (``fused=True``: array views plus ride-along
-  audit/filter indexes instead of a materialized ``Dataset``) must stay
+- the fused stream-to-shard run (``fused=True``: array views plus the
+  ride-along audit pair index instead of a materialized ``Dataset``) must stay
   within the same ingest bound while remaining bit-identical — always
   enforced;
 - the default chunk size (the largest tested, ``DEFAULT_CHUNK_SIZE``) must
@@ -137,9 +137,8 @@ def measure_ingest(
     context = f"chunk_size={chunk_size} fused={fused}"
     assert_bit_identical(reference, report.dataset, context)
     if fused:
-        # The fused view's ride-along indexes were grown during the stream.
+        # The fused view's ride-along pair index was grown during the stream.
         assert report.dataset.audit_index is not None, context
-        assert report.dataset.known_index is not None, context
     return {
         "chunk_size": chunk_size,
         "max_queue_chunks": MAX_QUEUE_CHUNKS,

@@ -7,10 +7,11 @@ recorded per *shard* and per *chunk*, never per scored row.  This benchmark
 holds the subsystem to that contract on an FB15k-shaped TransE ranking
 workload:
 
-1. **Baseline** — :func:`repro.eval.sharding.rank_shard` called directly.
-   ``rank_shard`` is deliberately kept free of any telemetry plumbing (the
-   instrumentation lives in its callers), so this measures the pure ranking
-   kernel the evaluator used before the telemetry subsystem existed.
+1. **Baseline** — :func:`repro.eval.sharding.rank_shard` called directly,
+   under the process's default (disabled) telemetry.  ``rank_shard`` opens
+   only per-block spans, which cost a no-op call each while telemetry is
+   off; the shard instrumentation lives in its callers, so this measures
+   the ranking kernel without it.
 2. **Telemetry off** — the same workload through
    :func:`~repro.eval.sharding.evaluate_shards` (the instrumented entry point
    every evaluation now uses) with telemetry disabled.  Gated: throughput
@@ -47,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.eval.sharding import ShardEntry, evaluate_shards, rank_shard
+from repro.eval.sharding import QueryWork, evaluate_shards, rank_shard
 from repro.kg import Dataset, TripleSet, Vocabulary
 from repro.models import ModelConfig, make_model
 from repro.telemetry import Telemetry, scoped
@@ -70,8 +71,8 @@ MIN_ON_RELATIVE = float(os.environ.get("BENCH_MIN_TELEMETRY_ON_RELATIVE", "0.90"
 DEFAULT_JSON_PATH = "BENCH_telemetry_overhead.json"
 
 
-def ranking_workload(seed: int = 31) -> Tuple[object, List[ShardEntry]]:
-    """A TransE scorer plus the deduplicated tail-side query order."""
+def ranking_workload(seed: int = 31) -> Tuple[object, QueryWork]:
+    """A TransE scorer plus the deduplicated, unfiltered tail-side query order."""
     rng = np.random.default_rng(seed)
     vocab = Vocabulary.from_labels(
         [f"e{i}" for i in range(NUM_ENTITIES)], [f"r{i}" for i in range(NUM_RELATIONS)]
@@ -92,32 +93,36 @@ def ranking_workload(seed: int = 31) -> Tuple[object, List[ShardEntry]]:
     targets: "OrderedDict[Tuple[int, int], List[int]]" = OrderedDict()
     for h, r, t in dataset.test:
         targets.setdefault((h, r), []).append(t)
-    entries: List[ShardEntry] = [
-        (query, np.asarray(tails, dtype=np.int64)) for query, tails in targets.items()
-    ]
-    return model, entries
+    work = QueryWork(
+        side="tail",
+        queries=np.array(list(targets), dtype=np.int64).reshape(-1, 2),
+        targets=np.array([t for tails in targets.values() for t in tails], dtype=np.int64),
+        target_offsets=np.cumsum([0] + [len(tails) for tails in targets.values()]),
+        known=np.empty(0, dtype=np.int64),
+        known_offsets=np.zeros(len(targets) + 1, dtype=np.int64),
+    )
+    return model, work
 
 
-def _ranks_baseline(scorer, entries) -> Tuple[np.ndarray, np.ndarray]:
-    return rank_shard(scorer, entries, "tail", {}, EVAL_BATCH_SIZE, None)
+def _ranks_baseline(scorer, work) -> Tuple[np.ndarray, np.ndarray]:
+    return rank_shard(scorer, work, EVAL_BATCH_SIZE, None)
 
 
-def _ranks_instrumented(scorer, entries, enabled: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _ranks_instrumented(scorer, work, enabled: bool) -> Tuple[np.ndarray, np.ndarray]:
     with scoped(Telemetry(enabled=enabled)):
         result = evaluate_shards(
-            scorer, {"tail": entries}, {"tail": {}},
-            n_workers=1, shard_size=None, eval_batch_size=EVAL_BATCH_SIZE,
+            scorer, [work], n_workers=1, shard_size=None, eval_batch_size=EVAL_BATCH_SIZE,
         )
     return result["tail"]
 
 
 def measure_overhead(seed: int = 31) -> dict:
     """Best-of-``ROUNDS`` interleaved timings of the three paths."""
-    scorer, entries = ranking_workload(seed)
+    scorer, work = ranking_workload(seed)
 
-    reference = _ranks_baseline(scorer, entries)
+    reference = _ranks_baseline(scorer, work)
     for label, enabled in (("off", False), ("on", True)):
-        raw, filtered = _ranks_instrumented(scorer, entries, enabled)
+        raw, filtered = _ranks_instrumented(scorer, work, enabled)
         assert np.array_equal(reference[0], raw), label
         assert np.array_equal(reference[1], filtered), label
 
@@ -129,9 +134,9 @@ def measure_overhead(seed: int = 31) -> dict:
         fn()
         return time.perf_counter() - start
 
-    baseline = lambda: _ranks_baseline(scorer, entries)  # noqa: E731
-    off = lambda: _ranks_instrumented(scorer, entries, False)  # noqa: E731
-    on = lambda: _ranks_instrumented(scorer, entries, True)  # noqa: E731
+    baseline = lambda: _ranks_baseline(scorer, work)  # noqa: E731
+    off = lambda: _ranks_instrumented(scorer, work, False)  # noqa: E731
+    on = lambda: _ranks_instrumented(scorer, work, True)  # noqa: E731
 
     best: Dict[str, float] = {
         "baseline": float("inf"), "telemetry_off": float("inf"), "telemetry_on": float("inf")
@@ -162,15 +167,13 @@ def measure_overhead(seed: int = 31) -> dict:
     # One enabled run's counters, recorded as evidence of what "on" measures.
     with scoped(Telemetry(enabled=True)) as telemetry:
         evaluate_shards(
-            scorer, {"tail": entries}, {"tail": {}},
-            n_workers=1, shard_size=None, eval_batch_size=EVAL_BATCH_SIZE,
+            scorer, [work], n_workers=1, shard_size=None, eval_batch_size=EVAL_BATCH_SIZE,
         )
         counters = telemetry.snapshot()["counters"]
 
-    ranked = int(sum(len(targets) for _, targets in entries))
     return {
-        "entries": len(entries),
-        "ranked_targets": ranked,
+        "entries": len(work),
+        "ranked_targets": len(work.targets),
         "eval_batch_size": EVAL_BATCH_SIZE,
         "rounds": ROUNDS,
         "baseline_seconds": best["baseline"],

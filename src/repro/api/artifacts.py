@@ -12,6 +12,7 @@ key                        artifact
 ``("redundancy", name)``   :class:`repro.core.redundancy.RedundancyReport`
 ``("leakage", name)``      :class:`repro.core.leakage.LeakageReport`
 ``("categories", name)``   ``Dict[int, str]`` relation categories
+``("known_index", name)``  :class:`repro.kg.known_index.KnownTripleIndex`
 ``("scorer", m, d)``       trained model / rule / baseline scorer
 ``("evaluation", m, d)``   :class:`repro.eval.ranking.EvaluationResult`
 ``("ingest_report", name)``:class:`repro.kg.streaming.IngestReport`
@@ -104,7 +105,9 @@ def default_cache_dir() -> Path:
 def _dataset_of(key: ArtifactKey) -> Optional[str]:
     """The dataset a key is derived from (``None`` for dataset-independent)."""
     kind = key[0]
-    if kind in ("dataset", "redundancy", "leakage", "categories", "ingest_report"):
+    if kind in (
+        "dataset", "redundancy", "leakage", "categories", "ingest_report", "known_index"
+    ):
         return key[1]
     if kind in ("scorer", "evaluation"):
         return key[2]

@@ -45,14 +45,14 @@ def ensure_dataset(store: ArtifactStore, spec: ExperimentSpec, name: str):
     snapshot under ``("snapshot",)``.  Construction reads the spec's global
     sections: overrides patch analyses and models, never a replica.
     """
+    key = ("dataset", name)
+    if key in store:
+        return store[key]
     from ..core.deredundancy import make_fb15k237_like, make_wn18rr_like, make_yago_dr_like
     from ..kg.freebase import fb15k_like
     from ..kg.wordnet import wn18_like
     from ..kg.yago import yago3_like
 
-    key = ("dataset", name)
-    if key in store:
-        return store[key]
     # Concurrent runs sharing a disk cache queue behind the entry lock; the
     # losers find the winner's replicas on the re-probe instead of rebuilding.
     with store.lock(key):
@@ -229,14 +229,15 @@ def ensure_scorer(
     store: ArtifactStore, spec: ExperimentSpec, model_name: str, dataset_name: str
 ):
     """A trained scorer (embedding model, AMIE, simple rule or Cartesian baseline)."""
-    from ..core.baselines import SimpleRuleModel
-    from ..core.cartesian import CartesianProductPredictor
-    from ..models.registry import make_model
-    from ..models.trainer import train_model
-    from ..rules.amie import AmieConfig, AmieMiner
-    from ..rules.predictor import RuleBasedPredictor
 
     def build():
+        from ..core.baselines import SimpleRuleModel
+        from ..core.cartesian import CartesianProductPredictor
+        from ..models.registry import make_model
+        from ..models.trainer import train_model
+        from ..rules.amie import AmieConfig, AmieMiner
+        from ..rules.predictor import RuleBasedPredictor
+
         dataset = ensure_dataset(store, spec, dataset_name)
         if model_name == "AMIE":
             with get_telemetry().span("amie.mine", dataset=dataset_name):
@@ -268,6 +269,16 @@ def ensure_scorer(
     return store.ensure(("scorer", model_name, dataset_name), build)
 
 
+def ensure_known_index(store: ArtifactStore, spec: ExperimentSpec, dataset_name: str):
+    """The known-triple index that filters every evaluation on one dataset."""
+    from ..kg.known_index import KnownTripleIndex
+
+    return store.ensure(
+        ("known_index", dataset_name),
+        lambda: KnownTripleIndex.for_dataset(ensure_dataset(store, spec, dataset_name)),
+    )
+
+
 def ensure_evaluation(
     store: ArtifactStore, spec: ExperimentSpec, model_name: str, dataset_name: str
 ):
@@ -277,7 +288,13 @@ def ensure_evaluation(
     def build():
         dataset = ensure_dataset(store, spec, dataset_name)
         options = spec.config_for(model=model_name, dataset=dataset_name).eval_options()
-        evaluator = LinkPredictionEvaluator(dataset, options=options)
+        # The evaluator resolves the index on first use: the first pair of a
+        # dataset builds it, every later pair reuses the cached one.
+        evaluator = LinkPredictionEvaluator(
+            dataset,
+            options=options,
+            known_index=lambda: ensure_known_index(store, spec, dataset_name),
+        )
         return evaluator.evaluate(
             ensure_scorer(store, spec, model_name, dataset_name), model_name=model_name
         )

@@ -30,7 +30,6 @@ even if library defaults change later.
 
 from __future__ import annotations
 
-import copy
 import difflib
 import hashlib
 import json
@@ -342,8 +341,16 @@ class ExperimentSpec:
         because they are already applied.  With no overrides the sections
         equal this spec's own.
         """
-        resolved = copy.deepcopy(self)
-        resolved.overrides = {}
+        # Section knobs are scalars, so copying the section objects and the
+        # top-level lists is a deep copy, at a fraction of deepcopy's cost.
+        resolved = replace(
+            self,
+            datasets=list(self.datasets),
+            models=list(self.models),
+            stages=list(self.stages),
+            overrides={},
+            **{name: replace(getattr(self, name)) for name in _SECTION_CLASSES},
+        )
         for scope, key in (("datasets", dataset), ("models", model)):
             for section_name, knobs in self.overrides.get(scope, {}).get(key, {}).items():
                 setattr(resolved, section_name, replace(getattr(resolved, section_name), **knobs))

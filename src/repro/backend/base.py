@@ -153,10 +153,12 @@ class ArrayBackend(ABC):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-threshold counts of ``scores`` strictly greater / exactly equal.
 
+        ``scores`` is one ``(E,)`` row compared against every threshold, or a
+        ``(M, E)`` block whose row ``i`` is compared against threshold ``i``.
         Returns two host int64 arrays of shape ``thresholds.shape``.  This is
         the fused ``count_higher`` kernel the rank path is built on: the
-        (|thresholds|, |scores|) comparison happens on-device and only the
-        counts cross back to the host.
+        (|thresholds|, E) comparison happens on-device and only the counts
+        cross back to the host.
         """
 
     # -- strided views (im2col) -------------------------------------------

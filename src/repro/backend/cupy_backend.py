@@ -89,8 +89,9 @@ class CupyBackend(ArrayBackend):
         return cupy.einsum(spec, *operands)
 
     def compare_counts(self, scores: Any, thresholds: Any) -> Tuple[np.ndarray, np.ndarray]:
-        greater = (scores[None, :] > thresholds[:, None]).sum(axis=1)
-        equal = (scores[None, :] == thresholds[:, None]).sum(axis=1)
+        rows = scores if scores.ndim == 2 else scores[None, :]
+        greater = (rows > thresholds[:, None]).sum(axis=1)
+        equal = (rows == thresholds[:, None]).sum(axis=1)
         return cupy.asnumpy(greater), cupy.asnumpy(equal)
 
     def as_strided(self, array: Any, shape: Sequence[int], strides: Sequence[int]) -> Any:

@@ -97,9 +97,13 @@ class NumpyBackend(ArrayBackend):
     def compare_counts(
         self, scores: np.ndarray, thresholds: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        greater = (scores[None, :] > thresholds[:, None]).sum(axis=1)
-        equal = (scores[None, :] == thresholds[:, None]).sum(axis=1)
-        return greater, equal
+        rows = scores if scores.ndim == 2 else scores[None, :]
+        column = thresholds[:, None]
+        # A row holds fewer than 2**31 candidates; the int32 reduction of the
+        # boolean mask is about twice as fast as the default int64 one.
+        greater = np.add.reduce(rows > column, axis=1, dtype=np.int32)
+        equal = np.add.reduce(rows == column, axis=1, dtype=np.int32)
+        return greater.astype(np.int64), equal.astype(np.int64)
 
     def as_strided(
         self, array: np.ndarray, shape: Sequence[int], strides: Sequence[int]

@@ -169,8 +169,9 @@ class TorchBackend(ArrayBackend):
         return torch.einsum(spec, *operands)
 
     def compare_counts(self, scores: Any, thresholds: Any) -> Tuple[np.ndarray, np.ndarray]:
-        greater = (scores[None, :] > thresholds[:, None]).sum(dim=1)
-        equal = (scores[None, :] == thresholds[:, None]).sum(dim=1)
+        rows = scores if scores.dim() == 2 else scores[None, :]
+        greater = (rows > thresholds[:, None]).sum(dim=1)
+        equal = (rows == thresholds[:, None]).sum(dim=1)
         return self.to_numpy(greater).astype(np.int64), self.to_numpy(equal).astype(np.int64)
 
     def as_strided(self, array: Any, shape: Sequence[int], strides: Sequence[int]) -> Any:

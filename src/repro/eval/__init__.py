@@ -17,10 +17,11 @@ from .ranking import (
     evaluate_model,
 )
 from .sharding import (
+    QueryWork,
     evaluate_shards,
-    fused_rank_row,
     multiprocessing_available,
     plan_shards,
+    rank_block,
     rank_shard,
 )
 from .comparison import (
@@ -45,9 +46,10 @@ __all__ = [
     "LinkPredictionEvaluator",
     "evaluate_model",
     "evaluate_shards",
-    "fused_rank_row",
     "multiprocessing_available",
     "plan_shards",
+    "QueryWork",
+    "rank_block",
     "rank_shard",
     "best_model_counts",
     "per_relation_win_percentages",

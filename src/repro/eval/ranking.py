@@ -15,19 +15,24 @@ rule-based and Cartesian-product predictors, which assign identical scores to
 many candidates; optimistic tie-breaking would inflate their accuracy and
 pessimistic tie-breaking would unfairly punish them.
 
-The evaluator runs the protocol **batched**:
+The evaluator runs the protocol **batched**, over arrays:
 
+* the known triples are one :class:`~repro.kg.known_index.KnownTripleIndex`
+  — CSR tables ``(h, r) → tails`` and ``(r, t) → heads`` — built once per
+  dataset (the pipeline caches it in its artifact store);
 * test queries are deduplicated by ``(h, r)`` (tail side) / ``(r, t)`` (head
-  side), so each unique query is scored exactly once per run, however many
-  test triples share it;
+  side) with ``np.unique`` over packed query keys, so each unique query is
+  scored exactly once per run, however many test triples share it;
 * unique queries are streamed through the scorer's
   ``score_tails_batch`` / ``score_heads_batch`` contract in configurable
   chunks (``eval_batch_size``), keeping the ``(B, E)`` score matrices
   memory-bounded on FB15k-scale runs — scorers without the batched contract
   transparently fall back to per-query ``score_all_*`` calls;
-* raw and filtered mean-tie ranks are computed from vectorized comparison
-  counts, using precomputed flat index arrays of known completions per query
-  instead of per-triple boolean-mask copies.
+* each scored block is ranked whole by
+  :func:`~repro.eval.sharding.rank_block`: raw and filtered mean-tie ranks
+  from vectorized comparison counts, the filter's counts from a CSR gather
+  of the block's known completions, and ranks scatter back to triple
+  positions through index arrays.
 
 Rank extraction is exact integer comparison counting, so given equal score
 vectors the batched path agrees bit-for-bit with the per-triple protocol.
@@ -47,16 +52,22 @@ bit-identical to the single-process batched path at any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..api.options import EvalOptions
 from ..api.schema import EVALUATION_DEFAULTS
 from ..kg.dataset import Dataset
+from ..kg.known_index import KnownTripleIndex, as_triple_array
+from ..kg.sampling import packed_key_radices
 from ..kg.triples import Triple, TripleSet
+from ..telemetry import get_telemetry
 from .metrics import MetricPair, RankingMetrics, metrics_from_rank_pairs
-from .sharding import ShardEntry, evaluate_shards
+from .sharding import QueryWork, evaluate_shards, gather_runs
+
+#: The prediction sides the protocol ranks.
+SIDES = ("head", "tail")
 
 #: Unique queries scored per batched scorer call; bounds the (B, E) score
 #: matrix so large-scale evaluations stay memory-bounded.  The canonical
@@ -153,8 +164,9 @@ class EvaluationResult:
 
     def as_row(self) -> Dict[str, float]:
         """One row of a paper table: raw and filtered measures side by side."""
-        row: Dict[str, float] = {"model": self.model_name, "dataset": self.dataset_name}
-        row.update(self.metrics().as_dict())
+        with get_telemetry().span("eval.assemble", model=self.model_name):
+            row: Dict[str, float] = {"model": self.model_name, "dataset": self.dataset_name}
+            row.update(self.metrics().as_dict())
         return row
 
 
@@ -178,42 +190,37 @@ class LinkPredictionEvaluator:
         filter_triples: Optional[Iterable[Triple]] = None,
         extra_ground_truth: Optional[TripleSet] = None,
         options: Optional[EvalOptions] = None,
-        known_index: Optional[Any] = None,
+        known_index: Union[KnownTripleIndex, Callable[[], KnownTripleIndex], None] = None,
     ) -> None:
+        """Evaluate on ``dataset``, filtering against its known triples.
+
+        ``filter_triples`` replaces the dataset's triples as the filter and
+        ``extra_ground_truth`` extends it.  Without either, ``known_index``
+        supplies the dataset's :class:`KnownTripleIndex` — prebuilt, or as a
+        zero-argument callable (the pipeline passes its per-dataset cache
+        lookup, so the index is built on first use and shared by every
+        scorer evaluated on the dataset).
+        """
         #: How this evaluation runs — the schema-derived option object.  Its
         #: backend + dtype are applied to scorers exposing
         #: ``set_score_backend`` at ``evaluate()`` time; a score block budget
         #: enables the fused score+rank path.
         self.options = (options or EvalOptions()).normalized()
         self.dataset = dataset
-        if known_index is None and filter_triples is None and extra_ground_truth is None:
-            # Fused-ingest datasets carry the index grown during the stream
-            # (see repro.eval.sharding.StreamingKnownIndexBuilder).
-            known_index = getattr(dataset, "known_index", None)
-        if known_index is not None and filter_triples is None and extra_ground_truth is None:
-            # The streamed index groups and sorts identically, so the filter
-            # arrays — and every filtered rank — are bit-identical.
-            self._known_tails: Dict[Tuple[int, int], np.ndarray] = known_index.tail_filters()
-            self._known_heads: Dict[Tuple[int, int], np.ndarray] = known_index.head_filters()
-            return
-        known = set(filter_triples) if filter_triples is not None else dataset.known_triples()
-        if extra_ground_truth is not None:
-            known |= extra_ground_truth.as_set()
-        known_tail_sets: Dict[Tuple[int, int], Set[int]] = {}
-        known_head_sets: Dict[Tuple[int, int], Set[int]] = {}
-        for h, r, t in known:
-            known_tail_sets.setdefault((h, r), set()).add(t)
-            known_head_sets.setdefault((r, t), set()).add(h)
-        # Flat, sorted index arrays per query: the filtered rank subtracts the
-        # comparison counts of these candidates, no per-triple mask copies.
-        self._known_tails: Dict[Tuple[int, int], np.ndarray] = {
-            query: np.fromiter(sorted(values), dtype=np.int64, count=len(values))
-            for query, values in known_tail_sets.items()
-        }
-        self._known_heads: Dict[Tuple[int, int], np.ndarray] = {
-            query: np.fromiter(sorted(values), dtype=np.int64, count=len(values))
-            for query, values in known_head_sets.items()
-        }
+        with get_telemetry().span("eval.filter_index", dataset=dataset.name):
+            if filter_triples is not None:
+                extra = () if extra_ground_truth is None else (extra_ground_truth,)
+                known_index = KnownTripleIndex.from_triples(
+                    filter_triples, *extra, num_entities=dataset.num_entities
+                )
+            elif extra_ground_truth is not None:
+                known_index = KnownTripleIndex.for_dataset(dataset, extra=extra_ground_truth)
+            elif known_index is None:
+                known_index = KnownTripleIndex.for_dataset(dataset)
+            elif callable(known_index):
+                known_index = known_index()
+        #: The filter: every known completion of a query, on both sides.
+        self.known_index: KnownTripleIndex = known_index
 
     # -- batched ranking internals ----------------------------------------------------
     def _configure_scorer(self, scorer: CandidateScorer) -> None:
@@ -230,58 +237,46 @@ class LinkPredictionEvaluator:
         if configure is not None:
             configure(backend, eval_dtype)
 
-    def _side_work(
-        self, triples: Sequence[Triple], side: str
-    ) -> Tuple[List[ShardEntry], List[List[int]]]:
-        """Deduplicated shard entries for one side plus their triple positions.
+    def _side_work(self, triples: np.ndarray, side: str) -> Tuple[QueryWork, np.ndarray]:
+        """One side's deduplicated queries plus the triple position of each target.
 
-        Returns ``(entries, positions)`` where ``entries[i]`` is the i-th
-        unique query with its target array, and ``positions[i]`` lists the
-        triple positions its ranks scatter back to (aligned with the targets).
+        Returns ``(work, positions)``: ``work`` has one row per unique query,
+        with its targets and its known completions from :attr:`known_index`;
+        ``positions[j]`` is the triple position that the rank of
+        ``work.targets[j]`` scatters back to.
         """
-        groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        order: List[Tuple[int, int]] = []
-        for position, (h, r, t) in enumerate(triples):
-            query = (h, r) if side == "tail" else (r, t)
-            members = groups.get(query)
-            if members is None:
-                groups[query] = members = []
-                order.append(query)
-            members.append((position, t if side == "tail" else h))
+        heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
+        entity_radix, relation_radix = packed_key_radices(triples, self.dataset.num_entities)
+        if side == "tail":
+            first, second, targets = heads, relations, tails
+            keys = heads * relation_radix + relations
+        else:
+            first, second, targets = relations, tails, heads
+            keys = relations * entity_radix + tails
         # Score unique queries in sorted order: ranks are written back by
         # triple position, so the order is unobservable, but sorting clusters
         # the head side by relation — letting scorers whose cost is dominated
         # by a per-relation precomputation (ConvE's all-entity convolution)
         # reuse it across a whole chunk instead of once per interleaved query.
-        order.sort()
-        entries: List[ShardEntry] = []
-        positions: List[List[int]] = []
-        for query in order:
-            members = groups[query]
-            targets = np.fromiter(
-                (target for _, target in members), dtype=np.int64, count=len(members)
-            )
-            entries.append((query, targets))
-            positions.append([position for position, _ in members])
-        return entries, positions
-
-    @staticmethod
-    def _scatter_ranks(
-        ranks: Tuple[np.ndarray, np.ndarray],
-        positions: Sequence[Sequence[int]],
-        num_triples: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scatter concatenated per-entry ranks back to triple positions."""
-        raw_concat, filtered_concat = ranks
-        raw = np.empty(num_triples)
-        filtered = np.empty(num_triples)
-        offset = 0
-        for entry_positions in positions:
-            for position in entry_positions:
-                raw[position] = raw_concat[offset]
-                filtered[position] = filtered_concat[offset]
-                offset += 1
-        return raw, filtered
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        positions = np.argsort(inverse, kind="stable")
+        target_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=target_offsets[1:])
+        lead = positions[target_offsets[:-1]]
+        table = self.known_index.table(side)
+        anchors = heads if side == "tail" else tails
+        known, known_offsets = gather_runs(
+            table.values, *table.ranges(anchors[lead], relations[lead])
+        )
+        work = QueryWork(
+            side=side,
+            queries=np.stack([first[lead], second[lead]], axis=1),
+            targets=targets[positions],
+            target_offsets=target_offsets,
+            known=known,
+            known_offsets=known_offsets,
+        )
+        return work, positions
 
     # -- evaluation ----------------------------------------------------------------
     def evaluate(
@@ -307,12 +302,19 @@ class LinkPredictionEvaluator:
         worker count), and a ``score_block_budget`` enables the fused
         score+rank path (bit-identical ranks at any budget).
         """
-        triples = list(test_triples) if test_triples is not None else list(self.dataset.test)
+        unknown = [side for side in sides if side not in SIDES]
+        if unknown:
+            raise ValueError(
+                f"unknown side(s) {unknown}; sides must be \"head\" and/or \"tail\""
+            )
+        source = self.dataset.test if test_triples is None else test_triples
         name = model_name or getattr(scorer, "name", type(scorer).__name__)
         result = EvaluationResult(model_name=name, dataset_name=self.dataset.name)
         self._configure_scorer(scorer)
         if not batched:
-            return self._evaluate_per_triple(scorer, triples, result, sides)
+            return self._evaluate_per_triple(
+                scorer, as_triple_array(source).tolist(), result, sides
+            )
         options = self.options
         batch_size = options.batch_size if eval_batch_size is None else max(1, int(eval_batch_size))
         workers = options.workers if n_workers is None else max(1, int(n_workers))
@@ -323,36 +325,43 @@ class LinkPredictionEvaluator:
             block_budget = (
                 None if score_block_budget is None else max(1, int(score_block_budget))  # type: ignore[arg-type]
             )
-        work: Dict[str, List[ShardEntry]] = {}
-        positions: Dict[str, List[List[int]]] = {}
-        for side in ("tail", "head"):
-            if side in sides:
-                work[side], positions[side] = self._side_work(triples, side)
-        known = {"tail": self._known_tails, "head": self._known_heads}
+        telemetry = get_telemetry()
+        work: List[QueryWork] = []
+        positions: Dict[str, np.ndarray] = {}
+        with telemetry.span("eval.dedup") as span:
+            triples = as_triple_array(source)
+            span.set(triples=len(triples))
+            for side in ("tail", "head"):
+                if side in sides:
+                    side_work, positions[side] = self._side_work(triples, side)
+                    work.append(side_work)
         # ``workers <= 1`` takes the exact in-process path inside
         # evaluate_shards (no pool is ever created), so both worker counts
         # share one instrumented entry point.
         side_ranks = evaluate_shards(
-            scorer, work, known, workers, shards, batch_size,
-            options.mp_start_method, block_budget,
+            scorer, work, workers, shards, batch_size, options.mp_start_method, block_budget,
         )
-        scattered = {
-            side: self._scatter_ranks(side_ranks[side], positions[side], len(triples))
-            for side in work
-        }
-        tail_ranks = scattered.get("tail")
-        head_ranks = scattered.get("head")
-        for position, (h, r, t) in enumerate(triples):
-            if tail_ranks is not None:
-                result.records.append(
-                    RankRecord(h, r, t, "tail",
-                               float(tail_ranks[0][position]), float(tail_ranks[1][position]))
-                )
-            if head_ranks is not None:
-                result.records.append(
-                    RankRecord(h, r, t, "head",
-                               float(head_ranks[0][position]), float(head_ranks[1][position]))
-                )
+        with telemetry.span("eval.assemble", triples=len(triples)):
+            ranks: Dict[str, Tuple[List[float], List[float]]] = {}
+            for side, (raw, filtered) in side_ranks.items():
+                # Ranks come back in query order; scatter them to triple positions.
+                by_triple = np.empty((2, len(triples)))
+                by_triple[0, positions[side]] = raw
+                by_triple[1, positions[side]] = filtered
+                ranks[side] = (by_triple[0].tolist(), by_triple[1].tolist())
+            tail_ranks = ranks.get("tail")
+            head_ranks = ranks.get("head")
+            records = result.records
+            columns = (triples[:, 0].tolist(), triples[:, 1].tolist(), triples[:, 2].tolist())
+            for position, (h, r, t) in enumerate(zip(*columns)):
+                if tail_ranks is not None:
+                    records.append(RankRecord(
+                        h, r, t, "tail", tail_ranks[0][position], tail_ranks[1][position]
+                    ))
+                if head_ranks is not None:
+                    records.append(RankRecord(
+                        h, r, t, "head", head_ranks[0][position], head_ranks[1][position]
+                    ))
         return result
 
     def _evaluate_per_triple(
@@ -370,7 +379,7 @@ class LinkPredictionEvaluator:
                 scores = np.asarray(scorer.score_all_tails(h, r), dtype=np.float64)
                 raw = _rank_with_mean_ties(scores, t, all_candidates)
                 mask = all_candidates.copy()
-                for known_tail in self._known_tails.get((h, r), ()):
+                for known_tail in self.known_index.tails.completions(h, r).tolist():
                     if known_tail != t:
                         mask[known_tail] = False
                 filtered = _rank_with_mean_ties(scores, t, mask)
@@ -379,7 +388,7 @@ class LinkPredictionEvaluator:
                 scores = np.asarray(scorer.score_all_heads(r, t), dtype=np.float64)
                 raw = _rank_with_mean_ties(scores, h, all_candidates)
                 mask = all_candidates.copy()
-                for known_head in self._known_heads.get((r, t), ()):
+                for known_head in self.known_index.heads.completions(t, r).tolist():
                     if known_head != h:
                         mask[known_head] = False
                 filtered = _rank_with_mean_ties(scores, h, mask)

@@ -1,13 +1,17 @@
-"""Sharded multi-process link-prediction evaluation.
+"""Sharded multi-process link-prediction evaluation over columnar query blocks.
 
 The batched ranking protocol reduces evaluation to scoring a stream of
 deduplicated ``(h, r)`` / ``(r, t)`` queries, and every query's raw and
 filtered mean-tie ranks depend only on its own ``(E,)`` score row, its target
-entities and its known-completion filter — queries are fully independent
-subproblems.  This module exploits that independence: the unique-query order
-is partitioned into contiguous **shards**, each shard is ranked in a worker
-process, and the per-shard rank arrays are concatenated back in shard order,
-so the merged result is bit-identical to ranking the whole order in-process.
+entities and its known completions — queries are fully independent
+subproblems.  One side's queries travel as a :class:`QueryWork`: a sorted
+``(Q, 2)`` query array plus CSR (offset-array) runs of targets and known
+completions, so a contiguous slice of queries is a handful of array views.
+
+This module exploits that independence: the query order is partitioned into
+contiguous **shards**, each shard is ranked in a worker process, and the
+per-shard rank arrays are concatenated back in shard order, so the merged
+result is bit-identical to ranking the whole order in-process.
 
 Design constraints, in decreasing order of importance:
 
@@ -20,27 +24,29 @@ Design constraints, in decreasing order of importance:
   extraction is exact comparison counting, so shard boundaries are
   unobservable in the output.
 * **Spawn safety.** The worker entry points are module-level functions, the
-  scorer and the known-completion filter index are shipped exactly once per
-  worker through the pool initializer (not once per shard), and
-  :mod:`repro.autodiff` tensors drop their autodiff graph on pickling, so the
-  subsystem works under ``fork``, ``forkserver`` and ``spawn`` alike.
+  scorer is shipped exactly once per worker through the pool initializer
+  (not once per shard), each shard carries its own targets and known
+  completions, and :mod:`repro.autodiff` tensors drop their autodiff graph on
+  pickling, so the subsystem works under ``fork``, ``forkserver`` and
+  ``spawn`` alike.
 * **Graceful fallback.** ``n_workers=1`` (or an empty workload, or a platform
   without multiprocessing start methods) never creates a pool — it is the
   exact in-process batched path.
 
-When a ``score_block_budget`` is set, :func:`rank_shard` switches to the
-**fused score+rank path**: each chunk of unique queries is scored in row
-blocks small enough that ``rows × num_entities`` stays under the budget, and
-each block is immediately reduced to per-target comparison counts through the
-backend's ``compare_counts`` kernel — the full ``(B, E)`` score matrix is
-never materialized on the host when only rank counts are needed.  Comparison
-counts are integers, so the fused ranks are bit-identical to the
-materializing path at any block budget.
+Every scored block — a materialized ``(eval_batch_size, E)`` chunk, or, with
+a ``score_block_budget``, a **fused** row block small enough that ``rows ×
+num_entities`` stays under the budget and that stays on the scorer's backend
+— is ranked by one kernel, :func:`rank_block`: one comparison pass over the
+block counts, for every (row, target) pair, the candidates scoring above and
+level with the target, and the filtered counts subtract the same comparisons
+over the row's known completions (a CSR gather plus segment sums).  Counts are
+integers, so the ranks are bit-identical at any batch size and block budget.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,29 +58,64 @@ from ..telemetry import Telemetry, get_telemetry, scoped
 #: side, ``(relation, tail)`` on the head side.
 Query = Tuple[int, int]
 
-#: One unit of shard work: a query plus the target entities whose ranks the
-#: test split needs from its score row.
-ShardEntry = Tuple[Query, np.ndarray]
-
 #: Per-worker state installed by :func:`_init_worker`; lives in the worker
 #: process only.
 _WORKER_STATE: Optional[Tuple[Any, ...]] = None
 
+#: Most scores :func:`rank_block` copies at once when it gathers the rows of
+#: further targets (8 MB at float64), so the working set beside a block stays
+#: the same however many targets its rows have.
+_GATHER_BUDGET = 1 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class QueryWork:
+    """One side's deduplicated queries with their targets and known completions.
+
+    Row ``i`` is the query ``queries[i]`` in the batched scorers' argument
+    order — ``(head, relation)`` on the tail side, ``(relation, tail)`` on the
+    head side.  Its targets (the entities whose ranks the test split needs)
+    are ``targets[target_offsets[i]:target_offsets[i + 1]]``, at least one per
+    query; its known completions (which the filtered rank removes) are
+    ``known[known_offsets[i]:known_offsets[i + 1]]``.
+    """
+
+    side: str
+    queries: np.ndarray
+    targets: np.ndarray
+    target_offsets: np.ndarray
+    known: np.ndarray
+    known_offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def __getitem__(self, rows: slice) -> "QueryWork":
+        """The contiguous queries ``rows`` with their runs, offsets re-based to 0."""
+        start, stop, _ = rows.indices(len(self))
+        stop = max(start, stop)
+        first_target, last_target = self.target_offsets[start], self.target_offsets[stop]
+        first_known, last_known = self.known_offsets[start], self.known_offsets[stop]
+        return QueryWork(
+            side=self.side,
+            queries=self.queries[start:stop],
+            targets=self.targets[first_target:last_target],
+            target_offsets=self.target_offsets[start:stop + 1] - first_target,
+            known=self.known[first_known:last_known],
+            known_offsets=self.known_offsets[start:stop + 1] - first_known,
+        )
+
 
 class StreamingKnownIndexBuilder:
-    """The filtered-evaluation known-completion index, grown during ingest.
+    """A known-completion index that takes single-triple writes and retractions.
 
-    A :data:`~repro.kg.streaming.ChunkObserver`: hook :meth:`observe` into
-    the streaming pipeline and every chunk's newly-added encoded triples
-    extend the per-query candidate sets — the same
-    ``(h, r) → {t}`` / ``(r, t) → {h}`` grouping
-    :class:`repro.eval.ranking.LinkPredictionEvaluator` builds from
-    ``dataset.known_triples()``.  Per-split dedup plus set semantics make
-    cross-split duplicates harmless, and the finalized arrays use the same
-    sorted construction, so filtered ranks are bit-identical to the
-    materialized path.  On the fused ingest path the builder rides along as
-    ``dataset.known_index`` and the evaluator picks it up automatically,
-    skipping its full-scan index build.
+    A :data:`~repro.kg.streaming.ChunkObserver`: hook :meth:`observe` into a
+    triple stream and every chunk's newly-added encoded triples extend the
+    per-query candidate sets — the same ``(h, r) → {t}`` / ``(r, t) → {h}``
+    grouping as :class:`repro.kg.known_index.KnownTripleIndex`.  The live
+    delta maintainer (:mod:`repro.kg.deltas`) keeps one, because a delta
+    can retract a triple in O(1) here; the evaluator ranks against the
+    columnar index instead.
     """
 
     def __init__(self) -> None:
@@ -200,75 +241,133 @@ def _score_backend(scorer) -> ArrayBackend:
     return compute.backend if compute is not None else get_backend("numpy")
 
 
-def score_query_chunk(scorer, queries: Sequence[Query], side: str) -> np.ndarray:
-    """``(len(queries), E)`` score matrix, via the batched contract when available.
+def _score_rows(scorer, queries: np.ndarray, side: str):
+    """The ``(len(queries), E)`` block as the scorer produces it.
 
-    Query tuples are already in the batched methods' argument order:
-    ``(head, relation)`` for the tail side, ``(relation, tail)`` for the
-    head side.  Scorers without the batched contract fall back to one
-    ``score_all_*`` call per query.
+    The batched kernel's output, on the scorer's backend; scorers without the
+    batched contract give host float64 rows from one ``score_all_*`` call per
+    query.
     """
     batch_fn = getattr(
         scorer, "score_tails_batch" if side == "tail" else "score_heads_batch", None
     )
     if batch_fn is not None:
-        first = np.fromiter((a for a, _ in queries), dtype=np.int64, count=len(queries))
-        second = np.fromiter((b for _, b in queries), dtype=np.int64, count=len(queries))
-        return _scores_as_numpy(scorer, batch_fn(first, second))
+        return batch_fn(np.ascontiguousarray(queries[:, 0]), np.ascontiguousarray(queries[:, 1]))
     single_fn = scorer.score_all_tails if side == "tail" else scorer.score_all_heads
-    return np.stack([np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries])
+    return np.stack(
+        [np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries.tolist()]
+    )
 
 
-def _score_query_block(scorer, queries: Sequence[Query], side: str):
+def score_query_chunk(scorer, queries: np.ndarray, side: str) -> np.ndarray:
+    """``(len(queries), E)`` host score matrix, via the batched contract when available.
+
+    ``queries`` is an ``(n, 2)`` integer array in the batched methods'
+    argument order: ``(head, relation)`` rows for the tail side,
+    ``(relation, tail)`` rows for the head side.  Scorers without the batched
+    contract fall back to one ``score_all_*`` call per query.
+    """
+    return _scores_as_numpy(scorer, _score_rows(scorer, queries, side))
+
+
+def _score_query_block(scorer, queries: np.ndarray, side: str):
     """Backend-resident ``(len(queries), E)`` score block (no host transfer).
 
     The fused rank path keeps kernel outputs on the scorer's backend and
     reduces them to comparison counts there; only the counts travel to the
-    host.  Scorers without the batched contract still produce host rows, which
-    the backend re-wraps (a no-op on numpy).
+    host.  Host rows of scorers without the batched contract are re-wrapped
+    by the backend (a no-op on numpy).
     """
     backend = _score_backend(scorer)
-    batch_fn = getattr(
-        scorer, "score_tails_batch" if side == "tail" else "score_heads_batch", None
-    )
-    if batch_fn is not None:
-        first = np.fromiter((a for a, _ in queries), dtype=np.int64, count=len(queries))
-        second = np.fromiter((b for _, b in queries), dtype=np.int64, count=len(queries))
-        return backend.asarray(batch_fn(first, second)), backend
-    single_fn = scorer.score_all_tails if side == "tail" else scorer.score_all_heads
-    rows = np.stack([np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries])
-    return backend.asarray(rows), backend
+    return backend.asarray(_score_rows(scorer, queries, side)), backend
 
 
-def fused_rank_row(
-    backend: ArrayBackend,
-    row,
-    targets: np.ndarray,
-    known: Optional[np.ndarray],
+def gather_runs(
+    values: np.ndarray, starts: np.ndarray, stops: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw and filtered mean-tie ranks of ``targets`` from comparison counts.
+    """The runs ``values[starts[i]:stops[i]]`` concatenated, with their CSR offsets."""
+    lengths = stops - starts
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    index = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+    return values[index], offsets
 
-    ``row`` stays on ``backend``; the ``compare_counts`` kernel reduces it to
-    host integer counts, and the rank arithmetic below is the float64
-    expression of :func:`mean_tie_ranks` applied to those counts — identical
-    results, without ever materializing the score row on the host.
+
+def _check_entities(entities: np.ndarray, width: int) -> None:
+    if len(entities) and (entities.min() < 0 or entities.max() >= width):
+        raise IndexError(f"entity ids must lie in [0, {width}) to index a score row")
+
+
+def rank_block(
+    backend: ArrayBackend,
+    block,
+    targets: np.ndarray,
+    target_offsets: np.ndarray,
+    known: np.ndarray,
+    known_offsets: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered mean-tie ranks of every (row, target) pair of a scored block.
+
+    ``block`` is a ``(B, E)`` score array on ``backend``; row ``i`` ranks
+    ``targets[target_offsets[i]:target_offsets[i + 1]]`` (at least one) with
+    known completions ``known[known_offsets[i]:known_offsets[i + 1]]``.
+    Ranks come back in pair order, as host float64 arrays.
+
+    One ``compare_counts`` pass over the block counts, for each row's first
+    target, the candidates scoring above and level with it; only the further
+    targets of multi-target rows compare their rows again, gathered in slabs
+    of at most :data:`_GATHER_BUDGET` scores.  The
+    filtered counts subtract the same comparisons over each pair's known
+    completions — a CSR gather plus segment sums — and add back the target's
+    own equality hit when it is itself known.  Every count is an exact
+    integer and the rank arithmetic is that of :func:`mean_tie_ranks`, so the
+    ranks are bit-identical to it, row by row.
     """
-    target_scores = backend.take_rows(row, backend.index_array(targets))
-    greater, equal = backend.compare_counts(row, target_scores)
-    greater = greater.astype(np.float64)
-    tied_others = np.maximum(equal.astype(np.float64) - 1.0, 0.0)
-    raw = 1.0 + greater + tied_others / 2.0
-    if known is None or not len(known):
+    num_rows, width = block.shape
+    per_row = np.diff(target_offsets)
+    if num_rows and per_row.min() < 1:
+        raise ValueError("every row of a ranked block needs at least one target")
+    num_pairs = len(targets)
+    # Flat gathers below would silently read a neighbouring row: range-check.
+    _check_entities(targets, width)
+    pair_rows = np.repeat(np.arange(num_rows), per_row)
+    flat = block.reshape(-1)
+    target_scores = backend.take_rows(flat, backend.index_array(pair_rows * width + targets))
+    lead = target_offsets[:-1]
+    greater = np.empty(num_pairs, dtype=np.int64)
+    equal = np.empty(num_pairs, dtype=np.int64)
+    greater[lead], equal[lead] = backend.compare_counts(
+        block, backend.take_rows(target_scores, backend.index_array(lead))
+    )
+    rest = np.ones(num_pairs, dtype=bool)
+    rest[lead] = False
+    rest = np.flatnonzero(rest)
+    step = max(1, _GATHER_BUDGET // max(width, 1))
+    for begin in range(0, len(rest), step):
+        pairs = rest[begin:begin + step]
+        greater[pairs], equal[pairs] = backend.compare_counts(
+            backend.take_rows(block, backend.index_array(pair_rows[pairs])),
+            backend.take_rows(target_scores, backend.index_array(pairs)),
+        )
+    raw = 1.0 + greater + np.maximum(equal - 1, 0) / 2.0
+    # Every pair compares against its row's whole run of known completions.
+    candidates, runs = gather_runs(known, known_offsets[pair_rows], known_offsets[pair_rows + 1])
+    if not len(candidates):
         return raw, raw.copy()
-    known_scores = backend.take_rows(row, backend.index_array(known))
-    known_greater, known_equal = backend.compare_counts(known_scores, target_scores)
-    contains_target = (known[None, :] == targets[:, None]).sum(axis=1)
-    # Same add-back as mean_tie_ranks: removing known\{target} never removes
-    # the target's own equality hit.
+    _check_entities(candidates, width)
+    owner = np.repeat(np.arange(num_pairs), np.diff(runs))
+    candidate_scores = backend.to_numpy(
+        backend.take_rows(flat, backend.index_array(pair_rows[owner] * width + candidates))
+    )
+    thresholds = backend.to_numpy(target_scores)[owner]
+    known_greater = np.bincount(owner[candidate_scores > thresholds], minlength=num_pairs)
+    known_equal = np.bincount(owner[candidate_scores == thresholds], minlength=num_pairs)
+    contains_target = np.bincount(owner[candidates == targets[owner]], minlength=num_pairs)
+    # Removing known\{target} cannot remove the target itself: its own
+    # equality hit is added back before re-deriving the tie count.
     filtered_greater = greater - known_greater
     filtered_equal = equal - (known_equal - contains_target)
-    filtered_tied_others = np.maximum(filtered_equal.astype(np.float64) - 1.0, 0.0)
-    filtered = 1.0 + filtered_greater + filtered_tied_others / 2.0
+    filtered = 1.0 + filtered_greater + np.maximum(filtered_equal - 1, 0) / 2.0
     return raw, filtered
 
 
@@ -277,7 +376,8 @@ def mean_tie_ranks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Raw and filtered mean-tie ranks of ``targets`` within one score row.
 
-    All quantities are exact comparison counts, so the result is bit-identical
+    The one-row form of :func:`rank_block`, used by the serving engine.  All
+    quantities are exact comparison counts, so the result is bit-identical
     to the per-triple masked computation regardless of batching or sharding.
     """
     target_scores = scores[targets]                                    # (M,)
@@ -302,59 +402,65 @@ def mean_tie_ranks(
 
 def rank_shard(
     scorer,
-    entries: Sequence[ShardEntry],
-    side: str,
-    known_index: Dict[Query, np.ndarray],
+    work: QueryWork,
     eval_batch_size: int,
     score_block_budget: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw/filtered ranks of one shard, concatenated in entry order.
+    """Raw/filtered ranks of one shard, concatenated in query order.
 
-    Each entry contributes ``len(targets)`` consecutive ranks.  This is the
+    Each query contributes one rank per target, in target order.  This is the
     single ranking implementation: the in-process path runs it on the whole
-    query order, workers run it on their shard.
+    query order, workers run it on their shard.  Queries are scored in
+    chunks of ``eval_batch_size`` and every scored block is ranked by
+    :func:`rank_block`.
 
     ``score_block_budget`` (max elements of a resident score block) selects
     the fused score+rank path: each chunk is scored in row blocks of at most
-    ``budget // num_entities`` queries, and every block is reduced to
-    comparison counts on the scorer's backend without a host ``(B, E)``
-    matrix.  Counting is exact, so ranks are bit-identical to the
-    materializing path at any budget.  Scorers that do not expose
-    ``num_entities`` keep the materializing path.
+    ``budget // num_entities`` queries that stay on the scorer's backend,
+    without a host ``(B, E)`` matrix.  Counting is exact, so ranks are
+    bit-identical to the materializing path at any budget.  Scorers that do
+    not expose ``num_entities`` keep the materializing path.
+
+    Each block opens one ``eval.score`` and one ``eval.rank`` span.
     """
     eval_batch_size = max(1, int(eval_batch_size))
+    telemetry = get_telemetry()
     num_entities = getattr(scorer, "num_entities", None)
     fused = score_block_budget is not None and num_entities is not None
     if fused:
         # Late import: models.trainer imports eval.ranking, so a module-level
         # import here would be circular.
         from ..models.base import iter_row_slices
+    host = get_backend("numpy")
     raw_parts: List[np.ndarray] = []
     filtered_parts: List[np.ndarray] = []
-    for start in range(0, len(entries), eval_batch_size):
-        chunk = list(entries[start:start + eval_batch_size])
+    for start in range(0, len(work), eval_batch_size):
+        chunk = work[start:start + eval_batch_size]
         if fused:
-            for rows in iter_row_slices(
-                len(chunk), int(num_entities), budget=max(1, int(score_block_budget))
-            ):
-                block = chunk[rows]
-                scores_block, backend = _score_query_block(
-                    scorer, [query for query, _ in block], side
+            blocks = [
+                chunk[rows]
+                for rows in iter_row_slices(
+                    len(chunk), int(num_entities), budget=max(1, int(score_block_budget))
                 )
-                for index, (query, targets) in enumerate(block):
-                    raw_ranks, filtered_ranks = fused_rank_row(
-                        backend, scores_block[index], targets, known_index.get(query)
-                    )
-                    raw_parts.append(raw_ranks)
-                    filtered_parts.append(filtered_ranks)
-            continue
-        score_matrix = score_query_chunk(scorer, [query for query, _ in chunk], side)
-        for scores, (query, targets) in zip(score_matrix, chunk):
-            raw_ranks, filtered_ranks = mean_tie_ranks(
-                scores, targets, known_index.get(query)
-            )
-            raw_parts.append(raw_ranks)
-            filtered_parts.append(filtered_ranks)
+            ]
+        else:
+            blocks = [chunk]
+        for block in blocks:
+            with telemetry.span("eval.score", rows=len(block)):
+                if fused:
+                    scores, backend = _score_query_block(scorer, block.queries, work.side)
+                else:
+                    scores, backend = score_query_chunk(scorer, block.queries, work.side), host
+            with telemetry.span("eval.rank", targets=len(block.targets)):
+                raw, filtered = rank_block(
+                    backend, scores, block.targets, block.target_offsets,
+                    block.known, block.known_offsets,
+                )
+            # Free this block before the next one is scored: at most one
+            # score block is resident at a time.
+            del scores
+            raw_parts.append(raw)
+            filtered_parts.append(filtered)
     if not raw_parts:
         return np.empty(0), np.empty(0)
     return np.concatenate(raw_parts), np.concatenate(filtered_parts)
@@ -378,50 +484,44 @@ def _shippable_scorer(scorer):
 
 def _init_worker(
     scorer,
-    known: Dict[str, Dict[Query, np.ndarray]],
     eval_batch_size: int,
     score_block_budget: Optional[int] = None,
     telemetry_enabled: bool = False,
 ) -> None:
-    """Pool initializer: install the scorer and filter index once per worker."""
+    """Pool initializer: install the scorer once per worker."""
     global _WORKER_STATE
     from ..serve.artifact import ArtifactScorerRef
 
     if isinstance(scorer, ArtifactScorerRef):
         scorer = scorer.resolve()
-    _WORKER_STATE = (scorer, known, eval_batch_size, score_block_budget, telemetry_enabled)
+    _WORKER_STATE = (scorer, eval_batch_size, score_block_budget, telemetry_enabled)
 
 
 def _rank_one_shard(
     telemetry: Telemetry,
     scorer,
-    side: str,
     shard_index: int,
-    entries: Sequence[ShardEntry],
-    known: Dict[Query, np.ndarray],
+    work: QueryWork,
     eval_batch_size: int,
     score_block_budget: Optional[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One shard's ranks, wrapped in the shared span/counter instrumentation.
 
-    :func:`rank_shard` itself stays deliberately un-instrumented — it is the
-    telemetry-free baseline of the overhead benchmark — so both the in-process
-    path and the pool workers record their shards here instead.
+    :func:`rank_shard` records only its per-block spans, so both the
+    in-process path and the pool workers record their shards here instead.
     """
     with telemetry.span(
-        "eval.rank_shard", side=side, shard=shard_index, entries=len(entries)
+        "eval.rank_shard", side=work.side, shard=shard_index, entries=len(work)
     ):
-        raw, filtered = rank_shard(
-            scorer, entries, side, known, eval_batch_size, score_block_budget
-        )
+        raw, filtered = rank_shard(scorer, work, eval_batch_size, score_block_budget)
     telemetry.counter("eval.shards").add(1)
-    telemetry.counter("eval.entries").add(len(entries))
+    telemetry.counter("eval.entries").add(len(work))
     telemetry.counter("eval.ranked_targets").add(len(raw))
     return raw, filtered
 
 
 def _rank_shard_task(
-    task: Tuple[str, int, List[ShardEntry]],
+    task: Tuple[int, QueryWork],
 ) -> Tuple[np.ndarray, np.ndarray, Optional[Dict[str, Any]]]:
     """Worker entry point: rank one shard against the installed state.
 
@@ -432,12 +532,11 @@ def _rank_shard_task(
     later payload from the same worker.
     """
     assert _WORKER_STATE is not None, "worker used before initialization"
-    scorer, known, eval_batch_size, score_block_budget, telemetry_enabled = _WORKER_STATE
-    side, shard_index, entries = task
+    scorer, eval_batch_size, score_block_budget, telemetry_enabled = _WORKER_STATE
+    shard_index, work = task
     with scoped(Telemetry(enabled=telemetry_enabled)) as telemetry:
         raw, filtered = _rank_one_shard(
-            telemetry, scorer, side, shard_index, entries,
-            known.get(side, {}), eval_batch_size, score_block_budget,
+            telemetry, scorer, shard_index, work, eval_batch_size, score_block_budget,
         )
         payload = telemetry.worker_payload() if telemetry_enabled else None
     return raw, filtered, payload
@@ -445,8 +544,7 @@ def _rank_shard_task(
 
 def evaluate_shards(
     scorer,
-    work: Dict[str, Sequence[ShardEntry]],
-    known: Dict[str, Dict[Query, np.ndarray]],
+    work: Sequence[QueryWork],
     n_workers: int,
     shard_size: Optional[int],
     eval_batch_size: int,
@@ -455,47 +553,46 @@ def evaluate_shards(
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Rank every side's query order, sharded across worker processes.
 
-    ``work`` maps a side (``"tail"`` / ``"head"``) to its ordered shard
-    entries; the returned arrays are concatenated in that same order, so the
-    caller scatters them back to triple positions exactly as it would the
-    in-process result.  ``n_workers <= 1``, an empty workload, or a platform
-    without multiprocessing support all take the exact in-process path.
+    ``work`` holds one :class:`QueryWork` per side; the returned arrays, keyed
+    by side, are concatenated in query order, so the caller scatters them
+    back to triple positions exactly as it would the in-process result.
+    ``n_workers <= 1``, an empty workload, or a platform without
+    multiprocessing support all take the exact in-process path.
     """
     n_workers = max(1, int(n_workers))
     telemetry = get_telemetry()
-    total_entries = sum(len(entries) for entries in work.values())
+    total_entries = sum(len(side_work) for side_work in work)
     if n_workers == 1 or total_entries == 0 or not multiprocessing_available():
         return {
-            side: _rank_one_shard(
-                telemetry, scorer, side, 0, entries, known.get(side, {}),
-                eval_batch_size, score_block_budget,
+            side_work.side: _rank_one_shard(
+                telemetry, scorer, 0, side_work, eval_batch_size, score_block_budget,
             )
-            for side, entries in work.items()
+            for side_work in work
         }
-    tasks: List[Tuple[str, int, List[ShardEntry]]] = []
-    for side, entries in work.items():
+    tasks: List[Tuple[int, QueryWork]] = []
+    for side_work in work:
         for index, (start, stop) in enumerate(
-            plan_shards(len(entries), n_workers, shard_size)
+            plan_shards(len(side_work), n_workers, shard_size)
         ):
-            tasks.append((side, index, list(entries[start:stop])))
+            tasks.append((index, side_work[start:stop]))
     context = multiprocessing.get_context(resolve_start_method(start_method))
     processes = min(n_workers, len(tasks))
     with context.Pool(
         processes=processes,
         initializer=_init_worker,
         initargs=(
-            _shippable_scorer(scorer), known, eval_batch_size, score_block_budget,
+            _shippable_scorer(scorer), eval_batch_size, score_block_budget,
             telemetry.enabled,
         ),
     ) as pool:
         # Pool.map preserves task submission order: the merge below is a
         # deterministic concatenation, independent of completion order.
         shard_results = pool.map(_rank_shard_task, tasks)
-    raw_parts: Dict[str, List[np.ndarray]] = {side: [] for side in work}
-    filtered_parts: Dict[str, List[np.ndarray]] = {side: [] for side in work}
-    for (side, _, _), (raw, filtered, payload) in zip(tasks, shard_results):
-        raw_parts[side].append(raw)
-        filtered_parts[side].append(filtered)
+    raw_parts: Dict[str, List[np.ndarray]] = {side_work.side: [] for side_work in work}
+    filtered_parts: Dict[str, List[np.ndarray]] = {side_work.side: [] for side_work in work}
+    for (_, shard), (raw, filtered, payload) in zip(tasks, shard_results):
+        raw_parts[shard.side].append(raw)
+        filtered_parts[shard.side].append(filtered)
         # Metric merges are exact (integer counts, rational sums) and
         # order-independent; absorbing in submission order keeps the span
         # stream deterministic too.
@@ -505,5 +602,5 @@ def evaluate_shards(
             np.concatenate(raw_parts[side]) if raw_parts[side] else np.empty(0),
             np.concatenate(filtered_parts[side]) if filtered_parts[side] else np.empty(0),
         )
-        for side in work
+        for side in raw_parts
     }

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..api.pipeline import Runner, ensure_dataset, ensure_evaluation, ensure_snapshot
+from ..api.pipeline import (
+    Runner,
+    ensure_dataset,
+    ensure_evaluation,
+    ensure_known_index,
+    ensure_snapshot,
+)
 from ..api.schema import FB15K, FB15K237
 from ..core.cartesian import CartesianProductPredictor, find_cartesian_relations
 from ..core.reporting import render_table
@@ -66,7 +72,11 @@ def table3_cartesian_predictor(runner: Runner) -> Dict[str, object]:
         dataset.train, dataset.num_entities, density_threshold=0.75
     )
     options = runner.spec.config_for(model="CartesianProduct", dataset=FB15K).eval_options()
-    benchmark_evaluator = LinkPredictionEvaluator(dataset, options=options)
+    benchmark_evaluator = LinkPredictionEvaluator(
+        dataset,
+        options=options,
+        known_index=ensure_known_index(runner.store, runner.spec, FB15K),
+    )
     snapshot_evaluator = LinkPredictionEvaluator(
         dataset, extra_ground_truth=snapshot_triples, options=options
     )

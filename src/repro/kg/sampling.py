@@ -31,6 +31,33 @@ from .triples import TripleSet
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def packed_key_radices(triples: np.ndarray, num_entities: int) -> Tuple[int, int]:
+    """Entity and relation radix of the packed key ``(r * E + h) * E + t``.
+
+    The entity radix ``E`` covers ``num_entities`` and every entity id in
+    ``triples``; the relation radix is the largest relation id plus one.
+    Raises ``ValueError`` on a negative id, or when the largest key of the
+    radices would overflow int64.
+    """
+    if len(triples) and int(triples.min()) < 0:
+        raise ValueError("triples must have non-negative ids to pack into keys")
+    entity_radix = max(
+        int(num_entities), int(triples[:, (0, 2)].max()) + 1 if len(triples) else 0
+    )
+    relation_radix = int(triples[:, 1].max()) + 1 if len(triples) else 0
+    if relation_radix * entity_radix * entity_radix - 1 > _INT64_MAX:
+        raise ValueError(
+            f"cannot pack triple keys into int64: {entity_radix} entities "
+            f"x {relation_radix} relations overflows"
+        )
+    return entity_radix, relation_radix
+
+
+def pack_triple_keys(triples: np.ndarray, entity_radix: int) -> np.ndarray:
+    """``(r * E + h) * E + t`` per row; rows must be inside the radices."""
+    return (triples[:, 1] * entity_radix + triples[:, 0]) * entity_radix + triples[:, 2]
+
+
 class NegativeSampler:
     """Base class: corrupt a batch of positive triples into negatives."""
 
@@ -50,26 +77,11 @@ class NegativeSampler:
         self.filtered = filtered
         self.max_resample_rounds = max_resample_rounds
         triples = np.asarray(train.to_array(), dtype=np.int64).reshape(-1, 3)
-        if len(triples) and int(triples.min()) < 0:
-            raise ValueError("training triples must have non-negative ids")
         # Every train id and every drawable entity fits the radices, so a
         # row with an id outside them cannot be a training triple.
-        self._entity_radix = max(
-            int(num_entities), int(triples[:, (0, 2)].max()) + 1 if len(triples) else 0
-        )
-        self._relation_radix = int(triples[:, 1].max()) + 1 if len(triples) else 0
-        if self._relation_radix * self._entity_radix * self._entity_radix - 1 > _INT64_MAX:
-            raise ValueError(
-                f"cannot pack triple keys into int64: {self._entity_radix} entities "
-                f"x {self._relation_radix} relations overflows"
-            )
+        self._entity_radix, self._relation_radix = packed_key_radices(triples, num_entities)
         #: Sorted, unique packed keys of the training triples.
-        self._known_keys = np.unique(self._pack(triples))
-
-    def _pack(self, triples: np.ndarray) -> np.ndarray:
-        """``(r * E + h) * E + t`` per row; rows must be inside the radices."""
-        radix = self._entity_radix
-        return (triples[:, 1] * radix + triples[:, 0]) * radix + triples[:, 2]
+        self._known_keys = np.unique(pack_triple_keys(triples, self._entity_radix))
 
     def _is_known(self, triples: np.ndarray) -> np.ndarray:
         """Boolean mask: which rows of ``triples`` are training triples."""
@@ -83,7 +95,7 @@ class NegativeSampler:
             & (relations >= 0) & (relations < self._relation_radix)
         )
         rows = np.flatnonzero(inside)
-        keys = self._pack(triples[rows])
+        keys = pack_triple_keys(triples[rows], self._entity_radix)
         slots = np.searchsorted(self._known_keys, keys)
         slots[slots == len(self._known_keys)] = 0
         known[rows] = self._known_keys[slots] == keys

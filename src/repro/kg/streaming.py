@@ -34,13 +34,12 @@ skips the :class:`~repro.kg.dataset.Dataset` materialization entirely: each
 chunk's newly-added triples land as packed ``int64`` array blocks in an
 :class:`ArraySplitView`, and the resulting :class:`ArrayDatasetView`
 duck-types every surface the trainer, the negative samplers, the sharded
-evaluator and the audit analyses consume — ``to_array`` hands training the
-concatenated blocks, iteration feeds shard planning, and the redundancy /
-known-completion indexes are grown *during* the stream by observers
-(:class:`repro.core.redundancy.StreamingPairIndexBuilder`,
-:class:`repro.eval.sharding.StreamingKnownIndexBuilder`) instead of from a
-materialized triple set afterwards.  Results are bit-identical to the
-materialized path; only the peak residency differs.
+evaluator and the audit analyses consume — ``to_array`` hands training and
+the evaluator's known-triple index the concatenated blocks, iteration feeds
+shard planning, and the redundancy pair index is grown *during* the stream
+by an observer (:class:`repro.core.redundancy.StreamingPairIndexBuilder`)
+instead of from a materialized triple set afterwards.  Results are
+bit-identical to the materialized path; only the peak residency differs.
 """
 
 from __future__ import annotations
@@ -390,9 +389,9 @@ class ArrayDatasetView:
 
     Provides every :class:`~repro.kg.dataset.Dataset` surface the pipeline
     consumes (``name``, ``vocab``, split accessors, ``num_entities``,
-    ``known_triples``, ``test_relations``, ...).  Audit and evaluation indexes
-    built *during* the ingest stream ride along as :attr:`audit_index` and
-    :attr:`known_index`, so downstream stages never re-scan the triples.
+    ``known_triples``, ``test_relations``, ...).  The redundancy pair index
+    built *during* the ingest stream rides along as :attr:`audit_index`, so
+    the audit never re-scans the triples.
     ``all_triples()`` remains available as a documented escape hatch that
     materializes the merged :class:`~repro.kg.triples.TripleSet` on first use.
     """
@@ -415,9 +414,6 @@ class ArrayDatasetView:
         #: Redundancy pair index grown during the stream (``None`` when the
         #: ingest ran without the audit observer).
         self.audit_index = None
-        #: Known-completion index for filtered evaluation, grown during the
-        #: stream (see :class:`repro.eval.sharding.StreamingKnownIndexBuilder`).
-        self.known_index = None
         self._all_triples: Optional[TripleSet] = None
 
     @property
@@ -603,12 +599,10 @@ def ingest_dataset(
 
     ``fused=True`` selects the stream-to-shard path: the report's dataset is
     an :class:`ArrayDatasetView` whose splits stay packed array blocks, with
-    the redundancy pair index and the filtered-evaluation known-completion
-    index grown during the stream and attached as ``audit_index`` /
-    ``known_index``.  Everything downstream is bit-identical.
+    the redundancy pair index grown during the stream and attached as
+    ``audit_index``.  Everything downstream is bit-identical.
     """
     from ..core.redundancy import StreamingPairIndexBuilder
-    from ..eval.sharding import StreamingKnownIndexBuilder
 
     directory = Path(directory)
     chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
@@ -622,14 +616,13 @@ def ingest_dataset(
     if not directory.is_dir():
         raise DatasetIOError(f"dataset directory not found: {directory}")
     dataset_name, metadata = read_directory_metadata(directory, name)
-    audit_index = known_index = None
+    audit_index = None
     if fused:
         builder = StreamingArrayBuilder(dataset_name, metadata)
-        # The fused path's indexes are grown here, during the stream — the
-        # audit and the evaluator's filter index never re-scan the triples.
+        # The fused path's pair index is grown here, during the stream — the
+        # audit never re-scans the triples.
         audit_index = StreamingPairIndexBuilder()
-        known_index = StreamingKnownIndexBuilder()
-        observers = tuple(observers) + (audit_index.observe, known_index.observe)
+        observers = tuple(observers) + (audit_index.observe,)
     else:
         builder = StreamingDatasetBuilder(dataset_name, metadata)
     stats = StreamingStatisticsBuilder(dataset_name)
@@ -676,7 +669,6 @@ def ingest_dataset(
     dataset = builder.build()
     if fused:
         dataset.audit_index = audit_index
-        dataset.known_index = known_index
     seconds = time.perf_counter() - start
 
     return IngestReport(

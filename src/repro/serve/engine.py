@@ -22,10 +22,12 @@ evaluator streams) into a long-lived answering service for
   ``np.partition`` for the boundary score, boundary ties resolved toward the
   smallest entity id — so the answer order is the total order
   ``(score desc, id asc)`` without ever fully sorting the ``|E|``-wide row.
-  Requested ranks are exact mean-tie ranks through the very same comparison
-  counting the evaluator uses (:func:`repro.eval.sharding.mean_tie_ranks`),
-  which makes engine answers bit-identical to evaluator ranks — asserted for
-  the whole model zoo in the test suite.
+  Requested ranks are exact mean-tie ranks from the same comparison counts
+  the evaluator's block kernel takes
+  (:func:`repro.eval.sharding.mean_tie_ranks`, the one-row form of
+  :func:`~repro.eval.sharding.rank_block`), which makes engine answers
+  bit-identical to evaluator ranks — asserted for the whole model zoo in the
+  test suite.
 
 The engine is deliberately single-loop: flushes run inline on the event
 loop (scoring a micro-batch IS the unit of work; interleaving partial
@@ -288,7 +290,7 @@ class QueryEngine:
             if not keys:
                 continue
             matrix = score_query_chunk(
-                self.scorer, [(a, b) for _, a, b in keys], side
+                self.scorer, np.array([(a, b) for _, a, b in keys], dtype=np.int64), side
             )
             self._scored_rows += len(keys)
             get_telemetry().counter("serve.scored_rows").add(len(keys))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.api import ArtifactStore, ExperimentSpec, Runner
-from repro.api.pipeline import ensure_dataset, ensure_evaluation
+from repro.api.pipeline import ensure_dataset, ensure_evaluation, register_dataset
 from repro.api.spec import SpecValidationError
+from repro.kg.known_index import KnownTripleIndex
 from repro.telemetry import read_trace_jsonl, scoped
 
 
@@ -356,3 +357,100 @@ def test_training_spans_nest_under_their_epoch_and_stage():
     # The layers nest inside their epochs, which nest inside the stage.
     inside = sum(span["duration"] for spans in per_layer.values() for span in spans)
     assert inside <= sum(epoch["duration"] for epoch in epochs) <= stage["duration"]
+
+
+# ------------------------------------------------------------------ known-triple index
+def _two_dataset_spec():
+    spec = ExperimentSpec(
+        name="index-tiny",
+        datasets=["WN18-like", "WN18RR-like"],
+        models=["TransE", "DistMult"],
+        include_amie=True,
+    )
+    spec.model.dim = 8
+    spec.training.epochs = 1
+    return spec
+
+
+def test_runner_builds_one_known_index_per_dataset(monkeypatch):
+    """Six (model, dataset) evaluations share two indexes, built on first use
+    in the evaluate stage; re-registering a dataset drops its index."""
+    builds = []
+    build = KnownTripleIndex.for_dataset.__func__
+
+    def counted(cls, dataset, extra=None):
+        builds.append(dataset.name)
+        return build(cls, dataset, extra)
+
+    monkeypatch.setattr(KnownTripleIndex, "for_dataset", classmethod(counted))
+    runner = Runner(_two_dataset_spec())
+    report = runner.run()
+    assert len(runner.store.keys("evaluation")) == 6
+    assert sorted(builds) == ["WN18-like", "WN18RR-like"]
+    evaluate_produced = report.stage("evaluate").produced
+    assert "known_index/WN18-like" in evaluate_produced
+    assert "known_index/WN18RR-like" in evaluate_produced
+    for stage in report.stages:
+        if stage.name != "evaluate":
+            assert not any(key.startswith("known_index/") for key in stage.produced)
+
+    register_dataset(runner.store, runner.store[("dataset", "WN18-like")])
+    assert ("known_index", "WN18-like") not in runner.store
+    assert ("known_index", "WN18RR-like") in runner.store
+
+
+def test_warm_disk_run_reuses_the_known_index(tmp_path):
+    spec = _tiny_spec()
+    cold = Runner(spec, cache_dir=tmp_path).run()
+    assert "known_index/WN18RR-like" in cold.stage("evaluate").produced
+    warm_runner = Runner(spec, cache_dir=tmp_path)
+    warm = warm_runner.run()
+    assert all(stage.produced == [] for stage in warm.stages)
+    assert warm_runner.store.stats["miss"] == 0
+    assert warm_runner.store.stats["write"] == 0
+    assert warm.rows == cold.rows
+
+
+def test_evaluation_spans_nest_under_the_evaluate_stage():
+    """``eval.filter_index``, ``eval.dedup``, ``eval.rank_shard`` and
+    ``eval.assemble`` open under ``pipeline.evaluate``; every shard opens one
+    ``eval.score`` and one ``eval.rank`` per scored block."""
+    spec = ExperimentSpec(
+        name="eval-spans-tiny", datasets=["WN18-like"], models=["DistMult"], include_amie=True
+    )
+    spec.model.dim = 8
+    spec.training.epochs = 1
+    spec.evaluation.batch_size = 16
+    runner = Runner(spec)
+    with scoped() as telemetry:
+        telemetry.enabled = True
+        runner.run()
+        records = telemetry.trace_records()
+
+    by_id = {record["id"]: record for record in records}
+
+    def parent(record):
+        return by_id[record["parent_id"]]["name"]
+
+    def named(name):
+        return [record for record in records if record["name"] == name]
+
+    [stage] = named("pipeline.evaluate")
+    # One index resolution and one dedup per (model, dataset) evaluation; the
+    # records and then the report row are assembled once each.
+    for name, count in (("eval.filter_index", 2), ("eval.dedup", 2), ("eval.assemble", 4)):
+        spans = named(name)
+        assert len(spans) == count, name
+        assert all(parent(span) == "pipeline.evaluate" for span in spans), name
+    shards = named("eval.rank_shard")
+    assert len(shards) == 4  # two models x two sides, in process
+    assert all(parent(shard) == "pipeline.evaluate" for shard in shards)
+    scores, ranks = named("eval.score"), named("eval.rank")
+    assert len(scores) == len(ranks) > len(shards)
+    assert all(parent(span) == "eval.rank_shard" for span in scores + ranks)
+    # Every test triple is ranked once per side and model.
+    test = runner.store[("dataset", "WN18-like")].test
+    assert sum(span["attrs"]["targets"] for span in ranks) == 2 * 2 * len(test)
+    # The stage's direct children nest inside it.
+    children = [record for record in records if record["parent_id"] == stage["id"]]
+    assert sum(child["duration"] for child in children) <= stage["duration"]

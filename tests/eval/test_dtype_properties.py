@@ -21,10 +21,19 @@ from hypothesis import strategies as st
 from repro.api import EvalOptions
 from repro.backend import ScoreComputeMixin, get_backend
 from repro.kg import Dataset, TripleSet, Vocabulary
-from repro.eval import evaluate_model, fused_rank_row
+from repro.eval import evaluate_model, rank_block
 from repro.eval.sharding import mean_tie_ranks
 
 BACKEND = get_backend("numpy")
+
+
+def fused_rank_row(backend, scores, targets, known):
+    """One score row ranked by the block kernel, as a one-row block."""
+    known = np.empty(0, dtype=np.int64) if known is None else known
+    return rank_block(
+        backend, scores[None, :], targets, np.array([0, len(targets)]),
+        known, np.array([0, len(known)]),
+    )
 
 
 # ---------------------------------------------------------------------------- strategies

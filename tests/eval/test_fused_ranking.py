@@ -17,7 +17,7 @@ from repro.api import EvalOptions
 from repro.backend import get_backend
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
-from repro.eval import LinkPredictionEvaluator, evaluate_model, fused_rank_row
+from repro.eval import LinkPredictionEvaluator, evaluate_model, rank_block
 from repro.eval.sharding import mean_tie_ranks
 from repro.models import ModelConfig, make_model
 from repro.models.registry import ALL_EMBEDDING_MODELS
@@ -48,6 +48,16 @@ def _embedding_scorer(name, dataset, seed=11):
     )
     model.train_mode(False)
     return model
+
+
+def fused_rank_row(backend, scores, targets, known):
+    """One score row ranked by the block kernel, as a one-row block."""
+    targets = np.asarray(targets, dtype=np.int64)
+    known = np.empty(0, dtype=np.int64) if known is None else np.asarray(known, dtype=np.int64)
+    return rank_block(
+        backend, scores[None, :], targets, np.array([0, len(targets)]),
+        known, np.array([0, len(known)]),
+    )
 
 
 # ---------------------------------------------------------------------------- row primitive

@@ -22,6 +22,7 @@ from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import (
     LinkPredictionEvaluator,
+    QueryWork,
     evaluate_model,
     evaluate_shards,
     plan_shards,
@@ -113,26 +114,24 @@ _TRIPLES = st.lists(
 )
 
 
-def _side_entries(triples, side):
-    """The evaluator's deduplicated (query, targets) order for one side."""
+def _side_work(triples, side):
+    """The evaluator's deduplicated query order for one side, filtered by the
+    same triples: targets grouped per query, known completions sorted."""
     groups = {}
     for h, r, t in triples:
         query = (h, r) if side == "tail" else (r, t)
         groups.setdefault(query, []).append(t if side == "tail" else h)
-    return [
-        (query, np.asarray(groups[query], dtype=np.int64)) for query in sorted(groups)
-    ]
-
-
-def _known_index(triples, side):
-    known = {}
-    for h, r, t in triples:
-        query = (h, r) if side == "tail" else (r, t)
-        known.setdefault(query, set()).add(t if side == "tail" else h)
-    return {
-        query: np.fromiter(sorted(values), dtype=np.int64, count=len(values))
-        for query, values in known.items()
-    }
+    order = sorted(groups)
+    targets = [groups[query] for query in order]
+    known = [sorted(set(values)) for values in targets]
+    return QueryWork(
+        side=side,
+        queries=np.array(order, dtype=np.int64).reshape(-1, 2),
+        targets=np.array([x for values in targets for x in values], dtype=np.int64),
+        target_offsets=np.cumsum([0] + [len(values) for values in targets]),
+        known=np.array([x for values in known for x in values], dtype=np.int64),
+        known_offsets=np.cumsum([0] + [len(values) for values in known]),
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,14 +149,11 @@ def test_any_shard_partition_reproduces_single_process_ranks(
     worker count, shard size and batch size, ties included) are unobservable
     in the merged raw and filtered rank arrays."""
     scorer = _TieHeavyScorer(num_entities=8)
-    entries = _side_entries(triples, side)
-    known = _known_index(triples, side)
-    whole_raw, whole_filtered = rank_shard(scorer, entries, side, known, eval_batch_size)
+    work = _side_work(triples, side)
+    whole_raw, whole_filtered = rank_shard(scorer, work, eval_batch_size)
     raw_parts, filtered_parts = [], []
-    for start, stop in plan_shards(len(entries), n_workers, shard_size):
-        raw, filtered = rank_shard(
-            scorer, entries[start:stop], side, known, eval_batch_size
-        )
+    for start, stop in plan_shards(len(work), n_workers, shard_size):
+        raw, filtered = rank_shard(scorer, work[start:stop], eval_batch_size)
         raw_parts.append(raw)
         filtered_parts.append(filtered)
     merged_raw = np.concatenate(raw_parts)
@@ -165,9 +161,7 @@ def test_any_shard_partition_reproduces_single_process_ranks(
     assert np.array_equal(whole_raw, merged_raw)
     assert np.array_equal(whole_filtered, merged_filtered)
     # evaluate_shards with n_workers=1 is the exact in-process path.
-    in_process = evaluate_shards(
-        scorer, {side: entries}, {side: known}, 1, shard_size, eval_batch_size
-    )
+    in_process = evaluate_shards(scorer, [work], 1, shard_size, eval_batch_size)
     assert np.array_equal(in_process[side][0], whole_raw)
     assert np.array_equal(in_process[side][1], whole_filtered)
 
@@ -283,20 +277,17 @@ def test_per_shard_telemetry_payloads_fold_to_single_process_counts(
     its own scoped Telemetry (exactly what a pool worker does) and absorbing
     the payloads in ANY order reproduces the single-process metric counts."""
     scorer = _TieHeavyScorer(num_entities=8)
-    entries = _side_entries(triples, side)
-    known = _known_index(triples, side)
+    work = _side_work(triples, side)
 
     with scoped(Telemetry(enabled=True)) as single:
-        evaluate_shards(scorer, {side: entries}, {side: known}, 1, None, 4)
+        evaluate_shards(scorer, [work], 1, None, 4)
         reference = single.snapshot()["counters"]
 
-    shards = plan_shards(len(entries), n_workers, shard_size)
+    shards = plan_shards(len(work), n_workers, shard_size)
     payloads = []
     for start, stop in shards:
         with scoped(Telemetry(enabled=True)) as worker:
-            evaluate_shards(
-                scorer, {side: entries[start:stop]}, {side: known}, 1, None, 4
-            )
+            evaluate_shards(scorer, [work[start:stop]], 1, None, 4)
             payloads.append(worker.worker_payload())
     random.Random(order_seed).shuffle(payloads)
 
@@ -309,7 +300,7 @@ def test_per_shard_telemetry_payloads_fold_to_single_process_counts(
     assert merged["eval.shards"] == len(shards)
     spans = [r for r in parent.trace_records() if r["name"] == "eval.rank_shard"]
     assert len(spans) == len(shards)
-    assert sum(r["attrs"]["entries"] for r in spans) == len(entries)
+    assert sum(r["attrs"]["entries"] for r in spans) == len(work)
 
 
 @pytest.mark.multiprocess

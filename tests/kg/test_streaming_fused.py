@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.eval import LinkPredictionEvaluator, evaluate_model
 from repro.kg import ingest_dataset, save_dataset
+from repro.kg.known_index import KnownTripleIndex
 from repro.kg.streaming import ArrayDatasetView, ArraySplitView
 from repro.models import ModelConfig, TrainingConfig, TrainingRun, make_model
 
@@ -84,9 +85,23 @@ def test_fused_view_pickle_round_trip(fused_report):
 
 
 # ------------------------------------------------------------------ ride-along indexes
+def _decoded_filters(table, swap=False):
+    """A completion table as ``{query: completions}``; ``swap`` keys the
+    head side ``(r, t)`` like the evaluator's former filter dicts."""
+    radix = table.entity_radix
+    filters = {}
+    for row, key in enumerate(table.keys.tolist()):
+        anchor, relation = key % radix, key // radix
+        query = (relation, anchor) if swap else (anchor, relation)
+        filters[query] = table.values[table.offsets[row]:table.offsets[row + 1]]
+    return filters
+
+
 def test_fused_ingest_grows_audit_and_known_indexes(fused_report, plain_report):
+    """The stream grows the audit's pair index; the known-triple index built
+    from the fused view's arrays equals the dict-of-set filter oracle."""
     fused, plain = fused_report.dataset, plain_report.dataset
-    assert fused.audit_index is not None and fused.known_index is not None
+    assert fused.audit_index is not None
     assert plain_report.dataset.__class__.__name__ == "Dataset"
 
     streamed = fused.audit_index.report(0.8, 0.8)
@@ -95,17 +110,22 @@ def test_fused_ingest_grows_audit_and_known_indexes(fused_report, plain_report):
     assert streamed.duplicate_pairs == one_shot.duplicate_pairs
     assert streamed.symmetric_relations == one_shot.symmetric_relations
 
-    tail_filters = fused.known_index.tail_filters()
-    head_filters = fused.known_index.head_filters()
+    index = KnownTripleIndex.for_dataset(fused)
+    tail_filters = _decoded_filters(index.tails)
+    head_filters = _decoded_filters(index.heads, swap=True)
     known = plain.known_triples()
     expected_tails = {}
+    expected_heads = {}
     for head, relation, tail in known:
         expected_tails.setdefault((head, relation), set()).add(tail)
+        expected_heads.setdefault((relation, tail), set()).add(head)
     assert set(tail_filters) == set(expected_tails)
     for query, values in tail_filters.items():
         assert values.dtype == np.int64
         assert list(values) == sorted(expected_tails[query])
     assert {(r, t) for h, r, t in known} == set(head_filters)
+    for query, values in head_filters.items():
+        assert list(values) == sorted(expected_heads[query])
 
 
 def test_downstream_analyses_are_bit_identical(fused_report, plain_report):
@@ -134,23 +154,26 @@ def test_training_and_evaluation_are_bit_identical(fused_report, plain_report):
 
 
 def test_evaluator_uses_the_streamed_known_index(fused_report, plain_report):
-    """The fused known-index is picked up automatically and produces the
-    exact filtered ranks the evaluator's own index build would."""
+    """The evaluator's known-triple index over the fused view equals the one
+    over the materialized dataset, and so do its filtered ranks."""
     fused, plain = fused_report.dataset, plain_report.dataset
     model = make_model(
         "DistMult", plain.num_entities, plain.num_relations, ModelConfig(dim=8)
     )
     via_index = LinkPredictionEvaluator(fused)
     rebuilt = LinkPredictionEvaluator(plain)
-    assert via_index._known_tails.keys() == rebuilt._known_tails.keys()
-    for query in rebuilt._known_tails:
-        assert np.array_equal(via_index._known_tails[query], rebuilt._known_tails[query])
+    for side in ("tail", "head"):
+        ours = via_index.known_index.table(side)
+        theirs = rebuilt.known_index.table(side)
+        assert _decoded_filters(ours).keys() == _decoded_filters(theirs).keys()
+        for name in ("keys", "offsets", "values"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), (side, name)
     ours = via_index.evaluate(model, model_name="DistMult")
     theirs = rebuilt.evaluate(model, model_name="DistMult")
     assert ours.as_row() == theirs.as_row()
-    # Explicit filters still win over the dataset's ride-along index.
+    # Explicit filters still win over the dataset's own triples.
     unfiltered = LinkPredictionEvaluator(fused, filter_triples=[])
-    assert unfiltered._known_tails == {}
+    assert _decoded_filters(unfiltered.known_index.tails) == {}
 
 
 # ------------------------------------------------------------------ residency
