@@ -53,9 +53,12 @@ def ensure_dataset(store: ArtifactStore, spec: ExperimentSpec, name: str):
     from ..kg.wordnet import wn18_like
     from ..kg.yago import yago3_like
 
-    # Concurrent runs sharing a disk cache queue behind the entry lock; the
-    # losers find the winner's replicas on the re-probe instead of rebuilding.
-    with store.lock(key):
+    # Concurrent runs queue behind one lock per replica pair, because the
+    # builder persists both members (per-member locks let two runs deadlock);
+    # the losers find the winner's replicas on the re-probe instead of rebuilding.
+    original = {schema.FB15K237: schema.FB15K, schema.WN18RR: schema.WN18,
+                schema.YAGO_DR: schema.YAGO}.get(name, name)
+    with store.lock(("dataset", original)):
         if key in store:
             return store[key]
         scale, seed = spec.dataset.scale, spec.dataset.seed

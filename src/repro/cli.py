@@ -776,7 +776,7 @@ def command_train(args: argparse.Namespace) -> int:
 def command_serve(args: argparse.Namespace) -> int:
     """Serve link-prediction queries from a saved model artifact."""
     _configure_logging(args.verbose, args.quiet)
-    from .serve import ModelArtifact, QueryEngine, known_completion_index
+    from .serve import ModelArtifact, QueryEngine
     from .serve.server import serve_forever
 
     if args.telemetry:
@@ -791,29 +791,23 @@ def command_serve(args: argparse.Namespace) -> int:
     except Exception as error:
         raise SystemExit(f"cannot load artifact {args.artifact}: {error}")
     scorer = artifact.instantiate()
-    known = {}
     # Cached score rows are keyed to the artifact fingerprint (and, for a
     # delta-maintained dataset, its snapshot state): swapping either can
     # never serve scores computed against the old one.
-    version = artifact.fingerprint
+    settings = dict(
+        max_batch=args.max_batch, max_delay=args.max_delay_ms / 1000.0,
+        cache_entries=args.cache_entries, version=artifact.fingerprint,
+    )
     if args.dataset:
         dataset = _resolve_dataset(args.dataset, args.scale, args.seed)
-        known = known_completion_index(dataset.known_triples())
-        notes = getattr(dataset.metadata, "notes", None) or {}
-        if notes.get("delta_state"):
-            version = f"{version}:{notes['delta_state']}"
-        print(
-            f"filtered queries exclude {sum(len(v) for v in known.values())} "
-            f"known completions from {dataset.name}"
-        )
-    engine = QueryEngine(
-        scorer,
-        known=known,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
-        cache_entries=args.cache_entries,
-        version=version,
-    )
+        try:
+            engine = QueryEngine.for_dataset(scorer, dataset, **settings)
+        except ValueError as error:
+            raise SystemExit(f"cannot serve {args.artifact} with {dataset.name}: {error}")
+        completions = len(engine.known.tails.values) + len(engine.known.heads.values)
+        print(f"filtered queries exclude {completions} known completions from {dataset.name}")
+    else:
+        engine = QueryEngine(scorer, **settings)
 
     def announce(address) -> None:
         print(

@@ -113,7 +113,7 @@ class Dataset:
         return self._all
 
     def known_triples(self) -> Set[Triple]:
-        """Set of every triple in any split — the filter set of filtered metrics."""
+        """Set of every triple in any split (filters use :class:`KnownTripleIndex`)."""
         return self.all_triples().as_set()
 
     def test_relations(self) -> List[int]:

@@ -16,7 +16,8 @@ completions once per dataset, columnar:
 
 Lookups are ``np.searchsorted`` over the query keys, so a whole block of
 queries resolves to CSR ranges in one call.  The pipeline caches one index
-per dataset in the artifact store (``("known_index", name)``).
+per dataset in the artifact store (``("known_index", name)``); serving
+filters single queries through the same index (:meth:`KnownTripleIndex.get`).
 """
 
 from __future__ import annotations
@@ -101,8 +102,12 @@ class CompletionTable:
 
     def completions(self, anchor: int, relation: int) -> np.ndarray:
         """The sorted known completions of one query (empty when unknown)."""
-        starts, stops = self.ranges(np.array([anchor]), np.array([relation]))
-        return self.values[starts[0]:stops[0]]
+        if 0 <= anchor < self.entity_radix and 0 <= relation < self.relation_radix:
+            key = relation * self.entity_radix + anchor
+            slot = int(np.searchsorted(self.keys, key))
+            if slot < len(self.keys) and self.keys[slot] == key:
+                return self.values[self.offsets[slot]:self.offsets[slot + 1]]
+        return _EMPTY
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,3 +147,10 @@ class KnownTripleIndex:
     def table(self, side: str) -> CompletionTable:
         """The completion table that filters ``side`` (``"tail"`` or ``"head"``)."""
         return self.tails if side == "tail" else self.heads
+
+    def get(self, score_key: Tuple[str, int, int]) -> np.ndarray:
+        """Completions of a serving ``("tail", h, r)`` / ``("head", r, t)`` score key."""
+        side, first, second = score_key
+        if side == "tail":
+            return self.tails.completions(first, second)
+        return self.heads.completions(second, first)

@@ -305,7 +305,7 @@ class ArraySplitView:
     the negative samplers, the evaluator and the leakage audit actually touch
     — iteration in insertion order, membership, ``as_set``, ``to_array``,
     ``relations`` and ``pairs_of`` — while storing triples as numpy blocks
-    instead of a Python tuple list.  Anything rarer (``tails_of``,
+    instead of a Python tuple list.  Anything rarer (``relation_size``,
     ``filter_relations``, ...) transparently falls back to a lazily
     materialized :class:`~repro.kg.triples.TripleSet`; that escape hatch
     trades the residency advantage for full compatibility, never correctness.
@@ -428,7 +428,7 @@ class ArrayDatasetView:
         return {"train": self.train, "valid": self.valid, "test": self.test}
 
     def known_triples(self) -> Set[Triple]:
-        """Union of every split — the filtered-evaluation ground truth."""
+        """Union of every split (filters use :class:`KnownTripleIndex`)."""
         return self.train.as_set() | self.valid.as_set() | self.test.as_set()
 
     def test_relations(self) -> List[int]:

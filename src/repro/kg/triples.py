@@ -1,13 +1,14 @@
 """Triple containers and the indexes the rest of the library relies on.
 
 A :class:`TripleSet` is an ordered collection of integer triples ``(h, r, t)``
-with the look-up indexes needed by negative sampling, filtered evaluation,
-rule mining, and the redundancy analysis:
+with the look-up indexes needed by rule mining and the redundancy analysis:
 
-* ``tails_of(h, r)`` / ``heads_of(r, t)`` — the observed objects / subjects,
 * ``pairs_of(r)`` — the set of (subject, object) pairs of a relation,
 * ``by_relation`` grouping,
 * set membership of a triple.
+
+Per-query completions (``(h, r) → tails``, ``(r, t) → heads``) live in
+:class:`~repro.kg.known_index.KnownTripleIndex`.
 
 The container is append-only: experiments never mutate triples in place, they
 derive new :class:`TripleSet` objects (e.g. the de-redundancy transforms in
@@ -30,8 +31,6 @@ class TripleSet:
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         self._triples: List[Triple] = []
         self._triple_set: Set[Triple] = set()
-        self._sp_o: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
-        self._po_s: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
         self._by_relation: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
         for triple in triples:
             self.add(triple)
@@ -45,8 +44,6 @@ class TripleSet:
             return False
         self._triples.append(triple)
         self._triple_set.add(triple)
-        self._sp_o[(h, r)].add(t)
-        self._po_s[(r, t)].add(h)
         self._by_relation[r].append((h, t))
         return True
 
@@ -94,14 +91,6 @@ class TripleSet:
         return cls(map(tuple, np.asarray(array, dtype=np.int64)))
 
     # -- indexes --------------------------------------------------------------
-    def tails_of(self, head: int, relation: int) -> Set[int]:
-        """Observed tails for ``(head, relation, ?)``."""
-        return self._sp_o.get((head, relation), set())
-
-    def heads_of(self, relation: int, tail: int) -> Set[int]:
-        """Observed heads for ``(?, relation, tail)``."""
-        return self._po_s.get((relation, tail), set())
-
     def pairs_of(self, relation: int) -> Set[Tuple[int, int]]:
         """The set of distinct (subject, object) pairs of ``relation``."""
         return set(self._by_relation.get(relation, ()))

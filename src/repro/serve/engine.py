@@ -22,12 +22,12 @@ evaluator streams) into a long-lived answering service for
   ``np.partition`` for the boundary score, boundary ties resolved toward the
   smallest entity id — so the answer order is the total order
   ``(score desc, id asc)`` without ever fully sorting the ``|E|``-wide row.
-  Requested ranks are exact mean-tie ranks from the same comparison counts
-  the evaluator's block kernel takes
-  (:func:`repro.eval.sharding.mean_tie_ranks`, the one-row form of
-  :func:`~repro.eval.sharding.rank_block`), which makes engine answers
-  bit-identical to evaluator ranks — asserted for the whole model zoo in the
-  test suite.
+  Filtered answers drop the completions held by the evaluator's
+  :class:`~repro.kg.known_index.KnownTripleIndex`, and requested ranks are
+  exact mean-tie ranks (:func:`repro.eval.sharding.mean_tie_ranks`, the
+  one-row form of the evaluator's :func:`~repro.eval.sharding.rank_block`),
+  so engine answers are bit-identical to evaluator ranks — asserted for the
+  whole model zoo in the test suite.
 
 The engine is deliberately single-loop: flushes run inline on the event
 loop (scoring a micro-batch IS the unit of work; interleaving partial
@@ -46,32 +46,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.serving import BatchResult, Query, QueryBatch, TopKResult
+from ..kg.known_index import KnownTripleIndex
 from ..telemetry import OCCUPANCY_BUCKETS, get_telemetry
 from .cache import DEFAULT_CACHE_ENTRIES, CacheStats, ScoreCache
 
-#: ``score_key -> sorted int64 candidate ids known to complete that query``;
-#: the same index shape the evaluator builds for filtered ranking.
-KnownIndex = Dict[Tuple[str, int, int], np.ndarray]
 
-
-def known_completion_index(triples: Sequence[Tuple[int, int, int]]) -> KnownIndex:
-    """The filtered-serving index: known completions per score key.
-
-    Mirrors the evaluator's filter index construction (sorted, deduplicated
-    int64 arrays) so filtered engine answers match filtered evaluation
-    semantics exactly.
-    """
-    tails: Dict[Tuple[int, int], set] = {}
-    heads: Dict[Tuple[int, int], set] = {}
-    for h, r, t in triples:
-        tails.setdefault((h, r), set()).add(t)
-        heads.setdefault((r, t), set()).add(h)
-    index: KnownIndex = {}
-    for (h, r), values in tails.items():
-        index[("tail", h, r)] = np.fromiter(sorted(values), dtype=np.int64, count=len(values))
-    for (r, t), values in heads.items():
-        index[("head", r, t)] = np.fromiter(sorted(values), dtype=np.int64, count=len(values))
-    return index
+def known_completion_index(*sources: Any, num_entities: int = 0) -> KnownTripleIndex:
+    """The filtered-serving index: the evaluator's :class:`KnownTripleIndex`
+    over the union of ``sources``, so filtered answers match filtered ranks."""
+    return KnownTripleIndex.from_triples(*sources, num_entities=num_entities)
 
 
 def topk_row(
@@ -129,8 +112,9 @@ class QueryEngine:
     """Answers link-prediction queries against one scorer, coalescing load.
 
     ``known`` enables ``filtered=True`` queries (usually
-    :func:`known_completion_index` over the dataset's known triples; an
-    engine without it treats every query as raw).  All ``submit`` calls must
+    :func:`known_completion_index` over the dataset's splits; an engine
+    without it treats every query as raw).  Its entity ids must fit the
+    scorer's entities (``ValueError`` otherwise).  All ``submit`` calls must
     come from one event loop — threads go through :class:`EngineClient`.
     """
 
@@ -138,7 +122,7 @@ class QueryEngine:
         self,
         scorer: Any,
         num_entities: Optional[int] = None,
-        known: Optional[KnownIndex] = None,
+        known: Optional[KnownTripleIndex] = None,
         max_batch: int = 64,
         max_delay: float = 0.002,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
@@ -152,7 +136,12 @@ class QueryEngine:
             )
         self.scorer = scorer
         self.num_entities = int(num_entities)
-        self.known: KnownIndex = known or {}
+        self.known = known if known is not None else KnownTripleIndex.from_triples()
+        if self.known.tails.entity_radix > self.num_entities:
+            raise ValueError(
+                f"the known-triple index covers {self.known.tails.entity_radix} entities "
+                f"but the scorer has {self.num_entities}"
+            )
         self.max_batch = max(1, int(max_batch))
         self.max_delay = max(0.0, float(max_delay))
         self.cache = ScoreCache(cache_entries, name="serve", version=version)
@@ -171,16 +160,27 @@ class QueryEngine:
     def for_dataset(cls, scorer: Any, dataset: Any, **kwargs: Any) -> "QueryEngine":
         """An engine whose filtered queries exclude the dataset's known triples.
 
+        ``dataset`` must be the one the scorer was trained on: equal entity and
+        relation counts where the scorer exposes them (``ValueError`` otherwise).
         The score cache is keyed to the dataset's delta-snapshot fingerprint
-        when the dataset carries one, so scores cached against one snapshot
-        never answer queries after the dataset advances.
+        (after ``version``, if given), so no cached score outlives its snapshot.
         """
+        for kind in ("entities", "relations"):
+            ours, theirs = getattr(scorer, f"num_{kind}", None), getattr(dataset, f"num_{kind}")
+            if ours is not None and int(ours) != int(theirs):
+                raise ValueError(
+                    f"the scorer has {ours} {kind} but dataset {dataset.name!r} has "
+                    f"{theirs}: serve the dataset the model was trained on"
+                )
         kwargs.setdefault("num_entities", dataset.num_entities)
-        kwargs.setdefault("known", known_completion_index(dataset.known_triples()))
+        if "known" not in kwargs:
+            splits = (dataset.train, dataset.valid, dataset.test)
+            kwargs["known"] = known_completion_index(*splits, num_entities=dataset.num_entities)
         metadata = getattr(dataset, "metadata", None)
-        notes = getattr(metadata, "notes", None) or {}
-        if notes.get("delta_state"):
-            kwargs.setdefault("version", notes["delta_state"])
+        state = (getattr(metadata, "notes", None) or {}).get("delta_state")
+        if state:
+            version = kwargs.get("version")
+            kwargs["version"] = f"{version}:{state}" if version else state
         return cls(scorer, **kwargs)
 
     def invalidate(self, version: Optional[str] = None) -> int:

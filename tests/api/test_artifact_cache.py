@@ -4,11 +4,14 @@ safety (torn writes, corrupt payloads, stale locks), and concurrent sharing."""
 import json
 import pickle
 import threading
+import time
 
 import pytest
 
-from repro.api import DiskArtifactStore, ExperimentSpec, Runner
+from repro.api import DiskArtifactStore, ExperimentSpec, Runner, schema
 from repro.api.artifacts import ENTRY_MANIFEST, default_cache_dir
+from repro.api.pipeline import ensure_dataset
+from repro.core import deredundancy
 from repro.telemetry import scoped
 
 
@@ -273,6 +276,37 @@ def test_concurrent_ensure_builds_exactly_once(tmp_path):
         thread.join()
     assert len(builds) == 1  # exactly one of four raced builders computed
     assert all(result == {"expensive": True} for result in results)
+
+
+def test_runs_racing_on_one_replica_pair_do_not_deadlock(tmp_path, monkeypatch):
+    """One run persists WN18-like and derives WN18RR-like while another run
+    asks for WN18RR-like first.  Both members of the pair are persisted by
+    whichever run builds them, so the two runs must queue behind one lock;
+    each holding one member's lock while persisting the other deadlocks."""
+    spec = _tiny_spec()
+    derive = deredundancy.make_wn18rr_like
+    deriving = threading.Event()
+
+    def slow_derive(dataset):
+        deriving.set()
+        time.sleep(1.0)  # the second run reaches WN18RR-like meanwhile
+        return derive(dataset)
+
+    monkeypatch.setattr(deredundancy, "make_wn18rr_like", slow_derive)
+    built = {}
+
+    def run(name):
+        built[name] = ensure_dataset(DiskArtifactStore("pair", cache_dir=tmp_path), spec, name)
+
+    first = threading.Thread(target=run, args=(schema.WN18,), daemon=True)
+    first.start()
+    assert deriving.wait(timeout=60)
+    second = threading.Thread(target=run, args=(schema.WN18RR,), daemon=True)
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+    assert built[schema.WN18RR].name == schema.WN18RR
 
 
 def test_concurrent_runs_share_one_cache_bit_identically(tmp_path):

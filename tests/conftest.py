@@ -33,6 +33,12 @@ def pytest_configure(config):
     )
     # A warning is a test failure: deprecated call paths must not linger.
     config.addinivalue_line("filterwarnings", "error")
+    # Except one raised outside the code under test: reporting a failing
+    # property, hypothesis's plugin imports libcst (where installed), which
+    # warns on import; as an error it aborts the session unreported.
+    config.addinivalue_line(
+        "filterwarnings", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    )
 
 
 def pytest_collection_modifyitems(config, items):

@@ -125,18 +125,21 @@ class _ScalarOnlyScorer:
     name = "ScalarOnly"
 
     def __init__(self, triples, num_entities):
-        self.triples = triples
         self.num_entities = num_entities
+        self.tails, self.heads = {}, {}
+        for h, r, t in triples:
+            self.tails.setdefault((h, r), set()).add(t)
+            self.heads.setdefault((r, t), set()).add(h)
 
     def score_all_tails(self, head, relation):
         scores = np.zeros(self.num_entities)
-        for tail in self.triples.tails_of(head, relation):
+        for tail in self.tails.get((head, relation), ()):
             scores[tail] = 1.0
         return scores
 
     def score_all_heads(self, relation, tail):
         scores = np.zeros(self.num_entities)
-        for head in self.triples.heads_of(relation, tail):
+        for head in self.heads.get((relation, tail), ()):
             scores[head] = 1.0
         return scores
 

@@ -1,5 +1,8 @@
 """Unit and property tests for the TripleSet container and its indexes."""
 
+import base64
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,14 +30,6 @@ def test_duplicates_are_ignored():
     assert ts.add((0, 0, 2)) is True
 
 
-def test_tails_and_heads_indexes(triples):
-    assert triples.tails_of(0, 0) == {1}
-    assert triples.tails_of(0, 1) == {2}
-    assert triples.heads_of(0, 1) == {0, 3}
-    assert triples.heads_of(1, 0) == {2}
-    assert triples.tails_of(7, 7) == set()
-
-
 def test_pairs_and_relation_views(triples):
     assert triples.pairs_of(0) == {(0, 1), (1, 2), (3, 1)}
     assert triples.relation_size(0) == 3
@@ -56,6 +51,30 @@ def test_to_array_and_back(triples):
 
 def test_empty_to_array():
     assert TripleSet().to_array().shape == (0, 3)
+
+
+#: ``pickle.dumps(TripleSet(TRIPLES), protocol=4)`` as written by releases
+#: whose TripleSet also held ``(h, r) -> tails`` / ``(r, t) -> heads`` dicts
+#: (disk caches hold such pickles).
+FORMER_PICKLE = (
+    "gASViAEAAAAAAACMEHJlcHJvLmtnLnRyaXBsZXOUjAlUcmlwbGVTZXSUk5QpgZR9lCiMCF90cmlwbGVzlF2UKEsA"
+    "SwBLAYeUSwFLAEsCh5RLAksBSwCHlEsASwFLAoeUSwNLAEsBh5RljAtfdHJpcGxlX3NldJSPlChoCWgKaAtoCGgH"
+    "kIwFX3NwX2+UjAtjb2xsZWN0aW9uc5SMC2RlZmF1bHRkaWN0lJOUjAhidWlsdGluc5SMA3NldJSTlIWUUpQoSwBL"
+    "AIaUj5QoSwGQSwFLAIaUj5QoSwKQSwJLAYaUj5QoSwCQSwBLAYaUj5QoSwKQSwNLAIaUj5QoSwGQdYwFX3BvX3OU"
+    "aBFoFIWUUpQoSwBLAYaUj5QoSwBLA5BLAEsChpSPlChLAZBLAUsAhpSPlChLApBLAUsChpSPlChLAJB1jAxfYnlf"
+    "cmVsYXRpb26UaBFoEowEbGlzdJSTlIWUUpQoSwBdlChLAEsBhpRLAUsChpRLA0sBhpRlSwFdlChLAksAhpRLAEsC"
+    "hpRldXViLg=="
+)
+
+
+def test_pickles_of_the_former_layout_still_load(triples):
+    former = pickle.loads(base64.b64decode(FORMER_PICKLE))
+    assert former == triples
+    assert list(former) == TRIPLES
+    assert former.pairs_of(0) == triples.pairs_of(0)
+    assert former.relation_size(1) == 2
+    assert former.add((4, 1, 0)) is True and (4, 1, 0) in former
+    assert former.filter_relations([1]).as_set() == {(2, 1, 0), (0, 1, 2), (4, 1, 0)}
 
 
 def test_filter_relations(triples):
@@ -98,8 +117,6 @@ def test_property_indexes_consistent_with_contents(raw):
     assert len(ts) == len(unique)
     assert ts.as_set() == unique
     for h, r, t in unique:
-        assert t in ts.tails_of(h, r)
-        assert h in ts.heads_of(r, t)
         assert (h, t) in ts.pairs_of(r)
     total_from_relations = sum(ts.relation_size(r) for r in ts.relations)
     assert total_from_relations == len(unique)

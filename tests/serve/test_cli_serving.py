@@ -6,7 +6,11 @@ import pytest
 
 from repro.api import Query, QueryBatch
 from repro.cli import main
+from repro.kg import Dataset, save_dataset
+from repro.kg.known_index import KnownTripleIndex
+from repro.models import ModelConfig, make_model
 from repro.serve import ModelArtifact, QueryEngine, load_model, serve_forever
+from repro.serve import server as server_module
 from repro.serve.server import query_server
 
 
@@ -38,6 +42,55 @@ def test_train_exports_a_loadable_artifact(tmp_path, capsys):
 def test_serve_rejects_a_missing_artifact(tmp_path):
     with pytest.raises(SystemExit, match="cannot load artifact"):
         main(["serve", "--artifact", str(tmp_path / "ghost")])
+
+
+def _export(directory, num_entities, num_relations):
+    model = make_model("DistMult", num_entities, num_relations, ModelConfig(dim=8, seed=3))
+    return ModelArtifact.save(model, directory)
+
+
+def test_serve_refuses_a_dataset_the_artifact_was_not_trained_on(
+    tmp_path, toy_dataset, monkeypatch
+):
+    """The mismatch exits with both counts before a port is bound."""
+    dataset_dir = save_dataset(toy_dataset, tmp_path / "toy")
+    _export(tmp_path / "artifact", toy_dataset.num_entities + 2, toy_dataset.num_relations)
+
+    def never(*args, **kwargs):
+        raise AssertionError("serve bound a port for a mismatched dataset")
+
+    monkeypatch.setattr(server_module, "serve_forever", never)
+    with pytest.raises(SystemExit, match="has 10 entities but dataset 'toy' has 8"):
+        main(["serve", "--artifact", str(tmp_path / "artifact"), "--dataset", str(dataset_dir)])
+
+
+def test_serve_filters_its_dataset_through_the_known_triple_index(
+    tmp_path, toy_dataset, monkeypatch, capsys
+):
+    """``serve --dataset`` builds its engine with ``QueryEngine.for_dataset``:
+    the evaluator's index over the split arrays, never a merged triple set."""
+    dataset_dir = save_dataset(toy_dataset, tmp_path / "toy")
+    artifact = _export(tmp_path / "artifact", toy_dataset.num_entities, toy_dataset.num_relations)
+
+    def refuse(self):
+        raise AssertionError("serving must not merge the splits")
+
+    monkeypatch.setattr(Dataset, "all_triples", refuse)
+    monkeypatch.setattr(Dataset, "known_triples", refuse)
+    served = {}
+    monkeypatch.setattr(
+        server_module, "serve_forever", lambda engine, *args, **kwargs: served.update(engine=engine)
+    )
+    assert main(
+        ["serve", "--artifact", str(tmp_path / "artifact"), "--dataset", str(dataset_dir)]
+    ) == 0
+    engine = served["engine"]
+    assert isinstance(engine.known, KnownTripleIndex)
+    assert engine.cache.version == artifact.fingerprint
+    known = {triple for split in toy_dataset.splits().values() for triple in split}
+    assert f"filtered queries exclude {2 * len(known)} known completions from toy" in (
+        capsys.readouterr().out
+    )
 
 
 def test_query_reports_a_connection_error_cleanly():

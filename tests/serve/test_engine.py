@@ -88,7 +88,7 @@ def test_topk_bit_identical_to_reference_at_any_batching(name, max_batch, toy_da
                     assert np.array_equal(np.asarray(result.scores), row[expected])
 
                     key = query.score_key
-                    exclude = known.get(key, ())
+                    exclude = known.get(key)
                     filtered = client.query(
                         Query(query.side, query.anchor, query.relation, k=5, filtered=True)
                     )
