@@ -1,9 +1,8 @@
-"""Disk artifact cache: warm-run speedup, zero recompute, and fused residency.
+"""Disk artifact cache: warm-run speedup, zero recompute, and concurrent runs.
 
-Four measurements around the content-addressed cache
-(:class:`repro.api.artifacts.DiskArtifactStore`) and the fused
-stream-to-shard ingest path, all on the shipped headline spec
-(``examples/specs/headline_tiny.toml``):
+Three measurements around the content-addressed cache
+(:class:`repro.api.artifacts.DiskArtifactStore`), all on the shipped
+headline spec (``examples/specs/headline_tiny.toml``):
 
 1. **Cold run** — the spec executed through a fresh cache directory; every
    artifact is computed and persisted.
@@ -14,11 +13,6 @@ stream-to-shard ingest path, all on the shipped headline spec
 3. **Concurrent runs** — two runs of the spec race on one fresh cache
    directory; the advisory per-entry locks must let both finish with rows
    bit-identical to the serial run (shared work, no corruption).
-4. **Fused residency** — ``ingest_dataset(fused=True)`` versus the
-   materialized path *plus* the audit pair-index build it subsumes,
-   measured with ``tracemalloc`` on a synthetic dump: the fused peak must
-   stay within ``BENCH_MAX_FUSED_RESIDENCY_RATIO`` (default 1.0×) of the
-   materialized peak, with bit-identical triples.
 
 The script is part of CI's **benchmark regression gate**: it always writes a
 machine-readable report (``BENCH_artifact_cache.json`` by default, ``--json
@@ -35,29 +29,16 @@ import sys
 import tempfile
 import threading
 import time
-import tracemalloc
 from os import environ
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.api import ExperimentSpec, Runner
-from repro.kg import ingest_dataset, write_triples_tsv
 
 HEADLINE_SPEC = Path(__file__).resolve().parent.parent / "examples" / "specs" / "headline_tiny.toml"
 
 MIN_WARM_SPEEDUP = float(environ.get("BENCH_MIN_CACHE_WARM_SPEEDUP", "3.0"))
-MAX_FUSED_RESIDENCY_RATIO = float(environ.get("BENCH_MAX_FUSED_RESIDENCY_RATIO", "1.0"))
 DEFAULT_JSON_PATH = "BENCH_artifact_cache.json"
-
-#: Synthetic dump shape for the fused-residency measurement.
-NUM_ENTITIES = 2000
-NUM_RELATIONS = 24
-NUM_TRAIN = 30000
-NUM_VALID = 1000
-NUM_TEST = 1000
-CHUNK_SIZE = 4096
 
 
 def _timed_run(spec: ExperimentSpec, cache_dir: Path) -> Tuple[dict, object]:
@@ -74,59 +55,6 @@ def _timed_run(spec: ExperimentSpec, cache_dir: Path) -> Tuple[dict, object]:
         },
         report,
     )
-
-
-def _write_fused_workload(directory: Path, seed: int = 41) -> None:
-    rng = np.random.default_rng(seed)
-    weights = 1.0 / np.arange(1, NUM_RELATIONS + 1)
-    weights /= weights.sum()
-
-    def rows(count: int):
-        heads = rng.integers(0, NUM_ENTITIES, count)
-        relations = rng.choice(NUM_RELATIONS, count, p=weights)
-        tails = rng.integers(0, NUM_ENTITIES, count)
-        return [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in zip(heads, relations, tails)]
-
-    for split, count in (("train", NUM_TRAIN), ("valid", NUM_VALID), ("test", NUM_TEST)):
-        write_triples_tsv(directory / f"{split}.txt", rows(count))
-
-
-def _measure_fused_residency(directory: Path) -> dict:
-    """Peak traced allocation of each execution style, plus bit-identity."""
-
-    def materialized() -> Tuple[int, list]:
-        tracemalloc.start()
-        report = ingest_dataset(directory, chunk_size=CHUNK_SIZE, fused=False)
-        # The downstream index build the fused path subsumes: the §4 audit's
-        # pair sets.
-        from repro.core.redundancy import build_pair_sets
-
-        pair_sets = build_pair_sets(report.dataset.all_triples())
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        triples = list(report.dataset.train)
-        del pair_sets
-        return peak, triples
-
-    def fused() -> Tuple[int, list]:
-        tracemalloc.start()
-        report = ingest_dataset(directory, chunk_size=CHUNK_SIZE, fused=True)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert report.dataset.audit_index is not None
-        assert report.peak_resident_triples <= report.residency_bound
-        return peak, list(report.dataset.train)
-
-    materialized_peak, materialized_train = materialized()
-    fused_peak, fused_train = fused()
-    return {
-        "rows": NUM_TRAIN + NUM_VALID + NUM_TEST,
-        "chunk_size": CHUNK_SIZE,
-        "materialized_peak_bytes": materialized_peak,
-        "fused_peak_bytes": fused_peak,
-        "residency_ratio": fused_peak / materialized_peak,
-        "bit_identical": fused_train == materialized_train,
-    }
 
 
 def build_report() -> Tuple[dict, bool]:
@@ -166,11 +94,6 @@ def build_report() -> Tuple[dict, bool]:
                 and race_rows[0] == cold_report.rows
             ),
         }
-
-        fused_dir = workdir / "fused"
-        fused_dir.mkdir()
-        _write_fused_workload(fused_dir)
-        residency = _measure_fused_residency(fused_dir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -203,30 +126,13 @@ def build_report() -> Tuple[dict, bool]:
         "enforced": True,
         "passed": bool(concurrent["rows_bit_identical"]) and not concurrent["errors"],
     }
-    residency_gate = {
-        "name": "fused_residency_vs_materialized",
-        "threshold": MAX_FUSED_RESIDENCY_RATIO,
-        "value": residency["residency_ratio"],
-        "enforced": True,
-        "passed": (
-            residency["residency_ratio"] <= MAX_FUSED_RESIDENCY_RATIO
-            and residency["bit_identical"]
-        ),
-    }
     report = {
         "benchmark": "artifact_cache",
         "spec": str(HEADLINE_SPEC.name),
         "cold_run": cold,
         "warm_run": warm,
         "concurrent_runs": concurrent,
-        "fused_residency": residency,
-        "gates": [
-            speedup_gate,
-            recompute_gate,
-            identity_gate,
-            concurrency_gate,
-            residency_gate,
-        ],
+        "gates": [speedup_gate, recompute_gate, identity_gate, concurrency_gate],
     }
     return report, all(gate["passed"] for gate in report["gates"])
 
@@ -247,12 +153,6 @@ def _print_report(report: dict) -> None:
     print(
         f"{'concurrent runs':>18}: {concurrent['completed']}/2 completed in "
         f"{concurrent['seconds']:.2f}s, bit-identical={concurrent['rows_bit_identical']}"
-    )
-    residency = report["fused_residency"]
-    print(
-        f"{'fused residency':>18}: {residency['fused_peak_bytes'] / 1e6:.1f} MB vs "
-        f"{residency['materialized_peak_bytes'] / 1e6:.1f} MB materialized "
-        f"({residency['residency_ratio']:.2f}x, bit-identical={residency['bit_identical']})"
     )
     print()
     for gate in report["gates"]:

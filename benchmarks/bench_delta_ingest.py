@@ -1,8 +1,7 @@
 """Delta maintenance: small-churn apply must beat a full re-ingest, bit for bit.
 
 The incremental-maintenance claim behind :mod:`repro.kg.deltas`, measured on
-a synthetic ~32k-triple workload (the same shape as the fused-residency
-benchmark):
+a synthetic ~32k-triple workload:
 
 1. **Base ingest** — the synthetic TSV dump is ingested once and a
    :class:`~repro.kg.deltas.LiveDatasetMaintainer` is bootstrapped from it
@@ -54,7 +53,7 @@ MIN_DELTA_SPEEDUP = float(environ.get("BENCH_MIN_DELTA_SPEEDUP", "5.0"))
 MAX_CHURN_FRACTION = float(environ.get("BENCH_MAX_DELTA_CHURN", "0.01"))
 DEFAULT_JSON_PATH = "BENCH_delta_ingest.json"
 
-#: Synthetic workload shape (matches the fused-residency benchmark).
+#: Synthetic workload shape.
 NUM_ENTITIES = 2000
 NUM_RELATIONS = 24
 NUM_TRAIN = 30000

@@ -23,10 +23,6 @@ machine-readable report (``BENCH_ingest_throughput.json`` by default,
 
 - every streamed run's peak residency must stay within its
   ``chunk_size * (max_queue_chunks + 2)`` bound — always enforced;
-- the fused stream-to-shard run (``fused=True``: array views plus the
-  ride-along audit pair index instead of a materialized ``Dataset``) must stay
-  within the same ingest bound while remaining bit-identical — always
-  enforced;
 - the default chunk size (the largest tested, ``DEFAULT_CHUNK_SIZE``) must
   keep peak residency under ``BENCH_MAX_RESIDENT_FRACTION`` (default 25 %)
   of the parsed triples, demonstrating sub-dataset memory — always enforced;
@@ -122,8 +118,7 @@ def assert_bit_identical(reference: Dataset, other: Dataset, context: str) -> No
 
 
 def measure_ingest(
-    directory: Path, reference: Dataset, chunk_size: int, gzipped=None, name=None,
-    fused: bool = False,
+    directory: Path, reference: Dataset, chunk_size: int, gzipped=None, name=None
 ) -> dict:
     """One streamed run: bit-identity asserted, residency and throughput recorded."""
     report = ingest_dataset(
@@ -132,17 +127,11 @@ def measure_ingest(
         chunk_size=chunk_size,
         max_queue_chunks=MAX_QUEUE_CHUNKS,
         gzipped=gzipped,
-        fused=fused,
     )
-    context = f"chunk_size={chunk_size} fused={fused}"
-    assert_bit_identical(reference, report.dataset, context)
-    if fused:
-        # The fused view's ride-along pair index was grown during the stream.
-        assert report.dataset.audit_index is not None, context
+    assert_bit_identical(reference, report.dataset, f"chunk_size={chunk_size}")
     return {
         "chunk_size": chunk_size,
         "max_queue_chunks": MAX_QUEUE_CHUNKS,
-        "fused": fused,
         "total_triples": report.total_triples,
         "total_chunks": report.total_chunks,
         "peak_resident_triples": report.peak_resident_triples,
@@ -173,9 +162,6 @@ def build_report() -> Tuple[dict, bool]:
         streaming_runs = [
             measure_ingest(plain_dir, reference, chunk_size) for chunk_size in CHUNK_SIZES
         ]
-        # The fused stream-to-shard path: same bound, same bit-identity (the
-        # bit-identity assert inside measure_ingest walks the array views).
-        fused_run = measure_ingest(plain_dir, reference, CHUNK_SIZES[-1], fused=True)
 
         gzip_dir = workdir / "gzipped"
         gzip_workload(plain_dir, gzip_dir)
@@ -185,7 +171,7 @@ def build_report() -> Tuple[dict, bool]:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    bounded_runs = streaming_runs + [fused_run, gzip_run]
+    bounded_runs = streaming_runs + [gzip_run]
     bound_gate = {
         "name": "peak_residency_within_chunk_x_queue_bound",
         "threshold": 1.0,
@@ -198,13 +184,6 @@ def build_report() -> Tuple[dict, bool]:
             run["peak_resident_triples"] <= run["residency_bound"]
             for run in bounded_runs
         ),
-    }
-    fused_bound_gate = {
-        "name": "fused_peak_residency_within_ingest_bound",
-        "threshold": 1.0,
-        "value": fused_run["peak_resident_triples"] / fused_run["residency_bound"],
-        "enforced": True,
-        "passed": fused_run["peak_resident_triples"] <= fused_run["residency_bound"],
     }
     largest = streaming_runs[-1]
     fraction_gate = {
@@ -231,9 +210,8 @@ def build_report() -> Tuple[dict, bool]:
         },
         "in_memory": in_memory,
         "streaming_runs": streaming_runs,
-        "fused_run": fused_run,
         "gzip_run": gzip_run,
-        "gates": [bound_gate, fused_bound_gate, fraction_gate, throughput_gate],
+        "gates": [bound_gate, fraction_gate, throughput_gate],
     }
     return report, all(gate["passed"] for gate in report["gates"])
 
@@ -244,10 +222,8 @@ def _print_report(report: dict) -> None:
         f"{'in-memory loader':>28}: {in_memory['triples_per_second']:,.0f} triples/s "
         f"({in_memory['total_triples']} rows in {in_memory['seconds']:.2f}s)"
     )
-    for run in report["streaming_runs"] + [report["fused_run"], report["gzip_run"]]:
+    for run in report["streaming_runs"] + [report["gzip_run"]]:
         label = f"streaming chunk={run['chunk_size']}"
-        if run is report["fused_run"]:
-            label += " fused"
         if run is report["gzip_run"]:
             label += " gz"
         print(

@@ -15,7 +15,7 @@ key                        artifact
 ``("known_index", name)``  :class:`repro.kg.known_index.KnownTripleIndex`
 ``("scorer", m, d)``       trained model / rule / baseline scorer
 ``("evaluation", m, d)``   :class:`repro.eval.ranking.EvaluationResult`
-``("ingest_report", name)``:class:`repro.kg.streaming.IngestReport`
+``("ingest_report", name)``:class:`repro.kg.streaming.IngestReport` (``dataset=None``)
 ``("dataset_snapshot", d, v)`` delta-advanced dataset ``d`` at snapshot ``v``
 ``("delta_log", name)``    verified delta-log summary applied to ``name``
 ``("telemetry", "trace")`` span records of the last traced ``Runner.run``
@@ -44,8 +44,9 @@ content-addressed cache shared across processes:
 * trained embedding models are stored in the
   :class:`repro.serve.artifact.ModelArtifact` format and reload as
   zero-copy read-only mmaps (rule/baseline scorers fall back to pickle);
-* any entry whose hashes disagree with its manifest is moved to
-  ``.quarantine/`` and rebuilt — corrupt data is never served.
+* any entry whose hashes disagree with its manifest, or whose payload
+  fails to load, is moved to ``.quarantine/`` and rebuilt — corrupt data is
+  never served, and ``key in store`` holds only for entries that load.
 
 Cache traffic is observable through the telemetry facade as
 ``cache.artifacts.{hit,miss,write,evict}`` counters (mirrored in
@@ -525,12 +526,19 @@ class DiskArtifactStore(ArtifactStore):
 
     # -- mapping surface ---------------------------------------------------------
     def __contains__(self, key: ArtifactKey) -> bool:
+        """Whether ``store[key]`` will succeed: an entry is a member only if it loads.
+
+        An absent or stale manifest is a plain ``False``.  An entry with a
+        current manifest is loaded into the read cache here, so a payload
+        that fails to load is quarantined now and reported absent, and the
+        caller rebuilds it instead of failing on ``store[key]``.
+        """
         key = tuple(key)
         if key in self._artifacts:
             return True
-        if key[0] in EPHEMERAL_KINDS:
+        if key[0] in EPHEMERAL_KINDS or not self._entry_valid(key):
             return False
-        return self._entry_valid(key)
+        return self.get(key, _MISSING) is not _MISSING
 
     def __len__(self) -> int:
         return len(self.keys())

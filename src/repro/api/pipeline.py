@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -46,8 +46,13 @@ def ensure_dataset(store: ArtifactStore, spec: ExperimentSpec, name: str):
     sections: overrides patch analyses and models, never a replica.
     """
     key = ("dataset", name)
-    if key in store:
-        return store[key]
+    if key not in store:
+        _build_replicas(store, spec, name, key)
+    return store[key]
+
+
+def _build_replicas(store: ArtifactStore, spec: ExperimentSpec, name: str, key) -> None:
+    """Build and store the replica pair of ``name`` unless ``key`` is there by then."""
     from ..core.deredundancy import make_fb15k237_like, make_wn18rr_like, make_yago_dr_like
     from ..kg.freebase import fb15k_like
     from ..kg.wordnet import wn18_like
@@ -60,7 +65,7 @@ def ensure_dataset(store: ArtifactStore, spec: ExperimentSpec, name: str):
                 schema.YAGO_DR: schema.YAGO}.get(name, name)
     with store.lock(("dataset", original)):
         if key in store:
-            return store[key]
+            return
         scale, seed = spec.dataset.scale, spec.dataset.seed
         if name in (schema.FB15K, schema.FB15K237):
             fb, snapshot = fb15k_like(scale, seed)
@@ -83,14 +88,16 @@ def ensure_dataset(store: ArtifactStore, spec: ExperimentSpec, name: str):
                 f"unknown dataset key {name!r}; expected one of {schema.ALL_DATASETS} "
                 "or a previously ingested dataset name"
             )
-    return store[key]
 
 
 def ensure_snapshot(store: ArtifactStore, spec: ExperimentSpec):
     """The simulated Freebase snapshot behind the FB15k-like benchmark."""
-    if ("snapshot",) not in store:
-        ensure_dataset(store, spec, schema.FB15K)
-    return store[("snapshot",)]
+    key = ("snapshot",)
+    if key not in store:
+        # Only the FB15k pair's build makes the snapshot, so it runs again
+        # when the snapshot alone is missing (e.g. a corrupt cache entry).
+        _build_replicas(store, spec, schema.FB15K, key)
+    return store[key]
 
 
 def register_dataset(store: ArtifactStore, dataset) -> None:
@@ -104,12 +111,10 @@ def ingest_dataset_into_store(
 ):
     """Stream-ingest a TSV directory through the bounded-memory pipeline.
 
-    The ``ingest`` section sets the chunk budget and gzip detection.  With
-    ``ingest.fused`` the splits stay chunked array views that feed training
-    and sharded evaluation directly (see
-    :func:`repro.kg.streaming.ingest_dataset`); results are bit-identical to
-    the materialized path either way.  Re-ingesting a name drops every
-    artifact derived from the old data.
+    The ``ingest`` section sets the chunk budget and gzip detection (see
+    :func:`repro.kg.streaming.ingest_dataset`).  Re-ingesting a name drops
+    every artifact derived from the old data.  The report is cached without
+    its dataset, which ``("dataset", name)`` already holds.
     """
     from ..kg.streaming import ingest_dataset
 
@@ -119,10 +124,9 @@ def ingest_dataset_into_store(
         chunk_size=spec.ingest.chunk_size,
         max_queue_chunks=spec.ingest.max_queue_chunks,
         gzipped=spec.ingest.gzipped,
-        fused=spec.ingest.fused,
     )
     register_dataset(store, report.dataset)
-    store.put(("ingest_report", report.dataset.name), report)
+    store.put(("ingest_report", report.dataset.name), replace(report, dataset=None))
     return report.dataset
 
 
@@ -197,11 +201,6 @@ def ensure_redundancy(store: ArtifactStore, spec: ExperimentSpec, dataset_name: 
         dataset = ensure_dataset(store, spec, dataset_name)
         audit = spec.config_for(dataset=dataset_name).audit
         theta = audit.yago_theta if dataset_name.startswith("YAGO") else audit.theta
-        index = getattr(dataset, "audit_index", None)
-        if index is not None:
-            # Fused-ingest datasets carry the pair index built during the
-            # stream, so the audit never materializes the full triple set.
-            return index.report(theta, theta)
         return analyse_redundancy(dataset.all_triples(), theta, theta)
 
     return store.ensure(("redundancy", dataset_name), build)
@@ -619,7 +618,7 @@ class Runner:
 
     def _stage_report(self, report: RunReport) -> None:
         """Render the human-readable session report."""
-        from ..core.reporting import render_key_values, render_table
+        from ..core.reporting import render_audit_summary, render_table
         from ..kg.statistics import dataset_statistics
 
         sections: List[str] = []
@@ -635,17 +634,11 @@ class Runner:
         for name in self.dataset_names():
             if ("redundancy", name) not in self.store:
                 continue
-            redundancy = self.store[("redundancy", name)]
-            leakage = self.store.get(("leakage", name))
-            summary = {
-                "reverse relation pairs": len(redundancy.reverse_pairs),
-                "duplicate relation pairs": len(redundancy.duplicate_pairs),
-                "reverse-duplicate relation pairs": len(redundancy.reverse_duplicate_pairs),
-                "symmetric relations": len(redundancy.symmetric_relations),
-            }
-            if leakage is not None:
-                summary["test triples with any redundancy"] = leakage.test_redundant_share
-            sections.append(render_key_values(summary, title=f"Audit of {name}"))
+            sections.append(render_audit_summary(
+                self.store[("redundancy", name)],
+                self.store.get(("leakage", name)),
+                title=f"Audit of {name}",
+            ))
         for dataset_name, rows in report.rows.items():
             sections.append(
                 render_table(rows, title=f"Link prediction on {dataset_name}")

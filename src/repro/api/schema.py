@@ -174,12 +174,6 @@ INGEST = Section(
             "read gzip-compressed split files (train.txt.gz, ...); default auto-detects",
             optional=True, flag="--gzip",
         ),
-        Knob(
-            "fused", bool, False,
-            "fused stream-to-shard execution: keep ingested splits as array "
-            "views handed straight to training and sharded evaluation instead "
-            "of materializing the indexed Dataset (results are bit-identical)",
-        ),
     ),
 )
 

@@ -114,7 +114,6 @@ class IngestSpec:
     chunk_size: int = schema.INGEST_DEFAULTS["chunk_size"]
     max_queue_chunks: int = schema.INGEST_DEFAULTS["max_queue_chunks"]
     gzipped: Optional[bool] = None
-    fused: bool = schema.INGEST_DEFAULTS["fused"]
 
 
 @dataclass
@@ -308,14 +307,10 @@ class ExperimentSpec:
 
         The ``telemetry`` section is excluded: observability settings change
         what a run *records*, never what it *computes*, so tracing a spec
-        must not re-key (and thereby rebuild) its artifacts.  ``ingest.fused``
-        is excluded for the same reason: it selects an execution strategy
-        whose results are bit-identical to the materializing path, so fused
-        and materialized runs of one spec share cache entries.
+        must not re-key (and thereby rebuild) its artifacts.
         """
         data = self.to_dict()
         data.pop("telemetry", None)
-        data.get("ingest", {}).pop("fused", None)
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -682,6 +677,14 @@ def _spec_from_dict(data: Dict[str, Any]) -> Tuple["ExperimentSpec", List[SpecEr
     errors: List[SpecError] = []
     if not isinstance(data, dict):
         return ExperimentSpec(), [SpecError("<root>", "spec must be a table/object")]
+
+    ingest = data.get("ingest")
+    if isinstance(ingest, dict) and "fused" in ingest:
+        # ``ingest.fused`` chose between two ingest paths that gave identical
+        # results, and never entered the fingerprint.  One path is left, so
+        # spec files that still carry the key load unchanged instead of
+        # failing on an unknown knob.
+        data = {**data, "ingest": {k: v for k, v in ingest.items() if k != "fused"}}
 
     for key in data:
         if key not in _KNOWN_TOP_LEVEL:

@@ -76,6 +76,7 @@ from .core import (
     make_wn18rr_like,
     make_yago_dr_like,
     remove_redundant_relations,
+    render_audit_summary,
     render_key_values,
     render_table,
 )
@@ -613,18 +614,8 @@ def command_audit(args: argparse.Namespace) -> int:
     leakage = analyse_leakage(dataset, redundancy)
     cartesian = find_cartesian_relations(all_triples, density_threshold=args.theta)
     print()
-    print(render_key_values(
-        {
-            "reverse relation pairs": len(redundancy.reverse_pairs),
-            "duplicate relation pairs": len(redundancy.duplicate_pairs),
-            "reverse-duplicate relation pairs": len(redundancy.reverse_duplicate_pairs),
-            "symmetric relations": len(redundancy.symmetric_relations),
-            "Cartesian product relations": len(cartesian),
-            "train triples in reverse pairs": leakage.training_reverse_share,
-            "test triples with reverse in train": leakage.test_reverse_in_train_share,
-            "test triples with any redundancy": leakage.test_redundant_share,
-        },
-        title=f"Redundancy summary (theta = {args.theta})",
+    print(render_audit_summary(
+        redundancy, leakage, cartesian, title=f"Redundancy summary (theta = {args.theta})"
     ))
     print()
     breakdown = [{"case": case, "share %": share} for case, share in leakage.bitmap_breakdown().items()]
@@ -641,7 +632,7 @@ def command_ingest(args: argparse.Namespace) -> int:
     """Stream-ingest a TSV directory: audit, optionally de-redundify and export."""
     _configure_logging(args.verbose, args.quiet)
     directory = Path(args.input)
-    audit_index = StreamingPairIndexBuilder()
+    pair_index = StreamingPairIndexBuilder()
     # Progress goes through the logging module (not a raw stderr print), so
     # --quiet silences it exactly like every other subcommand's progress.
     logger = logging.getLogger("repro.ingest")
@@ -663,18 +654,13 @@ def command_ingest(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             max_queue_chunks=args.max_queue_chunks,
             gzipped=args.gzip,
-            # The fused path grows its own audit index; attaching ours too
-            # would double the pair-set memory for no extra information.
-            observers=() if args.fused else (audit_index.observe,),
+            observers=(pair_index.observe,),
             progress=report_progress if args.progress else None,
             progress_every_chunks=args.progress_every,
-            fused=args.fused,
         )
     except DatasetIOError as error:
         raise SystemExit(f"ingest failed: {error}")
     dataset = report.dataset
-    if args.fused:
-        audit_index = dataset.audit_index
 
     print(render_table(
         [report.statistics.as_row()],
@@ -693,21 +679,16 @@ def command_ingest(args: argparse.Namespace) -> int:
         title="Pipeline",
     ))
 
-    redundancy = audit_index.report(args.theta, args.theta)
+    redundancy = pair_index.report(args.theta, args.theta)
     leakage = analyse_leakage(dataset, redundancy)
     cartesian = find_cartesian_relations(
-        pair_sets=audit_index.pair_sets, density_threshold=args.theta
+        pair_sets=pair_index.pair_sets, density_threshold=args.theta
     )
     print()
-    print(render_key_values(
-        {
-            "reverse relation pairs": len(redundancy.reverse_pairs),
-            "duplicate relation pairs": len(redundancy.duplicate_pairs),
-            "reverse-duplicate relation pairs": len(redundancy.reverse_duplicate_pairs),
-            "symmetric relations": len(redundancy.symmetric_relations),
-            "Cartesian product relations": len(cartesian),
-            "test triples with any redundancy": leakage.test_redundant_share,
-        },
+    print(render_audit_summary(
+        redundancy,
+        leakage,
+        cartesian,
         title=f"Redundancy summary (theta = {args.theta}, streamed index)",
     ))
 

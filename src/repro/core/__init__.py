@@ -38,7 +38,13 @@ from .deredundancy import (
     remove_redundant_relations,
 )
 from .baselines import DEFAULT_INTERSECTION_THRESHOLD, SimpleRuleModel, SimpleRulePair
-from .reporting import format_cell, render_key_values, render_matrix, render_table
+from .reporting import (
+    format_cell,
+    render_audit_summary,
+    render_key_values,
+    render_matrix,
+    render_table,
+)
 
 __all__ = [
     "DEFAULT_THETA_1",
@@ -79,4 +85,5 @@ __all__ = [
     "render_table",
     "render_matrix",
     "render_key_values",
+    "render_audit_summary",
 ]

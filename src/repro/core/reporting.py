@@ -75,3 +75,32 @@ def render_key_values(values: Mapping[str, object], title: str | None = None) ->
     for key, value in values.items():
         lines.append(f"  {key}: {format_cell(value)}")
     return "\n".join(lines)
+
+
+def render_audit_summary(
+    redundancy,
+    leakage=None,
+    cartesian: Sequence[object] | None = None,
+    title: str | None = None,
+) -> str:
+    """The §4 audit's key figures as 'key: value' lines.
+
+    ``redundancy`` is a :class:`~repro.core.redundancy.RedundancyReport`;
+    the Cartesian count and the three leakage shares follow when
+    ``cartesian`` (the detected relations) and ``leakage`` (a
+    :class:`~repro.core.leakage.LeakageReport`) are given.  Keys come in the
+    order ``repro-kgc audit`` prints them; each caller supplies its title.
+    """
+    summary: Dict[str, object] = {
+        "reverse relation pairs": len(redundancy.reverse_pairs),
+        "duplicate relation pairs": len(redundancy.duplicate_pairs),
+        "reverse-duplicate relation pairs": len(redundancy.reverse_duplicate_pairs),
+        "symmetric relations": len(redundancy.symmetric_relations),
+    }
+    if cartesian is not None:
+        summary["Cartesian product relations"] = len(cartesian)
+    if leakage is not None:
+        summary["train triples in reverse pairs"] = leakage.training_reverse_share
+        summary["test triples with reverse in train"] = leakage.test_reverse_in_train_share
+        summary["test triples with any redundancy"] = leakage.test_redundant_share
+    return render_key_values(summary, title=title)

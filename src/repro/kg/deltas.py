@@ -357,8 +357,7 @@ class LiveDatasetMaintainer:
 
         The dataset's vocabulary is copied, so ids stay stable relative to
         the source; splits feed the maintained builders in their canonical
-        (insertion) order.  Works for :class:`~repro.kg.dataset.Dataset`
-        and the fused-ingest ``ArrayDatasetView`` alike.
+        (insertion) order.
         """
         maintainer = cls(name or dataset.name, metadata=getattr(dataset, "metadata", None))
         # A snapshot a previous maintainer produced carries its log position

@@ -27,19 +27,9 @@ dataset size (``benchmarks/bench_ingest_throughput.py`` gates this in CI).
 
 Splits are consumed in ``train → valid → test`` order with chunk-order
 preserved, so the crystallized dataset is **bit-identical** to the in-memory
-loader's: same vocabulary ids, same triple order, same metadata.
-
-**Fused stream-to-shard execution** (``ingest_dataset(..., fused=True)``)
-skips the :class:`~repro.kg.dataset.Dataset` materialization entirely: each
-chunk's newly-added triples land as packed ``int64`` array blocks in an
-:class:`ArraySplitView`, and the resulting :class:`ArrayDatasetView`
-duck-types every surface the trainer, the negative samplers, the sharded
-evaluator and the audit analyses consume — ``to_array`` hands training and
-the evaluator's known-triple index the concatenated blocks, iteration feeds
-shard planning, and the redundancy pair index is grown *during* the stream
-by an observer (:class:`repro.core.redundancy.StreamingPairIndexBuilder`)
-instead of from a materialized triple set afterwards.  Results are
-bit-identical to the materialized path; only the peak residency differs.
+loader's: same vocabulary ids, same triple order, same metadata.  Every
+ingest — the pipeline's, the CLI's, the delta maintainer's — builds that one
+:class:`~repro.kg.dataset.Dataset` through :class:`StreamingDatasetBuilder`.
 """
 
 from __future__ import annotations
@@ -49,9 +39,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from queue import Empty, Full, Queue
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .dataset import Dataset, DatasetMetadata
 from .io import (
@@ -298,272 +286,17 @@ class StreamingDatasetBuilder:
         return dataset
 
 
-class ArraySplitView:
-    """One split of a fused-ingest dataset: packed ``int64`` chunk blocks.
-
-    Duck-types the :class:`~repro.kg.triples.TripleSet` surfaces the trainer,
-    the negative samplers, the evaluator and the leakage audit actually touch
-    — iteration in insertion order, membership, ``as_set``, ``to_array``,
-    ``relations`` and ``pairs_of`` — while storing triples as numpy blocks
-    instead of a Python tuple list.  Anything rarer (``relation_size``,
-    ``filter_relations``, ...) transparently falls back to a lazily
-    materialized :class:`~repro.kg.triples.TripleSet`; that escape hatch
-    trades the residency advantage for full compatibility, never correctness.
-    """
-
-    def __init__(self) -> None:
-        self._blocks: List[np.ndarray] = []
-        self._seen: Set[Triple] = set()
-        self._array: Optional[np.ndarray] = None
-        self._materialized: Optional[TripleSet] = None
-
-    def extend(self, added: Sequence[Triple]) -> None:
-        """Append one chunk's newly-added (already deduplicated) triples."""
-        if added:
-            self._blocks.append(np.asarray(added, dtype=np.int64))
-            self._seen.update(added)
-            self._array = None
-            self._materialized = None
-
-    # -- hot TripleSet surfaces ---------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def __iter__(self) -> Iterator[Triple]:
-        for block in self._blocks:
-            for row in block:
-                yield (int(row[0]), int(row[1]), int(row[2]))
-
-    def __contains__(self, triple: Triple) -> bool:
-        return tuple(triple) in self._seen
-
-    def as_set(self) -> Set[Triple]:
-        return set(self._seen)
-
-    def to_array(self) -> np.ndarray:
-        """The ``(n, 3)`` int64 array — a straight concatenation of the blocks."""
-        if self._array is None:
-            if not self._blocks:
-                self._array = np.empty((0, 3), dtype=np.int64)
-            else:
-                self._array = np.concatenate(self._blocks, axis=0)
-        return self._array
-
-    @property
-    def relations(self) -> List[int]:
-        """Distinct relation ids present, sorted."""
-        return [int(r) for r in np.unique(self.to_array()[:, 1])]
-
-    def pairs_of(self, relation: int) -> Set[Tuple[int, int]]:
-        """The set of distinct (subject, object) pairs of ``relation``."""
-        array = self.to_array()
-        rows = array[array[:, 1] == relation]
-        return {(int(h), int(t)) for h, t in rows[:, (0, 2)]}
-
-    # -- cold surfaces: delegate to a materialized TripleSet ----------------------
-    def _triple_set(self) -> TripleSet:
-        if self._materialized is None:
-            self._materialized = TripleSet(self)
-        return self._materialized
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            # Never resolve dunder/private lookups (pickling, copy protocols)
-            # through the materialization fallback.
-            raise AttributeError(name)
-        return getattr(self._triple_set(), name)
-
-    # -- pickling (the disk cache stores fused datasets too) ----------------------
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_array"] = None
-        state["_materialized"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-
-class ArrayDatasetView:
-    """A fused-ingest dataset: split array views instead of indexed TripleSets.
-
-    Provides every :class:`~repro.kg.dataset.Dataset` surface the pipeline
-    consumes (``name``, ``vocab``, split accessors, ``num_entities``,
-    ``known_triples``, ``test_relations``, ...).  The redundancy pair index
-    built *during* the ingest stream rides along as :attr:`audit_index`, so
-    the audit never re-scans the triples.
-    ``all_triples()`` remains available as a documented escape hatch that
-    materializes the merged :class:`~repro.kg.triples.TripleSet` on first use.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        vocab: Vocabulary,
-        train: ArraySplitView,
-        valid: ArraySplitView,
-        test: ArraySplitView,
-        metadata: Optional[DatasetMetadata] = None,
-    ) -> None:
-        self.name = name
-        self.vocab = vocab
-        self.train = train
-        self.valid = valid
-        self.test = test
-        self.metadata = metadata or DatasetMetadata()
-        #: Redundancy pair index grown during the stream (``None`` when the
-        #: ingest ran without the audit observer).
-        self.audit_index = None
-        self._all_triples: Optional[TripleSet] = None
-
-    @property
-    def num_entities(self) -> int:
-        return self.vocab.num_entities
-
-    @property
-    def num_relations(self) -> int:
-        return self.vocab.num_relations
-
-    def splits(self) -> Dict[str, ArraySplitView]:
-        return {"train": self.train, "valid": self.valid, "test": self.test}
-
-    def known_triples(self) -> Set[Triple]:
-        """Union of every split (filters use :class:`KnownTripleIndex`)."""
-        return self.train.as_set() | self.valid.as_set() | self.test.as_set()
-
-    def test_relations(self) -> List[int]:
-        return self.test.relations
-
-    def all_triples(self) -> TripleSet:
-        """Merged triple set (escape hatch: materializes on first use)."""
-        if self._all_triples is None:
-            merged = TripleSet(self.train)
-            for triple in self.valid:
-                merged.add(triple)
-            for triple in self.test:
-                merged.add(triple)
-            self._all_triples = merged
-        return self._all_triples
-
-    def with_splits(
-        self,
-        name: str,
-        train: TripleSet,
-        valid: TripleSet,
-        test: TripleSet,
-        notes: Optional[Dict[str, str]] = None,
-    ) -> Dataset:
-        """Rebind new splits under this vocabulary, as a plain :class:`Dataset`.
-
-        Transform boundaries (de-redundancy, relation restriction) hand over
-        fully materialized :class:`~repro.kg.triples.TripleSet` splits, so the
-        result leaves the fused array representation behind by construction.
-        """
-        metadata = DatasetMetadata(
-            source=self.metadata.source,
-            relation_provenance=dict(self.metadata.relation_provenance),
-            reverse_property_pairs=list(self.metadata.reverse_property_pairs),
-            notes={**self.metadata.notes, **(notes or {})},
-        )
-        return Dataset(
-            name=name,
-            vocab=self.vocab,
-            train=train,
-            valid=valid,
-            test=test,
-            metadata=metadata,
-        )
-
-    def validate(self) -> None:
-        """Same invariants as :meth:`repro.kg.dataset.Dataset.validate`."""
-        if len(self.train) == 0:
-            raise ValueError(f"dataset {self.name!r} has an empty training split")
-        for split_name, split in self.splits().items():
-            array = split.to_array()
-            if len(array) == 0:
-                continue
-            if int(array[:, (0, 2)].max()) >= self.num_entities or int(array[:, (0, 2)].min()) < 0:
-                raise ValueError(
-                    f"dataset {self.name!r} split {split_name!r} has entity ids "
-                    f"outside [0, {self.num_entities})"
-                )
-            if int(array[:, 1].max()) >= self.num_relations or int(array[:, 1].min()) < 0:
-                raise ValueError(
-                    f"dataset {self.name!r} split {split_name!r} has relation ids "
-                    f"outside [0, {self.num_relations})"
-                )
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_all_triples"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-
-class StreamingArrayBuilder:
-    """The fused twin of :class:`StreamingDatasetBuilder`.
-
-    Interns labels through the same single pass (vocabulary ids never depend
-    on chunking or on the fused/materialized choice) but accumulates each
-    chunk's newly-added triples as packed array blocks, so no split ever
-    exists as a Python tuple list.
-    """
-
-    def __init__(self, name: str, metadata: Optional[DatasetMetadata] = None) -> None:
-        self.name = name
-        self.metadata = metadata or DatasetMetadata()
-        self.vocab = Vocabulary()
-        self._splits: Dict[str, ArraySplitView] = {
-            split: ArraySplitView() for split in SPLIT_ORDER
-        }
-
-    def split_size(self, split: str) -> int:
-        return len(self._splits[split])
-
-    def add_chunk(self, split: str, chunk: Iterable[LabelledTriple]) -> List[Triple]:
-        """Encode and insert one chunk; return the newly added encoded triples.
-
-        Interning and per-split deduplication are identical to the
-        materializing builder, so the view is bit-identical to the
-        :class:`Dataset` the other path would have produced.
-        """
-        target = self._splits[split]
-        seen = target._seen
-        encode = self.vocab.encode_triple
-        added: List[Triple] = []
-        for head, relation, tail in chunk:
-            encoded = encode(head, relation, tail)
-            if encoded not in seen:
-                seen.add(encoded)
-                added.append(encoded)
-        self._splits[split].extend(added)
-        return added
-
-    def build(self) -> ArrayDatasetView:
-        """Finalize the stream into a validated :class:`ArrayDatasetView`."""
-        view = ArrayDatasetView(
-            name=self.name,
-            vocab=self.vocab,
-            train=self._splits["train"],
-            valid=self._splits["valid"],
-            test=self._splits["test"],
-            metadata=self.metadata,
-        )
-        view.validate()
-        return view
-
-
 @dataclass
 class IngestReport:
     """What one streamed ingestion produced and what it cost.
 
-    ``dataset`` is a :class:`~repro.kg.dataset.Dataset` on the materializing
-    path and an :class:`ArrayDatasetView` on the fused path.
+    ``dataset`` is the ingested :class:`~repro.kg.dataset.Dataset`.  The
+    pipeline caches the report under ``("ingest_report", name)`` with
+    ``dataset=None``, because the dataset is already cached under
+    ``("dataset", name)``.
     """
 
-    dataset: Dataset
+    dataset: Optional[Dataset]
     statistics: DatasetStatistics
     total_triples: int
     total_chunks: int
@@ -587,7 +320,6 @@ def ingest_dataset(
     observers: Sequence[ChunkObserver] = (),
     progress: Optional[ProgressCallback] = None,
     progress_every_chunks: int = 50,
-    fused: bool = False,
 ) -> IngestReport:
     """Stream a TSV dataset directory into a :class:`Dataset` under a memory budget.
 
@@ -596,14 +328,7 @@ def ingest_dataset(
     valid, test in order), single-pass vocabulary interning, incremental
     statistics, and observer fan-out for audit indexes.  ``observers`` are
     called per chunk with ``(split, newly_added_encoded_triples)``.
-
-    ``fused=True`` selects the stream-to-shard path: the report's dataset is
-    an :class:`ArrayDatasetView` whose splits stay packed array blocks, with
-    the redundancy pair index grown during the stream and attached as
-    ``audit_index``.  Everything downstream is bit-identical.
     """
-    from ..core.redundancy import StreamingPairIndexBuilder
-
     directory = Path(directory)
     chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
     max_queue_chunks = (
@@ -616,15 +341,7 @@ def ingest_dataset(
     if not directory.is_dir():
         raise DatasetIOError(f"dataset directory not found: {directory}")
     dataset_name, metadata = read_directory_metadata(directory, name)
-    audit_index = None
-    if fused:
-        builder = StreamingArrayBuilder(dataset_name, metadata)
-        # The fused path's pair index is grown here, during the stream — the
-        # audit never re-scans the triples.
-        audit_index = StreamingPairIndexBuilder()
-        observers = tuple(observers) + (audit_index.observe,)
-    else:
-        builder = StreamingDatasetBuilder(dataset_name, metadata)
+    builder = StreamingDatasetBuilder(dataset_name, metadata)
     stats = StreamingStatisticsBuilder(dataset_name)
     monitor = PipelineMonitor()
     telemetry = get_telemetry()
@@ -667,8 +384,6 @@ def ingest_dataset(
     if builder.split_size("train") == 0:
         raise DatasetIOError(f"no training triples found under {directory}")
     dataset = builder.build()
-    if fused:
-        dataset.audit_index = audit_index
     seconds = time.perf_counter() - start
 
     return IngestReport(

@@ -193,13 +193,6 @@ class TrainingRun:
     must match the original run — same seeds included), optionally
     :meth:`restore` a checkpoint, then :meth:`train` runs the remaining
     epochs.  ``train()`` may be called once per run object.
-
-    ``dataset`` may be a materialized :class:`~repro.kg.dataset.Dataset` or a
-    fused-ingest :class:`~repro.kg.streaming.ArrayDatasetView` — training
-    consumes only ``train.to_array()``, the sampler surfaces and
-    ``list(valid)``, all of which the array view serves straight from its
-    streamed chunk blocks, so the two are bit-identical (same seeds, same
-    batch order).
     """
 
     def __init__(

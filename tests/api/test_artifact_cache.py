@@ -1,6 +1,7 @@
 """Disk-cache tests: cold/warm bit-identity, invalidation hygiene, crash
 safety (torn writes, corrupt payloads, stale locks), and concurrent sharing."""
 
+import hashlib
 import json
 import pickle
 import threading
@@ -10,8 +11,9 @@ import pytest
 
 from repro.api import DiskArtifactStore, ExperimentSpec, Runner, schema
 from repro.api.artifacts import ENTRY_MANIFEST, default_cache_dir
-from repro.api.pipeline import ensure_dataset
+from repro.api.pipeline import ensure_dataset, ensure_snapshot
 from repro.core import deredundancy
+from repro.kg import save_dataset
 from repro.telemetry import scoped
 
 
@@ -251,6 +253,119 @@ def test_corrupted_model_artifact_is_quarantined_and_rebuilt(tmp_path):
     healthy = Runner(spec, cache_dir=tmp_path)
     healthy.run(stages=["train"])
     assert healthy.store.stats["evict"] == 0
+
+
+def _source_spec(directory):
+    spec = ExperimentSpec(
+        name="cache-source",
+        datasets=["toy"],
+        models=["DistMult"],
+        include_amie=False,
+        stages=["ingest", "audit", "train", "evaluate", "report"],
+    )
+    spec.dataset.source = str(directory)
+    spec.dataset.source_name = "toy"
+    spec.model.dim = 8
+    spec.training.epochs = 1
+    return spec
+
+
+def _flip_one_byte(store, key):
+    payload = store._entry_dir(key) / "payload.pkl"
+    raw = bytearray(payload.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    payload.write_bytes(bytes(raw))
+
+
+def _name_the_removed_view(store, key):
+    """Rewrite ``key`` as an intact entry whose pickle names a class that no
+    longer exists, like a dataset cached by the removed fused ingest path."""
+    entry = store._entry_dir(key)
+    payload = b"crepro.kg.streaming\nArrayDatasetView\n)\x81."
+    with pytest.raises(AttributeError, match="ArrayDatasetView"):
+        pickle.loads(payload)
+    (entry / "payload.pkl").write_bytes(payload)
+    manifest = json.loads((entry / ENTRY_MANIFEST).read_text())
+    manifest["sha256"] = hashlib.sha256(payload).hexdigest()
+    (entry / ENTRY_MANIFEST).write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "dataset, damage",
+    [
+        ("source", _flip_one_byte),
+        ("replica", _flip_one_byte),
+        ("source", _name_the_removed_view),
+    ],
+    ids=["flipped-source", "flipped-replica", "removed-class-source"],
+)
+def test_a_dataset_entry_that_fails_to_load_is_rebuilt(tmp_path, toy_dataset, dataset, damage):
+    """Membership means the entry loads: a dataset entry with a current
+    manifest but a payload that cannot be loaded is quarantined when probed
+    and rebuilt, instead of failing the run on ``store[key]``."""
+    if dataset == "source":
+        spec = _source_spec(save_dataset(toy_dataset, tmp_path / "toy"))
+        key = ("dataset", "toy")
+    else:
+        spec = _tiny_spec()
+        key = ("dataset", schema.WN18RR)
+    cache = tmp_path / "cache"
+    first = Runner(spec, cache_dir=cache).run()
+    damage(Runner(spec, cache_dir=cache).store, key)
+
+    victim = Runner(spec, cache_dir=cache)
+    second = victim.run()
+    assert victim.store.stats["evict"] >= 1
+    assert len(list((victim.store.root / ".quarantine").iterdir())) == 1
+    assert second.rows == first.rows and second.rows
+    assert second.text == first.text
+    # The rebuilt entry loads in a fresh process.
+    assert key in DiskArtifactStore(victim.store.fingerprint, cache_dir=cache)
+
+
+def test_a_snapshot_entry_that_fails_to_load_is_rebuilt(tmp_path):
+    """The snapshot comes out of the FB15k pair's build; a corrupt snapshot
+    entry next to healthy FB15k entries makes that build run again."""
+    spec = _tiny_spec()
+    original = ensure_snapshot(DiskArtifactStore("snap", cache_dir=tmp_path), spec)
+    _flip_one_byte(DiskArtifactStore("snap", cache_dir=tmp_path), ("snapshot",))
+
+    victim = DiskArtifactStore("snap", cache_dir=tmp_path)
+    rebuilt = ensure_snapshot(victim, spec)
+    assert victim.stats["evict"] == 1
+    assert rebuilt.triples == original.triples
+    assert rebuilt.reverse_property_pairs == original.reverse_property_pairs
+    assert ("snapshot",) in DiskArtifactStore("snap", cache_dir=tmp_path)
+
+
+def test_cached_ingest_report_does_not_hold_a_second_dataset(tmp_path, fb_tiny):
+    from repro.kg import ingest_dataset
+
+    directory = save_dataset(fb_tiny, tmp_path / "fb")
+    spec = _source_spec(directory)
+    spec.ingest.chunk_size = 64
+    runner = Runner(spec, cache_dir=tmp_path / "cache")
+    runner.run(stages=["ingest"])
+
+    store = DiskArtifactStore(runner.store.fingerprint, cache_dir=tmp_path / "cache")
+    cached = store[("ingest_report", "toy")]
+    direct = ingest_dataset(directory, name="toy", chunk_size=64)
+    assert cached.dataset is None
+    assert cached.chunk_size == direct.chunk_size == 64
+    assert cached.total_triples == direct.total_triples
+    assert cached.total_chunks == direct.total_chunks
+    assert cached.statistics == direct.statistics
+    sizes = {
+        kind: (store._entry_dir((kind, "toy")) / "payload.pkl").stat().st_size
+        for kind in ("ingest_report", "dataset")
+    }
+    assert sizes["ingest_report"] < 0.05 * sizes["dataset"], sizes
+
+
+def test_membership_of_an_absent_entry_counts_nothing(tmp_path):
+    store = DiskArtifactStore("abc", cache_dir=tmp_path)
+    assert ("dataset", "toy") not in store
+    assert store.stats == {"hit": 0, "miss": 0, "write": 0, "evict": 0}
 
 
 # ------------------------------------------------------------------ concurrency

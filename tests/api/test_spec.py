@@ -220,6 +220,42 @@ def test_fingerprint_is_stable_and_value_sensitive(spec):
     assert mutated.fingerprint() != spec.fingerprint()
 
 
+def test_ingest_fused_key_loads_fingerprints_and_runs_unchanged(tmp_path, toy_dataset):
+    """``[ingest] fused`` picked one of two bit-identical ingest paths and
+    never entered the fingerprint.  Spec files that still carry it, with
+    either value, load and run exactly like the same spec without it."""
+    from repro.api import Runner
+    from repro.kg import save_dataset
+
+    directory = save_dataset(toy_dataset, tmp_path / "toy")
+    data = {
+        "name": "fused-parity",
+        "datasets": ["toy"],
+        "models": ["DistMult"],
+        "include_amie": False,
+        "stages": ["ingest", "audit", "train", "evaluate", "report"],
+        "dataset": {"source": str(directory), "source_name": "toy"},
+        "ingest": {"chunk_size": 4},
+        "model": {"dim": 8},
+        "training": {"epochs": 1},
+    }
+    plain = ExperimentSpec.from_dict(data)
+    plain_run = Runner(plain).run()
+    for fused in (True, False):
+        with_key = {**data, "ingest": {"chunk_size": 4, "fused": fused}}
+        toml_text = plain.dumps("toml").replace(
+            "[ingest]\n", f"[ingest]\nfused = {str(fused).lower()}\n"
+        )
+        assert f"fused = {str(fused).lower()}" in toml_text
+        for spec in (ExperimentSpec.from_dict(with_key), ExperimentSpec.loads(toml_text)):
+            assert spec == plain
+            assert spec.fingerprint() == plain.fingerprint()
+            run = Runner(spec).run()
+            assert run.rows == plain_run.rows
+            assert run.text == plain_run.text
+        assert with_key["ingest"]["fused"] is fused  # the caller's dict is untouched
+
+
 # ------------------------------------------------------------------ validation errors
 def _errors_of(text):
     with pytest.raises(SpecValidationError) as excinfo:

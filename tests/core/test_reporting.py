@@ -50,3 +50,28 @@ def test_render_key_values():
     assert text.splitlines()[0] == "Stats"
     assert "share: 0.700" in text
     assert "count: 12" in text
+
+
+def test_render_audit_summary_keys_follow_the_audit_command(toy_dataset):
+    from repro.core import analyse_leakage, analyse_redundancy, find_cartesian_relations
+    from repro.core import render_audit_summary
+
+    redundancy = analyse_redundancy(toy_dataset.all_triples(), 0.8, 0.8)
+    leakage = analyse_leakage(toy_dataset, redundancy)
+    cartesian = find_cartesian_relations(toy_dataset.all_triples(), density_threshold=0.8)
+    lines = render_audit_summary(redundancy, leakage, cartesian, title="Audit").splitlines()
+    assert lines[0] == "Audit"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        "reverse relation pairs",
+        "duplicate relation pairs",
+        "reverse-duplicate relation pairs",
+        "symmetric relations",
+        "Cartesian product relations",
+        "train triples in reverse pairs",
+        "test triples with reverse in train",
+        "test triples with any redundancy",
+    ]
+    assert lines[1] == f"  reverse relation pairs: {len(redundancy.reverse_pairs)}"
+    assert lines[-1] == f"  test triples with any redundancy: {format_cell(leakage.test_redundant_share)}"
+    # Without the optional reports only the four redundancy counts remain.
+    assert render_audit_summary(redundancy).splitlines() == lines[1:5]

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kg import BernoulliNegativeSampler, TripleSet, UniformNegativeSampler
-from repro.kg.streaming import ArraySplitView
 
 
 # ---------------------------------------------------------------------------- reference
@@ -101,17 +100,12 @@ PAIRS = (
 
 
 # ---------------------------------------------------------------------------- helpers
-def _split_view(triples) -> ArraySplitView:
-    """A fused-ingest train split holding ``triples`` in chunks of three."""
-    view = ArraySplitView()
-    unique = list(dict.fromkeys(triples))
-    for start in range(0, len(unique), 3):
-        view.extend(unique[start:start + 3])
-    return view
+#: The train split containers the samplers are built from, by test id.
+CONTAINERS = {"tripleset": TripleSet}
 
 
 def _make_train(kind: str, triples):
-    return TripleSet(triples) if kind == "tripleset" else _split_view(triples)
+    return CONTAINERS[kind](triples)
 
 
 def _assert_same_sampling(
@@ -164,7 +158,6 @@ positives_strategy = st.lists(
     triples=triples_strategy,
     positives=positives_strategy,
     pair_index=st.integers(0, 1),
-    kind=st.sampled_from(("tripleset", "split_view")),
     num_entities=st.integers(2, 12),
     num_negatives=st.integers(1, 4),
     max_resample_rounds=st.integers(0, 4),
@@ -172,10 +165,10 @@ positives_strategy = st.lists(
     seed=st.integers(0, 2**16),
 )
 def test_sampling_matches_set_reference(
-    triples, positives, pair_index, kind, num_entities, num_negatives,
+    triples, positives, pair_index, num_entities, num_negatives,
     max_resample_rounds, filtered, seed,
 ):
-    train = _make_train(kind, triples)
+    train = TripleSet(triples)
     _assert_same_sampling(
         PAIRS[pair_index], train, num_entities,
         np.asarray(positives, dtype=np.int64).reshape(-1, 3),
@@ -184,7 +177,7 @@ def test_sampling_matches_set_reference(
 
 
 # ---------------------------------------------------------------------------- cases
-@pytest.fixture(params=("tripleset", "split_view"))
+@pytest.fixture(params=tuple(CONTAINERS))
 def kind(request):
     return request.param
 

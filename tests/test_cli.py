@@ -73,6 +73,44 @@ def test_ingest_subcommand_streams_audits_and_exports(tmp_path, capsys, toy_data
     assert len(exported.train) <= len(toy_dataset.train)
 
 
+def _block(output, title):
+    """The 'key: value' lines printed under ``title``."""
+    lines = output.splitlines()
+    start = lines.index(title) + 1
+    end = next((i for i in range(start, len(lines)) if not lines[i].startswith("  ")), len(lines))
+    return lines[start:end]
+
+
+def test_audit_ingest_and_run_print_one_audit_summary(tmp_path, capsys, toy_dataset):
+    from repro.api import ExperimentSpec, Runner
+    from repro.core import render_audit_summary
+    from repro.kg import save_dataset
+
+    directory = save_dataset(toy_dataset, tmp_path / "toy")
+    main(["audit", "--dataset", str(directory)])
+    audited = _block(capsys.readouterr().out, "Redundancy summary (theta = 0.8)")
+    main(["ingest", "--input", str(directory), "--chunk-size", "4"])
+    ingested = _block(
+        capsys.readouterr().out, "Redundancy summary (theta = 0.8, streamed index)"
+    )
+    assert len(audited) == 8
+    assert ingested == audited
+
+    spec = ExperimentSpec(
+        name="audit-only", datasets=["toy"], models=[], include_amie=False,
+        stages=["audit", "report"],
+    )
+    spec.dataset.source, spec.dataset.source_name = str(directory), "toy"
+    runner = Runner(spec)
+    report = runner.run()
+    expected = render_audit_summary(
+        runner.store[("redundancy", "toy")], runner.store[("leakage", "toy")]
+    ).splitlines()
+    assert _block(report.text, "Audit of toy") == expected
+    # The run prints the audit's lines, less the Cartesian count it does not compute.
+    assert expected == [line for line in audited if "Cartesian" not in line]
+
+
 def test_ingest_missing_directory_errors(tmp_path):
     with pytest.raises(SystemExit, match="ingest failed"):
         main(["ingest", "--input", str(tmp_path / "nope")])
