@@ -19,6 +19,10 @@ a synthetic ~32k-triple workload:
 Gates: the apply must be at least ``BENCH_MIN_DELTA_SPEEDUP`` (default 5×)
 faster than the re-ingest, and the two label-space audit reports —
 statistics, redundancy, leakage, filter index — must match bit for bit.
+Both maintainers read their redundancy reports from overlap counts kept
+under ``observe``/``retract``, so a further exact gate compares the churned
+maintainer's report with a full sweep over its pair sets
+(``analyse_redundancy_from_pair_sets``).
 
 The script is part of CI's **benchmark regression gate**: it always writes a
 machine-readable report (``BENCH_delta_ingest.json`` by default, ``--json
@@ -40,6 +44,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import analyse_redundancy_from_pair_sets
 from repro.kg import (
     ChurnProfile,
     DeltaLog,
@@ -113,6 +118,9 @@ def build_report() -> Tuple[dict, bool]:
         start = time.perf_counter()
         reports = maintainer.apply_log(log)
         apply_seconds = time.perf_counter() - start
+        equals_sweep = maintainer.redundancy_report() == analyse_redundancy_from_pair_sets(
+            maintainer.pair_sets
+        )
 
         final_dir = workdir / "final"
         maintainer.export(final_dir)
@@ -141,6 +149,13 @@ def build_report() -> Tuple[dict, bool]:
         "enforced": True,
         "passed": identical,
     }
+    sweep_gate = {
+        "name": "maintained_redundancy_equals_full_sweep",
+        "threshold": 1.0,
+        "value": float(equals_sweep),
+        "enforced": True,
+        "passed": equals_sweep,
+    }
     churn_gate = {
         "name": "churn_fraction_within_budget",
         "threshold": MAX_CHURN_FRACTION,
@@ -166,7 +181,8 @@ def build_report() -> Tuple[dict, bool]:
         "full_reingest": {"seconds": reingest_seconds},
         "speedup": speedup,
         "audit_bit_identical": identical,
-        "gates": [speedup_gate, identity_gate, churn_gate],
+        "redundancy_equals_full_sweep": equals_sweep,
+        "gates": [speedup_gate, identity_gate, sweep_gate, churn_gate],
     }
     return report, all(gate["passed"] for gate in report["gates"])
 
@@ -182,7 +198,8 @@ def _print_report(report: dict) -> None:
     print(f"{'full re-ingest':>18}: {report['full_reingest']['seconds'] * 1000:.1f} ms")
     print(
         f"{'speedup':>18}: {report['speedup']:.1f}x, "
-        f"audit bit-identical={report['audit_bit_identical']}"
+        f"audit bit-identical={report['audit_bit_identical']}, "
+        f"redundancy equals full sweep={report['redundancy_equals_full_sweep']}"
     )
     print()
     for gate in report["gates"]:

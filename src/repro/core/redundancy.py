@@ -14,12 +14,17 @@ Three kinds of relation-level redundancy are detected from the triples alone
 The paper sets θ1 = θ2 = 0.8 on FB15k; the same defaults are used here and the
 thresholds are explicit parameters so the ablation experiment can sweep them.
 
-Instead of intersecting every pair of relation pair-sets (O(R²) set
-intersections), the detectors share an **inverted-index candidate-pair
+Every detector thresholds two overlap-count maps: the same-direction counts
+``|T_a ∩ T_b|`` and the reversed counts ``|T_a ∩ reverse(T_b)|``, whose
+``(r, r)`` entry is the symmetry numerator.  The bulk audit
+(:func:`analyse_redundancy`) sweeps an **inverted-index candidate-pair
 generator** (:func:`overlap_counts`): an index from each (subject, object)
-pair to the relations containing it yields, in one sweep over the triples,
-the exact intersection size of every relation pair that shares at least one
-pair — relation pairs with an empty intersection are never materialised.
+pair to the relations containing it yields the exact intersection size of
+every relation pair that shares at least one pair, without O(R²) set
+intersections.  The streaming and live audit
+(:class:`StreamingPairIndexBuilder`) instead keeps both maps current inside
+``observe``/``retract``, so a refresh only thresholds them.  Both paths share
+one finalization, so their reports are identical.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ PairSets = Dict[int, Set[Tuple[int, int]]]
 #: The inverted index behind the candidate-pair generator: each (subject,
 #: object) pair maps to the relations containing it.
 PairIndex = Dict[Tuple[int, int], List[int]]
+
+#: Pair-set intersection sizes keyed by relation pair ``(a, b)``, ``a < b``
+#: (``a <= b`` for reversed counts, whose ``(r, r)`` entry is the symmetry
+#: numerator ``|T_r ∩ reverse(T_r)|``).  Only non-zero counts have keys.
+OverlapCounts = Dict[Tuple[int, int], int]
 
 #: The paper's overlap thresholds (Section 4.2.2).
 DEFAULT_THETA_1 = 0.8
@@ -133,7 +143,7 @@ def overlap_counts(
     reversed_b: bool = False,
     include_self: bool = False,
     index: Optional[PairIndex] = None,
-) -> Dict[Tuple[int, int], int]:
+) -> OverlapCounts:
     """Exact pair-set intersection sizes via an inverted index.
 
     Returns ``{(a, b): |T_a ∩ T_b|}`` (or ``|T_a ∩ reverse(T_b)|`` when
@@ -149,7 +159,7 @@ def overlap_counts(
     """
     if index is None:
         index = build_pair_index(pair_sets)
-    counts: Dict[Tuple[int, int], int] = {}
+    counts: OverlapCounts = {}
     if not reversed_b:
         for relations_sharing in index.values():
             if len(relations_sharing) < 2:
@@ -177,22 +187,70 @@ def overlap_counts(
     return counts
 
 
+def _detector_relations(
+    triples: Optional[TripleSet],
+    relations: Optional[Sequence[int]],
+    pair_sets: Optional[PairSets],
+    detector: str,
+) -> List[int]:
+    """The relations a detector scans: ``relations``, else every relation present."""
+    if triples is None and pair_sets is None:
+        raise ValueError(f"{detector} needs triples or pair_sets")
+    if relations is not None:
+        return list(relations)
+    return triples.relations if triples is not None else sorted(pair_sets)
+
+
+def _exceeding_overlaps(
+    counts: OverlapCounts,
+    pair_sets: PairSets,
+    relations: Sequence[int],
+    theta_1: float,
+    theta_2: float,
+    reversed_b: bool,
+) -> List[RelationOverlap]:
+    """The counted relation pairs whose overlap exceeds θ1 and θ2.
+
+    Each pair is oriented and the result ordered by position in
+    ``relations``: ``relation_a`` is the one listed earlier, matching the
+    nested-loop order of the original O(R²) scan (θ1 applies to it, θ2 to
+    its partner).  ``(r, r)`` symmetry entries are not pairs and are skipped.
+    """
+    position = {relation: index for index, relation in enumerate(relations)}
+    found: List[RelationOverlap] = []
+    for (relation_a, relation_b), count in counts.items():
+        if relation_a == relation_b:
+            continue
+        if position[relation_a] > position[relation_b]:
+            relation_a, relation_b = relation_b, relation_a
+        size_a, size_b = len(pair_sets[relation_a]), len(pair_sets[relation_b])
+        # Counted relations share a pair, so both sizes are non-zero and these
+        # are the shares RelationOverlap.exceeds tests; only reported pairs
+        # become objects.
+        if count / size_a > theta_1 and count / size_b > theta_2:
+            found.append(
+                RelationOverlap(relation_a, relation_b, count, size_a, size_b, reversed_b)
+            )
+    found.sort(key=lambda o: (position[o.relation_a], position[o.relation_b]))
+    return found
+
+
 def _find_overlapping_pairs(
     triples: Optional[TripleSet],
     theta_1: float,
     theta_2: float,
     reversed_b: bool,
-    relations: Optional[Sequence[int]] = None,
-    pair_sets: Optional[PairSets] = None,
-    pair_index: Optional[PairIndex] = None,
+    relations: Optional[Sequence[int]],
+    pair_sets: Optional[PairSets],
+    pair_index: Optional[PairIndex],
+    detector: str,
 ) -> List[RelationOverlap]:
     """One parameterized sweep behind the duplicate and reverse-duplicate detectors.
 
     ``pair_index`` (when given alongside ``pair_sets``) must be the inverted
-    index of exactly the relations being scanned; :func:`analyse_redundancy`
-    builds both once and shares them across its detector runs.
+    index of exactly the relations being scanned.
     """
-    relations = list(relations) if relations is not None else triples.relations
+    relations = _detector_relations(triples, relations, pair_sets, detector)
     if pair_sets is None:
         pair_sets = build_pair_sets(triples, relations)
         pair_index = None
@@ -201,27 +259,8 @@ def _find_overlapping_pairs(
         if len(restricted) != len(pair_sets):
             pair_index = None
         pair_sets = restricted
-    position = {relation: index for index, relation in enumerate(relations)}
-    found: List[RelationOverlap] = []
-    for (relation_a, relation_b), count in overlap_counts(
-        pair_sets, reversed_b=reversed_b, index=pair_index
-    ).items():
-        # relation_a is the one listed earlier, matching the nested-loop order
-        # of the original O(R²) scan (θ1 applies to it, θ2 to its partner).
-        if position[relation_a] > position[relation_b]:
-            relation_a, relation_b = relation_b, relation_a
-        overlap = RelationOverlap(
-            relation_a=relation_a,
-            relation_b=relation_b,
-            overlap=count,
-            size_a=len(pair_sets[relation_a]),
-            size_b=len(pair_sets[relation_b]),
-            reversed_b=reversed_b,
-        )
-        if overlap.exceeds(theta_1, theta_2):
-            found.append(overlap)
-    found.sort(key=lambda o: (position[o.relation_a], position[o.relation_b]))
-    return found
+    counts = overlap_counts(pair_sets, reversed_b=reversed_b, index=pair_index)
+    return _exceeding_overlaps(counts, pair_sets, relations, theta_1, theta_2, reversed_b)
 
 
 def relation_overlap(
@@ -250,8 +289,8 @@ def find_duplicate_relations(
 ) -> List[RelationOverlap]:
     """Relation pairs that are (near-)duplicates under the θ thresholds."""
     return _find_overlapping_pairs(
-        triples, theta_1, theta_2, reversed_b=False,
-        relations=relations, pair_sets=pair_sets, pair_index=pair_index,
+        triples, theta_1, theta_2, reversed_b=False, relations=relations,
+        pair_sets=pair_sets, pair_index=pair_index, detector="find_duplicate_relations",
     )
 
 
@@ -265,8 +304,8 @@ def find_reverse_duplicate_relations(
 ) -> List[RelationOverlap]:
     """Relation pairs where one holds (approximately) the reversed pairs of the other."""
     return _find_overlapping_pairs(
-        triples, theta_1, theta_2, reversed_b=True,
-        relations=relations, pair_sets=pair_sets, pair_index=pair_index,
+        triples, theta_1, theta_2, reversed_b=True, relations=relations,
+        pair_sets=pair_sets, pair_index=pair_index, detector="find_reverse_duplicate_relations",
     )
 
 
@@ -277,7 +316,7 @@ def find_symmetric_relations(
     pair_sets: Optional[PairSets] = None,
 ) -> List[int]:
     """Relations that are their own reverse (self-reciprocal)."""
-    relations = list(relations) if relations is not None else triples.relations
+    relations = _detector_relations(triples, relations, pair_sets, "find_symmetric_relations")
     if pair_sets is None:
         pair_sets = build_pair_sets(triples, relations)
     symmetric: List[int] = []
@@ -292,6 +331,42 @@ def find_symmetric_relations(
     return symmetric
 
 
+def _report_from_counts(
+    pair_sets: PairSets,
+    same: OverlapCounts,
+    reversed_counts: OverlapCounts,
+    theta_1: float,
+    theta_2: float,
+) -> RedundancyReport:
+    """Threshold the two overlap-count maps into a :class:`RedundancyReport`.
+
+    The maps hold what :func:`overlap_counts` returns over ``pair_sets``,
+    same-direction and reversed with ``include_self``.  A relation is
+    symmetric when its ``(r, r)`` count over ``|T_r|`` exceeds θ1, the share
+    :func:`find_symmetric_relations` computes.  Costs O(counted relation
+    pairs + relations); no pair is visited.
+    """
+    relations = sorted(pair_sets)
+    report = RedundancyReport()
+    report.symmetric_relations = [
+        relation
+        for relation in relations
+        if pair_sets[relation]
+        and reversed_counts.get((relation, relation), 0) / len(pair_sets[relation]) > theta_1
+    ]
+    report.duplicate_pairs = _exceeding_overlaps(
+        same, pair_sets, relations, theta_1, theta_2, reversed_b=False
+    )
+    for overlap in _exceeding_overlaps(
+        reversed_counts, pair_sets, relations, theta_1, theta_2, reversed_b=True
+    ):
+        if overlap.share_of_a > 0.95 and overlap.share_of_b > 0.95:
+            report.reverse_pairs.append(overlap)
+        else:
+            report.reverse_duplicate_pairs.append(overlap)
+    return report
+
+
 def analyse_redundancy_from_pair_sets(
     pair_sets: PairSets,
     theta_1: float = DEFAULT_THETA_1,
@@ -300,31 +375,19 @@ def analyse_redundancy_from_pair_sets(
 ) -> RedundancyReport:
     """:func:`analyse_redundancy` on pre-built pair sets (no triple container).
 
-    This is the finalization step of the streaming audit: the ingestion
-    pipeline grows the pair sets and inverted index chunk-by-chunk (see
-    :class:`StreamingPairIndexBuilder`) and this function turns them into the
-    exact report the in-memory path produces.  ``pair_index``, when given,
-    must have been built from exactly ``pair_sets``.
+    Both overlap-count maps come from one sweep each over the inverted index.
+    ``pair_index``, when given, must have been built from exactly
+    ``pair_sets``.
     """
-    relations = sorted(pair_sets)
-    ordered = {relation: pair_sets[relation] for relation in relations}
     if pair_index is None:
-        pair_index = build_pair_index(ordered)
-    report = RedundancyReport()
-    report.symmetric_relations = find_symmetric_relations(
-        None, theta_1, relations=relations, pair_sets=ordered
+        pair_index = build_pair_index(pair_sets)
+    return _report_from_counts(
+        pair_sets,
+        overlap_counts(pair_sets, index=pair_index),
+        overlap_counts(pair_sets, reversed_b=True, include_self=True, index=pair_index),
+        theta_1,
+        theta_2,
     )
-    report.duplicate_pairs = find_duplicate_relations(
-        None, theta_1, theta_2, relations=relations, pair_sets=ordered, pair_index=pair_index
-    )
-    for overlap in find_reverse_duplicate_relations(
-        None, theta_1, theta_2, relations=relations, pair_sets=ordered, pair_index=pair_index
-    ):
-        if overlap.share_of_a > 0.95 and overlap.share_of_b > 0.95:
-            report.reverse_pairs.append(overlap)
-        else:
-            report.reverse_duplicate_pairs.append(overlap)
-    return report
 
 
 def analyse_redundancy(
@@ -334,8 +397,8 @@ def analyse_redundancy(
 ) -> RedundancyReport:
     """Run every relation-level detector and classify the overlapping pairs.
 
-    Every relation's pair set is built exactly once and shared by the
-    symmetric, duplicate and reverse-duplicate detectors.  Reverse-duplicate
+    Every relation's pair set and the inverted index are built once and
+    shared by the two overlap-count sweeps.  Reverse-duplicate
     pairs where the overlap is (almost) total on both sides are reported as
     *reverse pairs* (semantically reverse relations); the rest stay in the
     reverse-duplicate bucket, mirroring the paper's distinction between the
@@ -350,12 +413,19 @@ class StreamingPairIndexBuilder:
 
     A :data:`~repro.kg.streaming.ChunkObserver`: hook :meth:`observe` into
     :func:`repro.kg.streaming.ingest_dataset` and every chunk's newly-added
-    encoded triples extend the per-relation pair sets and the (subject,
-    object) → relations inverted index — the same two structures
-    :func:`analyse_redundancy` builds in one pass over a materialized triple
-    set.  The audit runs on the union of all splits, and the per-relation
-    pair dedupe makes cross-split duplicates harmless, so :meth:`report` is
-    bit-identical to ``analyse_redundancy(dataset.all_triples(), ...)``.
+    encoded triples extend the per-relation pair sets, the (subject, object)
+    → relations inverted index, and the two overlap-count maps the detectors
+    threshold.  The audit runs on the union of all splits, and the
+    per-relation pair dedupe makes cross-split duplicates harmless, so
+    :meth:`report` is bit-identical to
+    ``analyse_redundancy(dataset.all_triples(), ...)``.
+
+    The counts are maintained, not swept: a pair ``(h, t)`` joining or
+    leaving relation ``r`` shifts the same-direction count of ``r`` against
+    every other relation holding ``(h, t)``, and the reversed count of ``r``
+    against every relation holding ``(t, h)``, so one changed triple costs
+    O(|posting(h, t)| + |posting(t, h)|).  :meth:`report` then costs
+    O(relation pairs sharing a pair + relations), however many pairs exist.
 
     The index also supports **removal** (:meth:`retract`) so the delta
     maintainer (:mod:`repro.kg.deltas`) can keep the §4.2 audit current
@@ -366,6 +436,8 @@ class StreamingPairIndexBuilder:
     def __init__(self) -> None:
         self._pair_sets: PairSets = {}
         self._pair_index: PairIndex = {}
+        self._same: OverlapCounts = {}
+        self._reversed: OverlapCounts = {}
 
     def observe(self, split: str, added_triples: Iterable[Triple]) -> None:
         """Fold one chunk's newly-added encoded triples into the index."""
@@ -376,7 +448,9 @@ class StreamingPairIndexBuilder:
             if pair in pairs:
                 continue
             pairs.add(pair)
-            self._pair_index.setdefault(pair, []).append(relation)
+            posting = self._pair_index.setdefault(pair, [])
+            self._shift_counts(head, relation, tail, posting, 1)
+            posting.append(relation)
 
     def retract(self, removed_triples: Iterable[Triple]) -> None:
         """Remove triples that no longer exist in **any** split.
@@ -385,10 +459,10 @@ class StreamingPairIndexBuilder:
         which tracks split membership) must only retract a triple once its
         last split occurrence is gone — retracting while a copy survives in
         another split would corrupt the pooled pair sets.  Emptied pair
-        sets and inverted-index postings are deleted so the structures stay
-        equal to a from-scratch build over the surviving triples (postings
-        keep relations in first-insertion order; every derived report is
-        invariant to that order).
+        sets, inverted-index postings and zero counts are deleted so the
+        structures stay equal to a from-scratch build over the surviving
+        triples (postings keep relations in first-insertion order; every
+        derived report is invariant to that order).
         """
         for head, relation, tail in removed_triples:
             pair = (head, tail)
@@ -400,8 +474,35 @@ class StreamingPairIndexBuilder:
                 del self._pair_sets[relation]
             posting = self._pair_index[pair]
             posting.remove(relation)
+            self._shift_counts(head, relation, tail, posting, -1)
             if not posting:
                 del self._pair_index[pair]
+
+    def _shift_counts(
+        self, head: int, relation: int, tail: int, others: List[int], step: int
+    ) -> None:
+        """Shift by ``step`` every count ``(head, tail)`` adds to as a pair of ``relation``.
+
+        ``others`` are the other relations holding ``(head, tail)``.
+        """
+        same = self._same
+        reversed_counts = self._reversed
+        for other in others:
+            key = (other, relation) if other < relation else (relation, other)
+            _add_count(same, key, step)
+            if head == tail:
+                _add_count(reversed_counts, key, step)
+        if head == tail:
+            # A self-loop is its own reverse: it joins T_r ∩ reverse(T_r) once.
+            _add_count(reversed_counts, (relation, relation), step)
+            return
+        for other in self._pair_index.get((tail, head), ()):
+            if other == relation:
+                # Both (h, t) and (t, h) join (or leave) T_r ∩ reverse(T_r).
+                _add_count(reversed_counts, (relation, relation), 2 * step)
+            else:
+                key = (other, relation) if other < relation else (relation, other)
+                _add_count(reversed_counts, key, step)
 
     @property
     def pair_sets(self) -> PairSets:
@@ -411,10 +512,29 @@ class StreamingPairIndexBuilder:
     def pair_index(self) -> PairIndex:
         return self._pair_index
 
+    @property
+    def same_counts(self) -> OverlapCounts:
+        """The maintained ``overlap_counts(pair_sets)``."""
+        return self._same
+
+    @property
+    def reversed_counts(self) -> OverlapCounts:
+        """The maintained ``overlap_counts(pair_sets, reversed_b=True, include_self=True)``."""
+        return self._reversed
+
     def report(
         self, theta_1: float = DEFAULT_THETA_1, theta_2: float = DEFAULT_THETA_2
     ) -> RedundancyReport:
-        """Finalize the streamed audit into a :class:`RedundancyReport`."""
-        return analyse_redundancy_from_pair_sets(
-            self._pair_sets, theta_1, theta_2, pair_index=self._pair_index
+        """Threshold the maintained counts into a :class:`RedundancyReport`."""
+        return _report_from_counts(
+            self._pair_sets, self._same, self._reversed, theta_1, theta_2
         )
+
+
+def _add_count(counts: OverlapCounts, key: Tuple[int, int], step: int) -> None:
+    """Shift one overlap count, deleting it when it reaches zero."""
+    count = counts.get(key, 0) + step
+    if count:
+        counts[key] = count
+    else:
+        del counts[key]

@@ -36,6 +36,10 @@ Three layers:
       removal through their ``retract`` hooks — the maintainer tracks split
       membership and only retracts a triple once its last split occurrence
       is gone, because both structures pool every split;
+    * the **§4.2 overlap counts** the redundancy detectors threshold are
+      kept current by that index's ``observe``/``retract``, so a redundancy
+      refresh costs O(relation pairs sharing a pair + relations) instead of
+      a sweep over every (subject, object) pair;
     * the **leakage report** is derived on demand from the maintained
       relation-level index (the per-triple bitmaps are a linear scan; the
       quadratic relation-pair detection is what the index amortizes).
@@ -64,6 +68,7 @@ from ..core.leakage import LeakageReport, analyse_leakage
 from ..core.redundancy import (
     DEFAULT_THETA_1,
     DEFAULT_THETA_2,
+    OverlapCounts,
     PairSets,
     RedundancyReport,
     StreamingPairIndexBuilder,
@@ -329,10 +334,13 @@ class LiveDatasetMaintainer:
     Every apply costs ``O(|batch|)`` dictionary operations: split
     membership, vocabulary interning, statistics reference counts and the
     retract/observe hooks of the pooled audit and filter indexes all run
-    per changed triple.  Finalizations (``statistics`` is O(1);
-    ``redundancy_report``, ``tail_filters``, ``leakage_report`` and the
-    materializations are derivations over the *current* maintained
-    structures) never replay history.
+    per changed triple (the audit hook also shifts the §4.2 overlap counts
+    of the relations sharing the triple's pair or its reverse).
+    Finalizations never replay history: ``statistics`` is O(1),
+    ``redundancy_report`` thresholds the maintained overlap counts in
+    O(relation pairs sharing a pair + relations), and ``tail_filters``,
+    ``leakage_report`` and the materializations are derivations over the
+    *current* maintained structures.
     """
 
     def __init__(self, name: str, metadata: Optional[DatasetMetadata] = None) -> None:
@@ -498,12 +506,22 @@ class LiveDatasetMaintainer:
     def pair_sets(self) -> PairSets:
         return self._pairs.pair_sets
 
+    @property
+    def same_counts(self) -> OverlapCounts:
+        """The maintained same-direction overlap counts of :attr:`pair_sets`."""
+        return self._pairs.same_counts
+
+    @property
+    def reversed_counts(self) -> OverlapCounts:
+        """The maintained reversed overlap counts, ``(r, r)`` symmetry entries included."""
+        return self._pairs.reversed_counts
+
     def redundancy_report(
         self,
         theta_1: float = DEFAULT_THETA_1,
         theta_2: float = DEFAULT_THETA_2,
     ) -> RedundancyReport:
-        """The §4.2 report finalized from the maintained inverted index."""
+        """The §4.2 report thresholded from the maintained overlap counts."""
         return self._pairs.report(theta_1, theta_2)
 
     def tail_filters(self) -> Dict[Tuple[int, int], np.ndarray]:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CartesianProductPredictor,
+    StreamingPairIndexBuilder,
     analyse_redundancy,
     cartesian_density,
     find_cartesian_relations,
@@ -14,6 +15,7 @@ from repro.core import (
     find_symmetric_relations,
     relation_overlap,
 )
+from repro.core.redundancy import build_pair_sets, overlap_counts
 from repro.kg import TripleSet
 
 
@@ -217,6 +219,115 @@ def test_property_inverted_index_matches_brute_force(raw):
     for reversed_b in (False, True):
         finder = find_reverse_duplicate_relations if reversed_b else find_duplicate_relations
         assert finder(kg, 0.3, 0.3) == _brute_force_pairs(kg, 0.3, 0.3, reversed_b)
+
+
+# ------------------------------------------------------------------ pair-set entry points
+@pytest.mark.parametrize("theta", [0.0, 0.8])
+def test_detectors_accept_pair_sets_without_triples(toy_dataset, theta):
+    triples = toy_dataset.all_triples()
+    pair_sets = build_pair_sets(triples)
+    duplicates = find_duplicate_relations(None, theta, theta, pair_sets=pair_sets)
+    assert duplicates == find_duplicate_relations(triples, theta, theta)
+    reverse = find_reverse_duplicate_relations(None, theta, theta, pair_sets=pair_sets)
+    assert reverse == find_reverse_duplicate_relations(triples, theta, theta)
+    symmetric = find_symmetric_relations(None, theta, pair_sets=pair_sets)
+    assert symmetric == find_symmetric_relations(triples, theta)
+    assert reverse and symmetric  # the toy dataset has a reverse pair and a symmetric relation
+
+
+@pytest.mark.parametrize(
+    "finder",
+    [find_duplicate_relations, find_reverse_duplicate_relations, find_symmetric_relations],
+)
+def test_detectors_need_triples_or_pair_sets(finder):
+    with pytest.raises(ValueError, match="needs triples or pair_sets"):
+        finder(None)
+    with pytest.raises(ValueError, match="needs triples or pair_sets"):
+        finder(None, relations=[0, 1])
+
+
+# ------------------------------------------------------------------ maintained overlap counts
+def _assert_counts_match_sweep(builder: StreamingPairIndexBuilder) -> None:
+    """The maintained maps equal a from-scratch sweep, and so does the report."""
+    pair_sets = builder.pair_sets
+    assert builder.same_counts == overlap_counts(pair_sets)
+    assert builder.reversed_counts == overlap_counts(
+        pair_sets, reversed_b=True, include_self=True
+    )
+    triples = TripleSet(
+        [(h, relation, t) for relation, pairs in pair_sets.items() for h, t in pairs]
+    )
+    for theta in (0.0, 0.8):
+        assert builder.report(theta, theta) == analyse_redundancy(triples, theta, theta)
+
+
+def test_maintained_counts_self_loop_held_by_two_relations():
+    builder = StreamingPairIndexBuilder()
+    builder.observe("train", [(4, 0, 4), (4, 1, 4)])
+    # A self-loop is its own reverse: it counts once towards each relation's
+    # symmetry numerator and once towards the pair, in both directions.
+    assert builder.same_counts == {(0, 1): 1}
+    assert builder.reversed_counts == {(0, 0): 1, (0, 1): 1, (1, 1): 1}
+    assert builder.report().symmetric_relations == [0, 1]
+    _assert_counts_match_sweep(builder)
+    builder.retract([(4, 0, 4)])
+    assert builder.same_counts == {}
+    assert builder.reversed_counts == {(1, 1): 1}
+    _assert_counts_match_sweep(builder)
+
+
+@pytest.mark.parametrize("retract_first", [(1, 0, 2), (2, 0, 1)])
+@pytest.mark.parametrize("observe_first", [(1, 0, 2), (2, 0, 1)])
+def test_maintained_counts_symmetric_pair_either_order(observe_first, retract_first):
+    pair, reverse = (1, 0, 2), (2, 0, 1)
+    builder = StreamingPairIndexBuilder()
+    builder.observe("train", [observe_first])
+    assert builder.reversed_counts == {}
+    builder.observe("train", [reverse if observe_first == pair else pair])
+    # Both (1, 2) and (2, 1) join T_0 ∩ reverse(T_0) with the second triple.
+    assert builder.reversed_counts == {(0, 0): 2}
+    assert builder.report().symmetric_relations == [0]
+    _assert_counts_match_sweep(builder)
+    builder.retract([retract_first])
+    # The count reached zero, so its key is gone, as in a fresh sweep.
+    assert builder.reversed_counts == {}
+    assert builder.report().symmetric_relations == []
+    _assert_counts_match_sweep(builder)
+    builder.retract([reverse if retract_first == pair else pair])
+    assert builder.pair_sets == {} and builder.pair_index == {}
+    assert builder.same_counts == {} and builder.reversed_counts == {}
+
+
+def test_maintained_counts_pair_held_by_three_relations():
+    builder = StreamingPairIndexBuilder()
+    builder.observe("train", [(1, 0, 2), (1, 1, 2), (1, 2, 2), (2, 2, 1)])
+    assert builder.same_counts == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+    assert builder.reversed_counts == {(0, 2): 1, (1, 2): 1, (2, 2): 2}
+    _assert_counts_match_sweep(builder)
+    builder.retract([(1, 1, 2)])
+    assert builder.same_counts == {(0, 2): 1}
+    assert builder.reversed_counts == {(0, 2): 1, (2, 2): 2}
+    _assert_counts_match_sweep(builder)
+
+
+def test_retracting_an_absent_triple_changes_nothing():
+    builder = StreamingPairIndexBuilder()
+    builder.observe("train", [(1, 0, 2), (2, 1, 1), (1, 1, 2), (3, 0, 3)])
+
+    def state():
+        return (
+            {relation: set(pairs) for relation, pairs in builder.pair_sets.items()},
+            {pair: list(posting) for pair, posting in builder.pair_index.items()},
+            dict(builder.same_counts),
+            dict(builder.reversed_counts),
+        )
+
+    before = state()
+    # An unknown pair, a pair another relation holds, the reverse of a held
+    # pair, and an unknown relation.
+    builder.retract([(5, 0, 6), (2, 0, 1), (3, 1, 3), (1, 7, 2)])
+    assert state() == before
+    _assert_counts_match_sweep(builder)
 
 
 def test_cartesian_predictor_batched_rows_match_single_queries():

@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import redundancy
 from repro.core.baselines import SimpleRuleModel
+from repro.core.redundancy import (
+    RedundancyReport,
+    find_duplicate_relations,
+    find_reverse_duplicate_relations,
+    find_symmetric_relations,
+    overlap_counts,
+)
 from repro.eval.ranking import LinkPredictionEvaluator
 from repro.kg import (
     ChurnProfile,
@@ -56,6 +64,20 @@ def _maintainer():
 def _audit_without_seq(maintainer):
     report = maintainer.audit_report()
     report.pop("last_seq")
+    return report
+
+
+def _report_from_detectors(pair_sets, theta):
+    """The §4.2 report assembled from the public detectors' own sweeps."""
+    report = RedundancyReport(
+        duplicate_pairs=find_duplicate_relations(None, theta, theta, pair_sets=pair_sets),
+        symmetric_relations=find_symmetric_relations(None, theta, pair_sets=pair_sets),
+    )
+    for overlap in find_reverse_duplicate_relations(None, theta, theta, pair_sets=pair_sets):
+        if overlap.share_of_a > 0.95 and overlap.share_of_b > 0.95:
+            report.reverse_pairs.append(overlap)
+        else:
+            report.reverse_duplicate_pairs.append(overlap)
     return report
 
 
@@ -383,7 +405,9 @@ _SIDE = st.dictionaries(
 def test_arbitrary_interleavings_match_full_rebuild(batches):
     """Any add/remove interleaving — empty batches, re-adds, removes of
     never-seen labels — leaves the maintained state equal to an independent
-    order-tracking oracle AND audit-identical to a rebuild of the final state."""
+    order-tracking oracle AND audit-identical to a rebuild of the final state.
+    After every batch the maintained overlap counts equal a full sweep, and
+    the §4.2 report equals one assembled from the detectors' own sweeps."""
     maintainer = LiveDatasetMaintainer("prop")
     oracle = {split: {} for split in SPLIT_ORDER}
     for adds, removes in batches:
@@ -393,6 +417,15 @@ def test_arbitrary_interleavings_match_full_rebuild(batches):
                 oracle[split].pop(tuple(row), None)
             for row in adds.get(split, []):
                 oracle[split].setdefault(tuple(row), None)
+        pair_sets = maintainer.pair_sets
+        assert maintainer.same_counts == overlap_counts(pair_sets)
+        assert maintainer.reversed_counts == overlap_counts(
+            pair_sets, reversed_b=True, include_self=True
+        )
+        for theta in (0.0, 0.5, 0.8):
+            assert maintainer.redundancy_report(theta, theta) == _report_from_detectors(
+                pair_sets, theta
+            )
     for split in SPLIT_ORDER:
         assert maintainer.labelled_rows(split) == list(oracle[split])
     # Full rebuild of the final state (fresh compact ids) must agree on every
@@ -402,6 +435,27 @@ def test_arbitrary_interleavings_match_full_rebuild(batches):
     )
     assert _audit_without_seq(maintainer) == _audit_without_seq(rebuilt)
     assert maintainer.state_fingerprint() == rebuilt.state_fingerprint()
+
+
+def test_redundancy_refresh_reads_the_maintained_counts(monkeypatch):
+    batch = DeltaBatch(
+        adds={"train": [("b", "likes", "a"), ("c", "knows", "a"), ("e", "likes", "e")]},
+        removes={"train": [("b", "knows", "d")]},
+    )
+    reference = _maintainer()
+    reference.apply(batch)
+    expected = {theta: reference.redundancy_report(theta, theta) for theta in (0.0, 0.8)}
+    assert expected[0.0].reverse_duplicate_pairs  # non-vacuous
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refresh swept the pairs")
+
+    for name in ("overlap_counts", "build_pair_index", "find_symmetric_relations"):
+        monkeypatch.setattr(redundancy, name, refuse)
+    maintainer = _maintainer()
+    maintainer.apply(batch)
+    for theta, report in expected.items():
+        assert maintainer.redundancy_report(theta, theta) == report
 
 
 def test_statistics_track_reference_counts():
