@@ -56,10 +56,6 @@ CONCURRENT_QUERIES = 600
 SORT_ROWS = 32
 SORT_REPEATS = 20
 
-#: Engine flush timer for the benchmark: short enough that single-query
-#: latency measures scoring, not the coalescing window.
-MAX_DELAY = 0.0005
-
 MIN_COLD_WARM_RATIO = float(os.environ.get("BENCH_MIN_COLD_WARM_RATIO", "5.0"))
 MIN_TOPK_SPEEDUP = float(os.environ.get("BENCH_MIN_TOPK_SPEEDUP", "1.0"))
 DEFAULT_JSON_PATH = "BENCH_serving_latency.json"
@@ -96,7 +92,7 @@ def measure_cold_start(artifact_dir: str) -> dict:
     for _ in range(COLD_STARTS):
         start = time.perf_counter()
         scorer = load_model(artifact_dir)  # verify=True: the trust-establishing load
-        engine = QueryEngine(scorer, max_delay=MAX_DELAY)
+        engine = QueryEngine(scorer)
         asyncio.run(engine.submit(Query.tail(0, 0, k=TOP_K)))
         samples.append(time.perf_counter() - start)
     return {
@@ -110,7 +106,7 @@ def measure_cold_start(artifact_dir: str) -> dict:
 def measure_warm_engine(artifact_dir: str) -> dict:
     """Per-query latency and QPS against one long-lived engine."""
     scorer = load_model(artifact_dir, verify=False)
-    engine = QueryEngine(scorer, max_delay=MAX_DELAY)
+    engine = QueryEngine(scorer)
 
     async def sequential() -> list:
         latencies = []

@@ -340,11 +340,6 @@ SERVING = Section(
             minimum=1,
         ),
         Knob(
-            "max_delay_ms", float, 2.0,
-            "micro-batch coalescing window in milliseconds (0 = flush on next tick)",
-            minimum=0.0,
-        ),
-        Knob(
             "cache_entries", int, 1024,
             "bounded LRU cache of score rows for hot queries (0 disables caching)",
             minimum=0,

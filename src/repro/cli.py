@@ -776,8 +776,8 @@ def command_serve(args: argparse.Namespace) -> int:
     # delta-maintained dataset, its snapshot state): swapping either can
     # never serve scores computed against the old one.
     settings = dict(
-        max_batch=args.max_batch, max_delay=args.max_delay_ms / 1000.0,
-        cache_entries=args.cache_entries, version=artifact.fingerprint,
+        max_batch=args.max_batch, cache_entries=args.cache_entries,
+        version=artifact.fingerprint,
     )
     if args.dataset:
         dataset = _resolve_dataset(args.dataset, args.scale, args.seed)
@@ -801,6 +801,10 @@ def command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Seconds ``repro-kgc query`` waits to connect, and then for each read of a reply.
+QUERY_TIMEOUT_SECONDS = 30.0
+
+
 def command_query(args: argparse.Namespace) -> int:
     """Ask a running ``repro-kgc serve`` process for top-k completions."""
     from .api.serving import Query, QueryBatch, WireError
@@ -814,12 +818,18 @@ def command_query(args: argparse.Namespace) -> int:
         filtered=args.filtered,
         with_ranks=not args.no_ranks,
     )
+    address = f"{args.host}:{args.port}"
     try:
-        response = query_server(args.host, args.port, QueryBatch.of(query))
-    except ConnectionError as error:
-        raise SystemExit(f"cannot reach server at {args.host}:{args.port}: {error}")
+        response = query_server(
+            args.host, args.port, QueryBatch.of(query), timeout=QUERY_TIMEOUT_SECONDS
+        )
     except WireError as error:
         raise SystemExit(f"server rejected the query: {error}")
+    except OSError as error:
+        # Refused, reset, or no reply within the timeout.
+        raise SystemExit(f"cannot reach server at {address}: {error}")
+    except ValueError as error:
+        raise SystemExit(f"server at {address} did not answer in JSON: {error}")
     if args.json:
         import json as json_module
 
@@ -827,7 +837,9 @@ def command_query(args: argparse.Namespace) -> int:
         # The machine-readable surface also carries the server's counters and
         # (when the server runs with --telemetry) its metrics snapshot.
         try:
-            stats_reply = request_over_socket(args.host, args.port, {"op": "stats"})
+            stats_reply = request_over_socket(
+                args.host, args.port, {"op": "stats"}, timeout=QUERY_TIMEOUT_SECONDS
+            )
         except (ConnectionError, OSError, ValueError):
             stats_reply = {}
         if "stats" in stats_reply:
@@ -1100,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(serve, "serve")
     _add_schema_flags(
         serve, "serve", schema.SERVING,
-        ("host", "port", "max_batch", "max_delay_ms", "cache_entries"),
+        ("host", "port", "max_batch", "cache_entries"),
     )
     _add_schema_flags(serve, "serve", schema.TELEMETRY, ("enabled",))
     add_verbosity(serve)

@@ -376,9 +376,10 @@ def mean_tie_ranks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Raw and filtered mean-tie ranks of ``targets`` within one score row.
 
-    The one-row form of :func:`rank_block`, used by the serving engine.  All
-    quantities are exact comparison counts, so the result is bit-identical
-    to the per-triple masked computation regardless of batching or sharding.
+    The one-row form of :func:`rank_block`, kept as the tests' rank oracle.
+    All quantities are exact comparison counts, so the result is
+    bit-identical to the per-triple masked computation regardless of
+    batching or sharding.
     """
     target_scores = scores[targets]                                    # (M,)
     greater = (scores[None, :] > target_scores[:, None]).sum(axis=1).astype(np.float64)

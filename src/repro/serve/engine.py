@@ -7,12 +7,14 @@ evaluator streams) into a long-lived answering service for
 
 * **Micro-batching.**  Concurrent ``submit()`` calls park on futures in a
   pending list; the list is flushed into one batched kernel call per side
-  either when ``max_batch`` requests have coalesced or after ``max_delay``
-  seconds, whichever comes first.  Batching is where embedding models get
-  their throughput — a ``(B, E)`` kernel call amortizes the per-call
-  overhead B ways — so under concurrent load the engine approaches the
-  evaluator's bulk throughput while a lone query still answers within the
-  coalescing delay.
+  on the event loop's next turn, or at once when ``max_batch`` requests
+  have coalesced.  A flush takes every request parked in the same loop
+  turn, and no request waits on a timer: the batch is whatever arrived
+  while the loop was busy, so it grows with the load.  Batching is where
+  embedding models get their throughput — a ``(B, E)`` kernel call
+  amortizes the per-call overhead B ways — so under concurrent load the
+  engine approaches the evaluator's bulk throughput, while a lone query is
+  scored as soon as the loop is free.
 * **Caching.**  Score rows are cached by the query's ``score_key`` in a
   bounded :class:`repro.serve.cache.ScoreCache` shared-LRU, so repeated and
   overlapping queries (the common case for a completion service: many
@@ -23,11 +25,14 @@ evaluator streams) into a long-lived answering service for
   smallest entity id — so the answer order is the total order
   ``(score desc, id asc)`` without ever fully sorting the ``|E|``-wide row.
   Filtered answers drop the completions held by the evaluator's
-  :class:`~repro.kg.known_index.KnownTripleIndex`, and requested ranks are
-  exact mean-tie ranks (:func:`repro.eval.sharding.mean_tie_ranks`, the
-  one-row form of the evaluator's :func:`~repro.eval.sharding.rank_block`),
-  so engine answers are bit-identical to evaluator ranks — asserted for the
-  whole model zoo in the test suite.
+  :class:`~repro.kg.known_index.KnownTripleIndex`.  Requested ranks are
+  exact mean-tie ranks read off the selection (:func:`selection_ranks`):
+  every pool score above the last selected one is selected, so only the
+  ties at that boundary score need one count over the pool.  They equal
+  :func:`repro.eval.sharding.mean_tie_ranks` (the one-row form of the
+  evaluator's :func:`~repro.eval.sharding.rank_block`), so engine answers
+  are bit-identical to evaluator ranks — asserted for the whole model zoo
+  in the test suite.
 
 The engine is deliberately single-loop: flushes run inline on the event
 loop (scoring a micro-batch IS the unit of work; interleaving partial
@@ -88,6 +93,24 @@ def topk_row(
     return ids.astype(np.int64), np.asarray(pool[picked], dtype=np.float64)
 
 
+def selection_ranks(scores: np.ndarray, boundary_ties: int) -> np.ndarray:
+    """Mean-tie ranks of a top-k selection within its pool, read off the selection.
+
+    ``scores`` are the selected scores in :func:`topk_row` order (descending).
+    Every pool score above the last selected one (the boundary) is selected,
+    so for each score the selection alone holds every pool score greater
+    than it, and every pool score equal to it unless it is the boundary.
+    ``boundary_ties`` counts the pool scores equal to the boundary.  The
+    ranks ``1 + #{greater} + max(#{equal} - 1, 0) / 2`` equal
+    :func:`repro.eval.sharding.mean_tie_ranks` over the pool, bit for bit.
+    """
+    ascending = -scores
+    greater = np.searchsorted(ascending, ascending, side="left")
+    equal = np.searchsorted(ascending, ascending, side="right") - greater
+    equal[scores == scores[-1]] = boundary_ties
+    return 1.0 + greater + np.maximum(equal - 1, 0) / 2.0
+
+
 @dataclass(frozen=True)
 class EngineStats:
     """A point-in-time snapshot of a :class:`QueryEngine`'s counters."""
@@ -124,7 +147,6 @@ class QueryEngine:
         num_entities: Optional[int] = None,
         known: Optional[KnownTripleIndex] = None,
         max_batch: int = 64,
-        max_delay: float = 0.002,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         version: Optional[str] = None,
     ) -> None:
@@ -143,13 +165,12 @@ class QueryEngine:
                 f"but the scorer has {self.num_entities}"
             )
         self.max_batch = max(1, int(max_batch))
-        self.max_delay = max(0.0, float(max_delay))
         self.cache = ScoreCache(cache_entries, name="serve", version=version)
         #: Parked requests: (query, future, enqueue perf_counter timestamp).
         self._pending: List[
             Tuple[Query, "asyncio.Future[Tuple[np.ndarray, int]]", float]
         ] = []
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        self._flush_handle: Optional[asyncio.Handle] = None
         self._queries = 0
         self._flushes = 0
         self._scored_rows = 0
@@ -205,7 +226,7 @@ class QueryEngine:
             if len(self._pending) >= self.max_batch:
                 self._flush()
             elif self._flush_handle is None:
-                self._flush_handle = loop.call_later(self.max_delay, self._flush)
+                self._flush_handle = loop.call_soon(self._flush)
             row, batch_size = await future
             result = self._answer(query, row, cache_hit=False, batch_size=batch_size)
         if telemetry.enabled:
@@ -218,10 +239,6 @@ class QueryEngine:
         """Answer a request envelope; results align with the query order."""
         results = await asyncio.gather(*(self.submit(query) for query in batch.queries))
         return BatchResult(tuple(results))
-
-    async def drain(self) -> None:
-        """Flush any parked requests immediately (shutdown/test hook)."""
-        self._flush()
 
     def _validate(self, query: Query) -> None:
         # The anchor is an entity on both sides (head of a tail query, tail
@@ -308,23 +325,24 @@ class QueryEngine:
         known = self.known.get(query.score_key) if query.filtered else None
         candidates = None
         if known is not None and len(known):
-            candidates = np.setdiff1d(
-                np.arange(self.num_entities, dtype=np.int64), known,
-                assume_unique=True,
-            )
+            keep = np.ones(self.num_entities, dtype=bool)
+            keep[known] = False
+            candidates = np.flatnonzero(keep)
         ids, scores = topk_row(row, query.k, candidates)
         ranks: Tuple[float, ...] = ()
         if query.with_ranks and ids.size:
-            from ..eval.sharding import mean_tie_ranks
-
-            raw, filtered = mean_tie_ranks(row, ids, known)
-            ranks = tuple(float(value) for value in (filtered if query.filtered else raw))
+            # A filtered pool holds no known completion, so these are the
+            # filtered ranks of a filtered query and the raw ranks otherwise.
+            boundary_ties = int(np.count_nonzero(row == scores[-1]))
+            if candidates is not None:
+                boundary_ties -= int(np.count_nonzero(row[known] == scores[-1]))
+            ranks = tuple(selection_ranks(scores, boundary_ties).tolist())
         return TopKResult(
             side=query.side,
             anchor=query.anchor,
             relation=query.relation,
-            entities=tuple(int(entity) for entity in ids),
-            scores=tuple(float(score) for score in scores),
+            entities=tuple(ids.tolist()),
+            scores=tuple(scores.tolist()),
             ranks=ranks,
             filtered=query.filtered,
             cache_hit=cache_hit,

@@ -160,6 +160,6 @@ def query_server(
 ) -> BatchResult:
     """Send one batch to a serving process and parse the response envelope."""
     response = request_over_socket(host, port, batch.to_wire(), timeout=timeout)
-    if "error" in response:
+    if isinstance(response, dict) and "error" in response:
         raise WireError(response["error"])
     return BatchResult.from_wire(response)

@@ -179,7 +179,7 @@ def test_engine_cache_keys_to_the_delta_snapshot():
     maintainer.apply(DeltaBatch(adds={"train": [("c", "r", "b")]}))
     dataset = maintainer.canonical_dataset()
     scorer = SimpleRuleModel(dataset.train, dataset.num_entities, threshold=0.5)
-    engine = QueryEngine.for_dataset(scorer, dataset, max_batch=4, max_delay=0.001)
+    engine = QueryEngine.for_dataset(scorer, dataset, max_batch=4)
     assert engine.cache.version == dataset.metadata.notes["delta_state"]
     engine.cache.put("row", [1.0])
     assert engine.invalidate("advanced") == 1

@@ -1,9 +1,12 @@
 """The CLI serving surface: artifact export, `serve` and `query` commands."""
 
+import socket
+import struct
 import threading
 
 import pytest
 
+from repro import cli
 from repro.api import Query, QueryBatch
 from repro.cli import main
 from repro.kg import Dataset, save_dataset
@@ -103,6 +106,52 @@ def test_query_reports_a_connection_error_cleanly():
         )
 
 
+def _silent(connection, client_done):
+    connection.recv(1 << 16)
+    client_done.wait(timeout=10)   # hold the connection open, never answer
+
+
+def _reset(connection, client_done):
+    connection.recv(1 << 16)
+    connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
+def _not_json(connection, client_done):
+    connection.recv(1 << 16)
+    connection.sendall(b"<html>busy</html>\n")
+
+
+@pytest.mark.parametrize(
+    "misbehave, message",
+    [(_silent, "timed out"), (_reset, "reset"), (_not_json, "did not answer in JSON")],
+    ids=["silent", "reset", "not-json"],
+)
+def test_query_exits_cleanly_when_the_server_does_not_answer(monkeypatch, misbehave, message):
+    """A listener that accepts the connection but never answers, resets it, or
+    replies with something that is not JSON: ``query`` exits naming the
+    address instead of raising a traceback."""
+    monkeypatch.setattr(cli, "QUERY_TIMEOUT_SECONDS", 0.3)
+    client_done = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+
+        def accept_once():
+            connection, _ = listener.accept()
+            with connection:
+                misbehave(connection, client_done)
+
+        thread = threading.Thread(target=accept_once, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(SystemExit, match=f"127.0.0.1:{port}.*{message}"):
+                main(["query", "--anchor", "0", "--relation", "0",
+                      "--host", "127.0.0.1", "--port", str(port)])
+        finally:
+            client_done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
 def test_query_command_against_a_live_server(tmp_path, capsys):
     target = tmp_path / "artifact"
     assert main(
@@ -115,7 +164,7 @@ def test_query_command_against_a_live_server(tmp_path, capsys):
     capsys.readouterr()
 
     model = load_model(target)
-    engine = QueryEngine(model, max_delay=0.001)
+    engine = QueryEngine(model)
     address = {}
     ready = threading.Event()
 

@@ -13,13 +13,17 @@ The tentpole acceptance tests live here:
 """
 
 import asyncio
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Query, QueryBatch
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import evaluate_model
+from repro.eval.sharding import mean_tie_ranks
 from repro.models import ModelConfig, make_model
 from repro.models.registry import MODEL_REGISTRY
 from repro.serve import EngineClient, QueryEngine, known_completion_index, topk_row
@@ -68,13 +72,69 @@ def test_topk_row_k_larger_than_pool():
     assert list(ids) == [2, 1, 0]
 
 
+# ------------------------------------------------------------------ the answer path
+#: A few values plus both infinities; each row draws from at most three of
+#: them, so ties fall at the top-k boundary.
+SCORE_VALUES = (-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf)
+
+
+@st.composite
+def answer_cases(draw):
+    num_entities = draw(st.integers(1, 12))
+    palette = draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=3, unique=True))
+    row = np.array(
+        draw(st.lists(st.sampled_from(palette), min_size=num_entities, max_size=num_entities))
+    )
+    shape = draw(st.sampled_from(("empty", "partial", "all but one")))
+    if shape == "empty":
+        known = []
+    elif shape == "partial":
+        known = sorted(draw(st.sets(st.integers(0, num_entities - 1))))
+    else:
+        spared = draw(st.integers(0, num_entities - 1))
+        known = [entity for entity in range(num_entities) if entity != spared]
+    k = draw(st.integers(1, num_entities + 2))           # up to past the pool size
+    side = draw(st.sampled_from(("tail", "head")))
+    return row, np.array(known, dtype=np.int64), k, draw(st.booleans()), side
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=answer_cases())
+def test_answer_equals_topk_row_plus_mean_tie_ranks(case):
+    """``_answer`` reads ranks off the selection; the oracle is the full
+    row's ``mean_tie_ranks`` over a ``setdiff1d``-filtered ``topk_row``."""
+    row, known, k, filtered, side = case
+    num_entities = row.size
+    anchor, relation = 0, 0
+    triples = np.array(
+        [(anchor, relation, e) if side == "tail" else (e, relation, anchor) for e in known],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    engine = QueryEngine(
+        SimpleNamespace(num_entities=num_entities),
+        known=known_completion_index(triples, num_entities=num_entities),
+    )
+    query = Query(side, anchor, relation, k=k, filtered=filtered)
+    result = engine._answer(query, row, cache_hit=False, batch_size=1)
+
+    exclude = known if filtered and known.size else None
+    candidates = None if exclude is None else np.setdiff1d(np.arange(num_entities), exclude)
+    ids, scores = topk_row(row, k, candidates)
+    raw, filtered_ranks = mean_tie_ranks(row, ids, exclude)
+    assert list(result.entities) == ids.tolist()
+    assert np.array_equal(np.asarray(result.scores), scores)
+    expected = (filtered_ranks if filtered else raw) if ids.size else np.empty(0)
+    assert np.array_equal(np.asarray(result.ranks), expected)
+    assert all(type(value) is float for value in result.ranks + result.scores)
+
+
 # ------------------------------------------------------------------ acceptance
 @pytest.mark.parametrize("max_batch", [1, 3, 64])
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_topk_bit_identical_to_reference_at_any_batching(name, max_batch, toy_dataset):
     model = build_model(name)
     known = known_completion_index(toy_dataset.known_triples())
-    engine = QueryEngine(model, known=known, max_batch=max_batch, max_delay=0.001)
+    engine = QueryEngine(model, known=known, max_batch=max_batch)
     with EngineClient(engine) as client:
         for cache_state in ("cold", "warm"):
             for h, r, t in toy_dataset.test:
@@ -102,7 +162,7 @@ def test_cartesian_predictor_ties_stay_deterministic(toy_dataset):
     scorer = CartesianProductPredictor(
         toy_dataset.train, toy_dataset.num_entities, density_threshold=0.75
     )
-    engine = QueryEngine(scorer, max_batch=4, max_delay=0.001)
+    engine = QueryEngine(scorer, max_batch=4)
     with EngineClient(engine) as client:
         for relation in range(NUM_RELATIONS):
             row = np.asarray(scorer.score_all_tails(0, relation), dtype=np.float64)
@@ -132,7 +192,7 @@ def test_full_evaluation_through_the_engine_client_is_bit_identical(name, toy_da
     """The evaluator as a client of the serving protocol (acceptance)."""
     model = build_model(name)
     direct = evaluate_model(model, toy_dataset)
-    engine = QueryEngine(model, max_batch=16, max_delay=0.001)
+    engine = QueryEngine(model, max_batch=16)
     with EngineClient(engine) as client:
         served = evaluate_model(client, toy_dataset, model_name=name)
     assert len(direct.records) == len(served.records)
@@ -146,7 +206,7 @@ def test_full_evaluation_through_the_engine_client_is_bit_identical(name, toy_da
 # ------------------------------------------------------------------ coalescing
 def test_concurrent_identical_queries_are_scored_once():
     model = build_model("DistMult")
-    engine = QueryEngine(model, max_batch=64, max_delay=0.05)
+    engine = QueryEngine(model, max_batch=64)
 
     async def burst():
         return await asyncio.gather(
@@ -163,9 +223,36 @@ def test_concurrent_identical_queries_are_scored_once():
     assert all(result.batch_size == 10 for result in results)
 
 
+def test_the_request_path_schedules_no_timer(monkeypatch):
+    """A flush runs on the loop's next turn, never after a timer: a lone
+    query answers, and a gathered burst is scored once in one flush."""
+    model = build_model("DistMult")
+    engine = QueryEngine(model, max_batch=64)
+
+    def no_timer(*args, **kwargs):
+        raise AssertionError("the request path scheduled a timer")
+
+    async def session():
+        monkeypatch.setattr(asyncio.get_running_loop(), "call_later", no_timer)
+        lone = await engine.submit(Query.tail(0, 1, k=3))
+        burst = await asyncio.gather(
+            *(engine.submit(Query.tail(1, 2, k=3)) for _ in range(10))
+        )
+        return lone, burst
+
+    lone, burst = asyncio.run(session())
+    row = np.asarray(model.score_all_tails(0, 1), dtype=np.float64)
+    assert list(lone.entities) == reference_topk(row, 3)
+    assert lone.batch_size == 1 and not lone.cache_hit
+    stats = engine.stats
+    assert stats.flushes == 2 and stats.scored_rows == 2
+    assert all(result.batch_size == 10 for result in burst)
+    assert len({tuple(result.entities) for result in burst}) == 1
+
+
 def test_max_batch_forces_early_flushes():
     model = build_model("DistMult")
-    engine = QueryEngine(model, max_batch=2, max_delay=60.0)  # timer would stall
+    engine = QueryEngine(model, max_batch=2)
 
     async def burst():
         queries = [Query.tail(h, r, k=2) for h in range(4) for r in range(2)]
@@ -178,7 +265,7 @@ def test_max_batch_forces_early_flushes():
 
 def test_cache_hits_answer_without_scoring():
     model = build_model("TransE")
-    engine = QueryEngine(model, max_batch=4, max_delay=0.001)
+    engine = QueryEngine(model, max_batch=4)
 
     async def twice():
         first = await engine.submit(Query.tail(0, 1, k=4))
@@ -193,7 +280,7 @@ def test_cache_hits_answer_without_scoring():
 
 def test_submit_batch_preserves_request_order():
     model = build_model("TransE")
-    engine = QueryEngine(model, max_batch=8, max_delay=0.001)
+    engine = QueryEngine(model, max_batch=8)
     batch = QueryBatch.of(
         Query.tail(3, 1, k=2), Query.head(0, 5, k=2), Query.tail(0, 0, k=2)
     )

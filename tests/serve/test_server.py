@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import socket
+import struct
 import threading
 
 import numpy as np
@@ -17,7 +19,6 @@ from repro.telemetry import Telemetry, scoped
 def build_engine(**kwargs):
     model = make_model("TransE", 8, 4, ModelConfig(dim=8, seed=3))
     model.train_mode(False)
-    kwargs.setdefault("max_delay", 0.001)
     return QueryEngine(model, **kwargs)
 
 
@@ -147,3 +148,69 @@ def test_serve_forever_in_a_thread_end_to_end():
     # Server-side error surfaces as a WireError on the client.
     with pytest.raises(WireError, match="anchor"):
         query_server(address["host"], address["port"], QueryBatch.of(Query.tail(99, 0)))
+
+
+# ------------------------------------------------------------------ faults
+class GatedScorer:
+    """Holds each batched tail scoring until released: a flush in progress."""
+
+    def __init__(self, model):
+        self.model = model
+        self.num_entities = model.num_entities
+        self.num_relations = model.num_relations
+        self.scoring = threading.Event()
+        self.release = threading.Event()
+
+    def score_tails_batch(self, heads, relations):
+        self.scoring.set()
+        if not self.release.wait(timeout=10):
+            raise TimeoutError("the test never released the flush")
+        return self.model.score_tails_batch(heads, relations)
+
+
+def test_clients_that_reset_mid_flush_leave_the_server_serving():
+    """A client that sends a query and resets the connection (``SO_LINGER``
+    0) while its flush is scoring: the server counts the abandoned query,
+    answers the next client, and its loop records no exception."""
+    model = make_model("TransE", 8, 4, ModelConfig(dim=8, seed=3))
+    model.train_mode(False)
+    scorer = GatedScorer(model)
+    engine = QueryEngine(scorer)
+    loop = asyncio.new_event_loop()
+    errors = []
+    loop.set_exception_handler(lambda _, context: errors.append(context))
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = asyncio.run_coroutine_threadsafe(
+        start_server(engine, host="127.0.0.1", port=0), loop
+    ).result(timeout=10)
+    host, port = server.sockets[0].getsockname()[:2]
+    abandoned = 3
+    try:
+        for anchor in range(abandoned):
+            scorer.scoring.clear()
+            scorer.release.clear()
+            request = QueryBatch.of(Query.tail(anchor, 1, k=3)).to_wire()
+            with socket.create_connection((host, port), timeout=10) as client:
+                client.sendall(json.dumps(request).encode("utf-8") + b"\n")
+                assert scorer.scoring.wait(timeout=10), "the query never reached a flush"
+                client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            scorer.release.set()
+        fresh = query_server(host, port, QueryBatch.of(Query.tail(abandoned, 1, k=3)), timeout=10)
+        assert len(fresh.results[0].entities) == 3
+        stats = engine.stats
+        assert stats.queries == abandoned + 1
+        assert stats.flushes == abandoned + 1
+    finally:
+        scorer.release.set()
+
+        async def stop():
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run_coroutine_threadsafe(stop(), loop).result(timeout=10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    loop.close()
+    assert errors == []

@@ -147,7 +147,7 @@ def test_for_dataset_filters_from_the_split_arrays_alone(monkeypatch):
     monkeypatch.setattr(dataset, "all_triples", refuse)
     monkeypatch.setattr(dataset, "known_triples", refuse)
     model = _model()
-    engine = QueryEngine.for_dataset(model, dataset, max_batch=4, max_delay=0.001)
+    engine = QueryEngine.for_dataset(model, dataset, max_batch=4)
     with EngineClient(engine) as client:
         for key in every_key(NUM_ENTITIES, NUM_RELATIONS):
             side, first, second = key
