@@ -14,7 +14,7 @@ entities, hundreds of redundant test queries) this measures:
 2. **Block-budget sweep** — fused wall-clock across budgets spanning
    row-at-a-time to effectively-materializing, recorded (not gated) to expose
    the budget/latency curve.
-3. **Accelerator backends** — when torch or cupy is importable, the fused
+3. **Accelerator backends** — when torch is importable, the fused
    path on that backend at fp32 is timed and recorded *report-only*; absent
    backends are listed as skipped, never failed, so CPU-only CI stays green.
 
@@ -174,7 +174,7 @@ def measure_budget_sweep(
 def measure_accelerators(seed: int = 41) -> dict:
     """Report-only fused timings on every importable accelerator backend."""
     entries = []
-    for name in ("torch", "cupy"):
+    for name in ("torch",):
         if name not in available_backends():
             entries.append({"backend": name, "status": "skipped", "reason": "not importable"})
             continue

@@ -21,8 +21,9 @@ default, ``--json PATH`` to override) and exits non-zero when the sparse
 engine is less than ``BENCH_MIN_SPARSE_SPEEDUP`` (default 3.0) times faster
 than the dense path.  Pin BLAS threads (``OMP_NUM_THREADS=1`` etc.) when
 gating, as CI does.  Three runs on a 2-CPU x86-64 host with one BLAS thread
-measured 8.0–8.9× for SGD and 11.1–11.8× for lazy Adam (the lazy-Adam figure
-is recorded, not gated).
+measured 8.6–11.1× for SGD and 12.3–13.8× for lazy Adam (the lazy-Adam figure
+is recorded, not gated), with TransE's score and the margin loss recorded as
+fused tape nodes on both paths.
 
 Run standalone (``python benchmarks/bench_train_throughput.py``, which is
 what CI does) or via ``pytest benchmarks/bench_train_throughput.py``.

@@ -59,7 +59,7 @@ LOSS_CHOICES: Tuple[str, ...] = (
     "default", "margin", "margin_ranking", "bce", "logistic", "self_adversarial", "rotate",
 )
 SAMPLER_CHOICES: Tuple[str, ...] = ("bernoulli", "uniform")
-BACKEND_CHOICES: Tuple[str, ...] = ("numpy", "cupy", "torch", "auto")
+BACKEND_CHOICES: Tuple[str, ...] = ("numpy", "torch", "auto")
 EVAL_DTYPE_CHOICES: Tuple[str, ...] = ("fp64", "fp32", "fp16")
 
 

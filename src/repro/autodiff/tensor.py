@@ -28,16 +28,19 @@ Design notes
   pay the densification.
 * The graph is built eagerly per batch and freed after ``backward``; there is
   no tape reuse, which keeps the implementation small and predictable.
-* Primal and gradient arrays route through the process-wide *active backend*
-  (:func:`repro.backend.active_backend`).  The default is the numpy reference
-  backend, whose ``xp`` namespace **is** the numpy module — every expression
-  below is then byte-for-byte the seed implementation, so default-path results
-  stay bit-identical.  Host-side bookkeeping (shape math, axis permutations,
-  slice offsets) deliberately stays on numpy regardless of the carrier.
+  The training hot path (TransE/DistMult scores, margin/logistic losses)
+  records one node per call (:mod:`repro.autodiff.fused`) instead of a chain
+  of primitives, with bit-identical values and gradient deposits.
+* Primitive ops route their arrays through the process-wide *active backend*
+  (:func:`repro.backend.active_backend`).  Only numpy may carry the tape
+  (``supports_autodiff``), and its ``xp`` namespace **is** the numpy module,
+  so every expression below is byte-for-byte the seed implementation.
+  :class:`SparseGrad` and the fused nodes call numpy directly.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,22 +64,38 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _row_ids(indices: ArrayLike, rows: int) -> np.ndarray:
+    """``indices`` as flat int64 row ids in ``[0, rows)``.
+
+    Negative ids wrap the way numpy indexing wraps them, so ``-1`` and
+    ``rows - 1`` name one row; an id below ``-rows`` raises ``IndexError``
+    like the gather it came from.
+    """
+    ids = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if ids.size and ids.min() < 0:
+        ids = np.where(ids < 0, ids + rows, ids)
+        if ids.min() < 0:
+            raise IndexError(f"row index out of range for a table of {rows} rows")
+    return ids
+
+
 class SparseGrad:
     """Row-indexed gradient of an axis-0 gather on a 2-D (or 1-D) table.
 
-    Each backward pass of :meth:`Tensor.gather` appends one *segment* — the
-    raw ``(indices, rows)`` pair, duplicates and all — in accumulation order.
+    Each gather backward (:meth:`Tensor._deposit_rows`) appends one
+    *segment* — the raw ``(indices, rows)`` pair, duplicates and all, with
+    negative ids wrapped into ``[0, rows)`` — in accumulation order.
     Duplicate indices are only summed when the gradient is consumed:
 
     * :meth:`coalesce` returns ``(unique_indices, summed_rows)`` restricted to
       the touched rows (what the lazy optimizers consume);
     * :meth:`to_dense` materializes the full dense gradient.
 
-    Both reductions replay the segments in accumulation order, each segment
-    scattered with the backend's ``scatter_add`` (bitwise ``np.add.at``)
-    before being added to the running total, so the result is bit-identical
-    to the dense backward path (which scatters each gather into a full zero
-    table and sums the tables the same way).
+    Both reductions scatter each segment on its own into zeros with
+    ``np.add.at`` (cells receive their contributions in index order) and
+    then add the segments left to right, so the result is bit-identical to
+    the dense backward path, which scatters each gather into a full zero
+    table and sums the tables the same way.
     """
 
     __slots__ = ("shape", "_segments")
@@ -87,12 +106,11 @@ class SparseGrad:
         self.shape = tuple(shape)
         self._segments: List[Tuple[np.ndarray, np.ndarray]] = []
 
-    def add(self, indices: np.ndarray, rows: np.ndarray) -> None:
+    def add(self, indices: ArrayLike, rows: ArrayLike) -> None:
         """Append one gather's ``(indices, rows)`` contribution."""
-        backend = active_backend()
-        indices = backend.index_array(indices).reshape(-1)
-        rows = backend.asarray_float(rows).reshape(indices.size, *self.shape[1:])
-        self._segments.append((indices, rows))
+        ids = _row_ids(indices, self.shape[0])
+        rows = np.asarray(rows, dtype=np.float64).reshape(ids.size, *self.shape[1:])
+        self._segments.append((ids, rows))
 
     def is_empty(self) -> bool:
         return not self._segments
@@ -105,46 +123,62 @@ class SparseGrad:
         """Total gathered rows across segments (before coalescing)."""
         return sum(len(indices) for indices, _ in self._segments)
 
+    def _ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every segment's ids in order, and their sorted unique values.
+
+        The unique values are read off a row-marking table, without a sort.
+        """
+        ids = np.concatenate([indices for indices, _ in self._segments])
+        marks = np.zeros(self.shape[0], dtype=bool)
+        marks[ids] = True
+        return ids, np.flatnonzero(marks)
+
     def touched_indices(self) -> np.ndarray:
         """Sorted unique row indices with a pending contribution."""
         if not self._segments:
             return np.empty(0, dtype=np.int64)
-        xp = active_backend().xp
-        return xp.unique(xp.concatenate([indices for indices, _ in self._segments]))
+        return self._ids()[1]
 
     def coalesce(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(unique_indices, rows)`` with duplicate contributions summed.
 
-        ``rows[i]`` equals the dense gradient's row ``unique_indices[i]``
-        bit-for-bit (see the class docstring for why the segment replay
-        preserves the floating-point summation order).
+        One pass: the unique ids and each id's slot come from one marking
+        table; each segment is scattered with one flat ``np.add.at`` into its
+        own row of a zeroed ``(segments, unique × width)`` block; the block
+        rows are then added left to right.  ``rows[i]`` therefore equals the
+        dense gradient's row ``unique_indices[i]`` bit-for-bit.  The sum over
+        segments is written out on purpose: numpy does not promise
+        ``np.add.reduceat`` or an axis reduction this order, and ``reduceat``
+        differs from it in the last bits.
         """
         if not self._segments:
             return np.empty(0, dtype=np.int64), np.empty((0, *self.shape[1:]))
-        backend = active_backend()
-        xp = backend.xp
-        all_indices = xp.concatenate([indices for indices, _ in self._segments])
-        unique, inverse = xp.unique(all_indices, return_inverse=True)
-        total: Optional[np.ndarray] = None
-        offset = 0
-        for indices, rows in self._segments:
-            segment = xp.zeros((len(unique), *self.shape[1:]))
-            backend.scatter_add(segment, inverse[offset:offset + len(indices)], rows)
-            total = segment if total is None else total + segment
-            offset += len(indices)
-        assert total is not None
-        return unique, total
+        ids, unique = self._ids()
+        slots = np.empty(self.shape[0], dtype=np.int64)
+        slots[unique] = np.arange(len(unique))
+        inverse = slots[ids]
+        width = math.prod(self.shape[1:])
+        cells = (inverse[:, None] * width + np.arange(width)).reshape(-1)
+        block = np.zeros((len(self._segments), len(unique) * width))
+        start = 0
+        for segment, (_, rows) in zip(block, self._segments):
+            stop = start + rows.size
+            np.add.at(segment, cells[start:stop], rows.reshape(-1))
+            start = stop
+        total = block[0]
+        for segment in block[1:]:
+            total += segment
+        return unique, total.reshape(len(unique), *self.shape[1:])
 
     def to_dense(self) -> np.ndarray:
         """The full dense gradient (bitwise equal to the dense backward path)."""
         backend = active_backend()
-        xp = backend.xp
         total: Optional[np.ndarray] = None
         for indices, rows in self._segments:
-            full = xp.zeros(self.shape)
+            full = np.zeros(self.shape)
             backend.scatter_add(full, indices, rows)
             total = full if total is None else total + full
-        return total if total is not None else xp.zeros(self.shape)
+        return total if total is not None else np.zeros(self.shape)
 
     def clear(self) -> None:
         self._segments = []
@@ -528,29 +562,41 @@ class Tensor:
         """Where gather should route a row-indexed gradient (None = dense)."""
         return None
 
+    def _deposit_rows(self, indices: np.ndarray, rows: np.ndarray) -> None:
+        """Accumulate the gradient ``rows`` of the gathered rows ``self[indices]``.
+
+        The backward of :meth:`gather`, and of the fused nodes in
+        :mod:`repro.autodiff.fused`, which gather inside one node.  A
+        :class:`Parameter` with ``sparse_updates`` enabled receives a
+        :class:`SparseGrad` segment; anything else a dense scatter (the
+        backend's ``scatter_add``, ``np.add.at`` semantics, so repeated
+        indices accumulate) into a zero table.
+        """
+        if not self.requires_grad:
+            return
+        sink = self._sparse_sink()
+        if sink is not None:
+            sink.add(indices, rows)
+            return
+        backend = active_backend()
+        full = backend.xp.zeros_like(self.data)
+        backend.scatter_add(full, indices, rows)
+        self._accumulate(full)
+
     def gather(self, indices: np.ndarray) -> "Tensor":
         """Row lookup (embedding gather) along axis 0.
 
-        Repeated indices are handled correctly in the backward pass via the
-        backend's ``scatter_add``.  For a :class:`Parameter` with ``sparse_updates``
-        enabled the backward pass appends the raw ``(indices, rows)`` pair to
-        the parameter's :class:`SparseGrad` instead of materializing a dense
-        scatter, keeping the step cost proportional to the batch.
+        The backward pass goes through :meth:`_deposit_rows`: a dense scatter,
+        or, for a :class:`Parameter` with ``sparse_updates`` enabled, the raw
+        ``(indices, rows)`` pair appended to the parameter's
+        :class:`SparseGrad`, keeping the step cost proportional to the batch.
         """
         backend = active_backend()
         indices = backend.index_array(indices)
         data = backend.take_rows(self.data, indices)
 
         def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            sink = self._sparse_sink()
-            if sink is not None:
-                sink.add(indices, grad)
-                return
-            full = backend.xp.zeros_like(self.data)
-            backend.scatter_add(full, indices, grad)
-            self._accumulate(full)
+            self._deposit_rows(indices, grad)
 
         return self._make(data, (self,), backward)
 

@@ -1,14 +1,14 @@
 """Pluggable array backends for the reproduction's hot paths.
 
-``get_backend("numpy" | "cupy" | "torch" | "auto")`` resolves a singleton
+``get_backend("numpy" | "torch" | "auto")`` resolves a singleton
 :class:`~repro.backend.base.ArrayBackend`; numpy is always available and is
-the bit-identity reference, CuPy and Torch are detected at runtime and raise
-:class:`BackendUnavailableError` when their libraries are absent.
+the bit-identity reference, Torch is detected at runtime and raises
+:class:`BackendUnavailableError` when its library is absent.
 
 The autodiff engine additionally has a process-wide *active* backend
 (:func:`active_backend` / :func:`set_active_backend` / :func:`use_backend`)
 that primal and gradient arrays route through; only backends with
-``supports_autodiff`` may be activated there.
+``supports_autodiff`` may be activated there, which is numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .base import (
     numpy_dtype,
 )
 from .compute import EvalCompute, ScoreComputeMixin
-from .cupy_backend import CupyBackend
 from .numpy_backend import NumpyBackend
 from .torch_backend import TorchBackend
 
@@ -41,7 +40,6 @@ __all__ = [
     "EvalCompute",
     "ScoreComputeMixin",
     "NumpyBackend",
-    "CupyBackend",
     "TorchBackend",
     "available_backends",
     "canonical_dtype",
@@ -54,13 +52,12 @@ __all__ = [
 
 _REGISTRY: Dict[str, Type[ArrayBackend]] = {
     "numpy": NumpyBackend,
-    "cupy": CupyBackend,
     "torch": TorchBackend,
 }
 
-#: Resolution order for ``get_backend("auto")``: prefer GPU-capable carriers,
+#: Resolution order for ``get_backend("auto")``: prefer the accelerator,
 #: fall back to the numpy reference.
-_AUTO_ORDER = ("cupy", "torch", "numpy")
+_AUTO_ORDER = ("torch", "numpy")
 
 _INSTANCES: Dict[str, ArrayBackend] = {}
 
@@ -108,7 +105,7 @@ def active_backend() -> ArrayBackend:
 
 
 def set_active_backend(name: Any) -> ArrayBackend:
-    """Switch the autodiff engine's array carrier (numpy/cupy only)."""
+    """Switch the autodiff engine's array carrier (numpy only)."""
     global _ACTIVE
     backend = get_backend(name)
     if not backend.supports_autodiff:

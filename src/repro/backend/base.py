@@ -4,12 +4,12 @@ The reproduction's hot paths — model score kernels, the evaluator's
 comparison counting, and the autodiff forward/backward — only ever touch a
 small slice of the numpy API: allocation, gather/scatter-add, matmul/einsum,
 elementwise math, reductions, comparison counts, RNG, host transfer, and
-dtype casts.  :class:`ArrayBackend` names exactly that slice so alternative
-carriers (CuPy, Torch) can be swapped in behind a registry while numpy
+dtype casts.  :class:`ArrayBackend` names exactly that slice so an
+alternative carrier (Torch) can be swapped in behind a registry while numpy
 remains the bit-identity reference.
 
 Design note: elementwise math and reductions are exposed through the
-backend's ``xp`` namespace (the array module itself for numpy/cupy, a thin
+backend's ``xp`` namespace (the array module itself for numpy, a thin
 translation shim for torch) rather than one method per ufunc — kernels call
 ``xp.sqrt(...)``/``xp.sum(..., axis=-1)`` and stay readable.  Operations with
 semantics that differ across libraries (scatter-add, comparison counting,

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..autodiff import Tensor
+from ..autodiff.fused import trilinear_score
 from .base import KGEModel, ModelConfig
 
 
@@ -68,10 +69,7 @@ class DistMult(KGEModel):
         self.relation = self.register_parameter("relation", self.normal_init(num_relations, dim, std=0.3))
 
     def score_triples(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> Tensor:
-        h = self.entity.gather(heads)
-        r = self.relation.gather(relations)
-        t = self.entity.gather(tails)
-        return (h * r * t).sum(axis=-1)
+        return trilinear_score(self.entity, self.relation, heads, relations, tails)
 
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         ec = self.score_compute

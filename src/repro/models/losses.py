@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, logsigmoid
+from ..autodiff.fused import logistic, margin_ranking
 
 
 class LossFunction:
@@ -35,8 +36,7 @@ class MarginRankingLoss(LossFunction):
     def __call__(
         self, positive_scores: Tensor, negative_scores: Tensor, positive_index: np.ndarray
     ) -> Tensor:
-        expanded_positive = positive_scores.gather(positive_index)
-        return (negative_scores - expanded_positive + self.margin).relu().mean()
+        return margin_ranking(positive_scores, negative_scores, positive_index, self.margin)
 
 
 class LogisticLoss(LossFunction):
@@ -47,9 +47,7 @@ class LogisticLoss(LossFunction):
     def __call__(
         self, positive_scores: Tensor, negative_scores: Tensor, positive_index: np.ndarray
     ) -> Tensor:
-        positive_term = (-positive_scores).softplus().mean()
-        negative_term = negative_scores.softplus().mean()
-        return positive_term + negative_term
+        return logistic(positive_scores, negative_scores)
 
 
 class SelfAdversarialLoss(LossFunction):

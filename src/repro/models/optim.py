@@ -297,7 +297,9 @@ class Adam(Optimizer):
         self, name: str, parameter: Parameter, indices: np.ndarray, rows: np.ndarray
     ) -> None:
         # ``indices`` are unique (coalesced), so the updated moment rows can
-        # be reused instead of gathered again.
+        # be reused instead of gathered again.  The row update runs in place
+        # on the gathered copies, with the dense update's operations in the
+        # dense update's order.
         m = self._first_moment[name]
         v = self._second_moment[name]
         steps = self._row_steps.get(name)
@@ -307,13 +309,24 @@ class Adam(Optimizer):
         steps[indices] = t
         bias1, bias2 = self._bias_corrections(t)
         trailing = [1] * (rows.ndim - 1)
-        m_rows = self.beta1 * m[indices] + (1.0 - self.beta1) * rows
-        v_rows = self.beta2 * v[indices] + (1.0 - self.beta2) * rows ** 2
+        m_rows = m[indices]
+        m_rows *= self.beta1
+        scaled = rows * (1.0 - self.beta1)
+        m_rows += scaled
+        v_rows = v[indices]
+        v_rows *= self.beta2
+        np.square(rows, out=scaled)
+        scaled *= 1.0 - self.beta2
+        v_rows += scaled
         m[indices] = m_rows
         v[indices] = v_rows
-        m_hat = m_rows / bias1.reshape(-1, *trailing)
-        v_hat = v_rows / bias2.reshape(-1, *trailing)
-        parameter.data[indices] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        denominator = v_rows / bias2.reshape(-1, *trailing)
+        np.sqrt(denominator, out=denominator)
+        denominator += self.epsilon
+        update = m_rows / bias1.reshape(-1, *trailing)
+        update *= self.learning_rate
+        update /= denominator
+        parameter.data[indices] -= update
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         state: Dict[str, np.ndarray] = {"step_count": np.asarray(self._step_count)}

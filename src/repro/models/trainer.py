@@ -222,9 +222,10 @@ class TrainingRun:
             rng=np.random.default_rng(self.config.seed + 1),
             filtered=True,
         )
-        if self.config.sparse_updates:
-            for parameter in model.parameters().values():
-                parameter.sparse_updates = True
+        # Set in both directions: a model a sparse run touched trains dense
+        # under a dense config.
+        for parameter in model.parameters().values():
+            parameter.sparse_updates = self.config.sparse_updates
         self.optimizer = make_optimizer(
             self.config.optimizer,
             model.parameters(),

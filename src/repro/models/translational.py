@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..autodiff import Tensor
+from ..autodiff.fused import translation_score
 from .base import KGEModel, ModelConfig, iter_row_slices
 
 
@@ -33,16 +34,8 @@ class TransE(KGEModel):
         self.relation = self.register_parameter("relation", self.uniform_init(num_relations, dim))
         self.norm = int(self.config.extra.get("norm", 1))
 
-    def _distance(self, delta: Tensor) -> Tensor:
-        if self.norm == 1:
-            return delta.abs().sum(axis=-1)
-        return (delta ** 2).sum(axis=-1).sqrt()
-
     def score_triples(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> Tensor:
-        h = self.entity.gather(heads)
-        r = self.relation.gather(relations)
-        t = self.entity.gather(tails)
-        return -self._distance(h + r - t)
+        return translation_score(self.entity, self.relation, heads, relations, tails, self.norm)
 
     def _distance_np(self, delta: np.ndarray, xp=np) -> np.ndarray:
         if self.norm == 1:

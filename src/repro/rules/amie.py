@@ -61,6 +61,9 @@ class AmieMiner:
         self._subjects: Dict[int, Set[int]] = {
             r: {h for h, _ in pairs} for r, pairs in self._pairs.items()
         }
+        #: ``_full_path_body_size`` per ``(r1, r2)``: several head relations
+        #: propose the same body.
+        self._path_body_sizes: Dict[Tuple[int, int], int] = {}
 
     # -- public API ----------------------------------------------------------
     def mine(self) -> MiningReport:
@@ -160,7 +163,10 @@ class AmieMiner:
             head_subjects = self._subjects[head_relation]
             # body support per (r1, r2): bindings of (x, y) reachable via 2 hops.
             body_bindings: Dict[Tuple[int, int], Set[Tuple[int, int]]] = defaultdict(set)
-            for x, _ in head_pairs:
+            # A subject's walk does not depend on its object: walk each
+            # subject once, in first-seen order (which fixes the order of
+            # the candidate bodies).
+            for x in dict.fromkeys(x for x, _ in head_pairs):
                 for r1, z in outgoing.get(x, ()):
                     for r2, y in outgoing.get(z, ()):
                         body_bindings[(r1, r2)].add((x, y))
@@ -193,13 +199,15 @@ class AmieMiner:
         self, r1: int, r2: int, outgoing: Dict[int, List[Tuple[int, int]]]
     ) -> int:
         """Number of (x, y) bindings of ``r1(x, z) ∧ r2(z, y)`` over the whole graph."""
-        pairs_r1 = self._pairs[r1]
-        bindings: Set[Tuple[int, int]] = set()
-        for x, z in pairs_r1:
-            for r, y in outgoing.get(z, ()):
-                if r == r2:
-                    bindings.add((x, y))
-        return len(bindings)
+        size = self._path_body_sizes.get((r1, r2))
+        if size is None:
+            bindings: Set[Tuple[int, int]] = set()
+            for x, z in self._pairs[r1]:
+                for r, y in outgoing.get(z, ()):
+                    if r == r2:
+                        bindings.add((x, y))
+            size = self._path_body_sizes[(r1, r2)] = len(bindings)
+        return size
 
     def _passes_thresholds(self, rule: Rule) -> bool:
         return (

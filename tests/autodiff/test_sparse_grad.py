@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.training import coalesce_by_segment
 
 from repro.autodiff import Parameter, SparseGrad, Tensor, numerical_gradient
 
@@ -166,3 +167,63 @@ def test_sparse_grad_empty_and_clear():
     assert sparse.is_empty()
     with pytest.raises(ValueError):
         SparseGrad(())
+
+
+@pytest.mark.parametrize("optimizer_name", ["sgd", "adagrad", "adam"])
+def test_a_sparse_step_with_a_negative_gather_id_equals_the_dense_step(optimizer_name):
+    """``-1`` and ``rows - 1`` name one row, which the step updates once with both terms."""
+    from repro.models import make_optimizer
+
+    data = np.random.default_rng(2).normal(size=(5, 3))
+    indices = np.array([-1, 4, 1])
+    grad = np.random.default_rng(3).normal(size=(3, 3))
+    stepped = []
+    for sparse in (False, True):
+        parameter = Parameter(data.copy(), sparse_updates=sparse)
+        parameter.gather(indices).backward(grad)
+        if sparse:
+            unique, rows = parameter.sparse_grad.coalesce()
+            assert unique.tolist() == [1, 4]
+            assert rows.tobytes() == _dense_reference(data, [(indices, grad)])[[1, 4]].tobytes()
+        make_optimizer(optimizer_name, {"table": parameter}, 0.5).step()
+        stepped.append(parameter.data)
+    assert stepped[0].tobytes() == stepped[1].tobytes()
+
+
+def test_an_id_below_minus_rows_raises():
+    sparse = SparseGrad((4, 2))
+    with pytest.raises(IndexError):
+        sparse.add([0, -5], np.ones((2, 2)))
+
+
+#: Gradient values, with zeros of both signs (a cell fed only ``-0.0`` sums to
+#: ``+0.0`` from its zero start in both forms).
+ROW_VALUES = st.sampled_from([-0.0, 0.0, 1.0, -1.5, 0.1, 1e-300, -3.25e5]) | st.floats(
+    -10.0, 10.0, allow_nan=False
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    num_rows=st.integers(1, 7),
+    width=st.sampled_from([None, 1, 3]),
+    num_segments=st.integers(1, 6),
+)
+def test_coalesce_equals_the_per_segment_replay(data, num_rows, width, num_segments):
+    """One-pass coalesce == the ``np.unique`` + per-segment scatter replay, bytewise."""
+    shape = (num_rows,) if width is None else (num_rows, width)
+    cells = 1 if width is None else width
+    sparse = SparseGrad(shape)
+    for _ in range(num_segments):
+        count = data.draw(st.integers(0, 8))
+        ids = data.draw(st.lists(st.integers(-num_rows, num_rows - 1), min_size=count, max_size=count))
+        values = data.draw(st.lists(ROW_VALUES, min_size=count * cells, max_size=count * cells))
+        sparse.add(ids, np.asarray(values, dtype=np.float64).reshape(count, *shape[1:]))
+    expected_ids, expected_rows = coalesce_by_segment(shape, sparse._segments)
+    ids, rows = sparse.coalesce()
+    assert ids.tobytes() == expected_ids.tobytes()
+    assert rows.shape == expected_rows.shape
+    assert rows.tobytes() == expected_rows.tobytes()
+    assert sparse.touched_indices().tobytes() == ids.tobytes()
+    assert sparse.to_dense()[ids].tobytes() == rows.tobytes()

@@ -4,7 +4,7 @@ Configuring a scorer with ``set_score_backend("numpy", "fp64")`` (or not
 configuring it at all) must leave every score, rank and gradient **bitwise**
 equal to a freshly-built reference scorer: the reference configuration is a
 pure pass-through, so any byte of difference is a threading bug in the
-kernels.  Accelerator backends (torch / cupy), when importable, are held to
+kernels.  An accelerator backend (torch), when importable, is held to
 ``allclose`` against the fp64 reference instead — different carriers
 legitimately reorder reductions.
 """
@@ -139,7 +139,7 @@ def test_numpy_backend_evaluation_ranks_bit_identical(name, toy_dataset):
 
 
 # ---------------------------------------------------------------------------- accelerators
-ACCELERATORS = [name for name in ("torch", "cupy") if name in available_backends()]
+ACCELERATORS = [name for name in ("torch",) if name in available_backends()]
 
 
 @pytest.mark.skipif(not ACCELERATORS, reason="no accelerator backend importable")

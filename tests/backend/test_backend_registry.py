@@ -47,13 +47,18 @@ def test_unknown_backend_raises():
         get_backend("tensorflow")
 
 
+def test_the_removed_cupy_backend_is_unknown():
+    with pytest.raises(UnknownBackendError):
+        get_backend("cupy")
+
+
 def test_auto_resolves_to_an_available_backend():
     backend = get_backend("auto")
     assert isinstance(backend, ArrayBackend)
     assert backend.name in available_backends()
 
 
-@pytest.mark.parametrize("name", ["cupy", "torch"])
+@pytest.mark.parametrize("name", ["torch"])
 def test_unavailable_accelerators_fail_loudly(name):
     if name in available_backends():
         pytest.skip(f"{name} is importable here; unavailability path not reachable")

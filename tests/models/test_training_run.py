@@ -383,3 +383,23 @@ def test_resume_with_validation_state_continues_early_stopping(toy_dataset, tmp_
     assert result.stopped_early is True
     assert result.epochs_run == 3
     assert result.best_epoch == 1
+
+
+def test_a_dense_run_after_a_sparse_run_trains_dense(toy_dataset):
+    """The config sets ``sparse_updates`` on every parameter, in both directions."""
+    model, config = _make("DistMult", toy_dataset, sparse_updates=True)
+    TrainingRun(model, toy_dataset, config).train()
+    assert all(p.sparse_updates for p in model.parameters().values())
+
+    class _GradientModes(TrainingCallback):
+        def __init__(self):
+            self.sparse = []
+
+        def on_batch_end(self, run, epoch, batch_index, loss):
+            self.sparse.extend(p.sparse_grad is not None for p in run.model.parameters().values())
+
+    modes = _GradientModes()
+    _, dense_config = _make("DistMult", toy_dataset, sparse_updates=False)
+    TrainingRun(model, toy_dataset, dense_config, callbacks=[modes]).train()
+    assert not any(p.sparse_updates for p in model.parameters().values())
+    assert modes.sparse and not any(modes.sparse)

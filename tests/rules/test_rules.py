@@ -1,9 +1,12 @@
 """Tests for the AMIE-style miner, rule statistics and rule-based prediction."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
-from repro.kg import TripleSet
+from repro.core import make_fb15k237_like, make_wn18rr_like, make_yago_dr_like
+from repro.kg import TripleSet, fb15k_like, wn18_like, yago3_like
 from repro.rules import AmieConfig, AmieMiner, Atom, Rule, RuleBasedPredictor, X, Y, Z
 
 
@@ -173,3 +176,71 @@ def test_predictor_uses_path_rules():
     # Person 0 has no direct citizen_of triple; the path rule must still find it.
     scores = predictor.score_all_tails(0, 2)
     assert scores[120] > 0
+
+
+# ------------------------------------------------------------------ path mining
+class _SeedLoopMiner(AmieMiner):
+    """The path-rule loop before subjects were walked once and body sizes cached."""
+
+    def _mine_path_rules(self):
+        outgoing = defaultdict(list)
+        for h, r, t in self.train:
+            outgoing[h].append((r, t))
+        rules = []
+        for head_relation in self.train.relations:
+            head_pairs = self._pairs[head_relation]
+            if len(head_pairs) < self.config.min_support:
+                continue
+            head_subjects = self._subjects[head_relation]
+            body_bindings = defaultdict(set)
+            for x, _ in head_pairs:
+                for r1, z in outgoing.get(x, ()):
+                    for r2, y in outgoing.get(z, ()):
+                        body_bindings[(r1, r2)].add((x, y))
+            candidates = []
+            for (r1, r2), bindings in body_bindings.items():
+                support = len(bindings & head_pairs)
+                if support < self.config.min_support:
+                    continue
+                pca_body_size = sum(1 for x, _ in bindings if x in head_subjects)
+                full_body = set()
+                for x, z in self._pairs[r1]:
+                    for r, y in outgoing.get(z, ()):
+                        if r == r2:
+                            full_body.add((x, y))
+                rule = Rule(
+                    body=(Atom(r1, X, Z), Atom(r2, Z, Y)),
+                    head=Atom(head_relation, X, Y),
+                    support=support,
+                    body_size=max(len(full_body), len(bindings)),
+                    pca_body_size=max(pca_body_size, 1),
+                    head_size=len(head_pairs),
+                )
+                if self._passes_thresholds(rule):
+                    candidates.append(rule)
+            candidates.sort(key=lambda rule: rule.pca_confidence, reverse=True)
+            rules.extend(candidates[: self.config.max_path_rules_per_head])
+        return rules
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: wn18_like("tiny", seed=16),
+        lambda: make_wn18rr_like(wn18_like("tiny", seed=16)),
+        lambda: fb15k_like("tiny", seed=13)[0],
+        lambda: make_fb15k237_like(fb15k_like("tiny", seed=13)[0]),
+        lambda: yago3_like("tiny", seed=21),
+        lambda: make_yago_dr_like(yago3_like("tiny", seed=21)),
+    ],
+    ids=["wn18", "wn18rr", "fb15k", "fb15k237", "yago3", "yago3dr"],
+)
+def test_path_mining_equals_the_seed_loop(build):
+    """Rules, their order and their statistics equal the per-pair walk's."""
+    train = build().train
+    config = AmieConfig(min_support=1, min_head_coverage=0.0, min_pca_confidence=0.0)
+    for miner_config in (AmieConfig(), config):
+        expected = _SeedLoopMiner(train, miner_config).mine()
+        actual = AmieMiner(train, miner_config).mine()
+        assert actual.rules == expected.rules
+        assert actual.num_path == expected.num_path
