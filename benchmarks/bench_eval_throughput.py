@@ -5,12 +5,13 @@ a skewed relation distribution and a test split where many triples share their
 ``(h, r)`` / ``(r, t)`` query — exactly the redundancy the batched evaluator
 exploits):
 
-1. **Batched vs per-triple** — triples-ranked-per-second through the same
-   :class:`LinkPredictionEvaluator` in both modes.  Both paths produce
-   bit-identical rank records (asserted), so the comparison is pure protocol
-   overhead: query deduplication + vectorized rank extraction versus one
-   scoring call and one mask copy per triple.
-2. **Workers sweep** — the batched path at ``n_workers`` in {1, 2, 4} on a
+1. **Batched vs per-triple** — triples-ranked-per-second through a
+   :class:`LinkPredictionEvaluator` and through the per-triple protocol the
+   tests keep as an oracle (``tests/oracles/evaluation.py``) on the same
+   filter.  Both produce bit-identical rank records (asserted), so the
+   comparison is pure protocol overhead: query deduplication + vectorized
+   rank extraction versus one scoring call and one mask copy per triple.
+2. **Workers sweep** — the batched path at ``workers`` in {1, 2, 4} on a
    larger workload, with bit-identity between the sharded and single-process
    results asserted at every worker count.
 
@@ -40,10 +41,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.eval import LinkPredictionEvaluator, multiprocessing_available
+from repro.eval import EvalOptions, LinkPredictionEvaluator, multiprocessing_available
 from repro.kg import Dataset, TripleSet, Vocabulary
 from repro.models import ModelConfig, make_model
 from repro.telemetry.bench import bench_main
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from oracles.evaluation import evaluate_per_triple  # noqa: E402
 
 NUM_ENTITIES = 1500
 NUM_RELATIONS = 40
@@ -110,11 +114,11 @@ def measure_throughput(seed: int = 29, dim: int = 64) -> dict:
     num_test = len(dataset.test)
 
     start = time.perf_counter()
-    per_triple = evaluator.evaluate(model, batched=False)
+    per_triple = evaluate_per_triple(evaluator, model)
     per_triple_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = evaluator.evaluate(model, batched=True)
+    batched = evaluator.evaluate(model)
     batched_seconds = time.perf_counter() - start
 
     _assert_identical(per_triple, batched, "batched vs per-triple")
@@ -150,8 +154,11 @@ def measure_worker_sweep(
     reference = None
     single_seconds: Optional[float] = None
     for n_workers in sorted(set(workers) | {1}):
+        sharding = LinkPredictionEvaluator(
+            dataset, options=EvalOptions(workers=n_workers), known_index=evaluator.known_index
+        )
         start = time.perf_counter()
-        outcome = evaluator.evaluate(model, n_workers=n_workers)
+        outcome = sharding.evaluate(model)
         seconds = time.perf_counter() - start
         if n_workers == 1:
             reference, single_seconds = outcome, seconds
@@ -204,11 +211,15 @@ def measure_peak_memory(seed: int = 29, dim: int = 64) -> dict:
     model.train_mode(False)
     evaluator = LinkPredictionEvaluator(dataset)
 
+    fusing = LinkPredictionEvaluator(
+        dataset,
+        options=EvalOptions(score_block_budget=MEMORY_FUSED_BUDGET),
+        known_index=evaluator.known_index,
+    )
+
     evaluator.evaluate(model)  # warm caches so neither trace pays import costs
     materializing_peak, reference = _traced_peak_bytes(lambda: evaluator.evaluate(model))
-    fused_peak, fused = _traced_peak_bytes(
-        lambda: evaluator.evaluate(model, score_block_budget=MEMORY_FUSED_BUDGET)
-    )
+    fused_peak, fused = _traced_peak_bytes(lambda: fusing.evaluate(model))
     _assert_identical(reference, fused, "fused vs materializing (memory)")
 
     return {

@@ -12,7 +12,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend import active_backend
 from .tensor import Tensor
 
 
@@ -35,7 +34,7 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     Uses ``softplus(x) - x * y`` which is the numerically stable expansion of
     ``-[y log σ(x) + (1-y) log(1-σ(x))]``.
     """
-    targets = active_backend().asarray_float(targets)
+    targets = np.asarray(targets, dtype=np.float64)
     per_example = logits.softplus() - logits * targets
     return per_example.mean()
 
@@ -60,9 +59,8 @@ def _im2col(
     out_w = width - kernel_width + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError("kernel larger than input in conv2d")
-    backend = active_backend()
     strides = images.strides
-    patch_view = backend.as_strided(
+    patch_view = np.lib.stride_tricks.as_strided(
         images,
         shape=(n, channels, out_h, out_w, kernel_height, kernel_width),
         strides=(strides[0], strides[1], strides[2], strides[3], strides[2], strides[3]),
@@ -70,7 +68,7 @@ def _im2col(
     columns = patch_view.transpose(0, 2, 3, 1, 4, 5).reshape(
         n, out_h * out_w, channels * kernel_height * kernel_width
     )
-    return backend.ascontiguous(columns), (out_h, out_w)
+    return np.ascontiguousarray(columns), (out_h, out_w)
 
 
 def conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -104,16 +102,15 @@ def conv2d(inputs: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Ten
     parents = (inputs, weight) if bias is None else (inputs, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        backend = active_backend()
         grad_flat = grad.reshape(n, out_channels, out_h * out_w).transpose(0, 2, 1)
         if weight.requires_grad:
-            grad_weight = backend.einsum("npo,npk->ok", grad_flat, columns)
+            grad_weight = np.einsum("npo,npk->ok", grad_flat, columns)
             weight._accumulate(grad_weight.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if inputs.requires_grad:
             grad_columns = grad_flat @ flat_weight  # (n, out_h*out_w, c*kh*kw)
-            grad_inputs = backend.xp.zeros_like(inputs.data)
+            grad_inputs = np.zeros_like(inputs.data)
             patches = grad_columns.reshape(n, out_h, out_w, in_channels, kernel_h, kernel_w)
             for i in range(kernel_h):
                 for j in range(kernel_w):

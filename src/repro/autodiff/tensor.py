@@ -14,13 +14,13 @@ Design notes
 * Broadcasting is supported; ``_unbroadcast`` sums gradients back to the
   original shape.
 * ``Tensor.gather`` is the embedding lookup: its backward pass scatters
-  with the backend's ``scatter_add`` (``np.add.at`` semantics; the numpy
-  backend runs it as a bitwise-equal flat 1-D scatter) so repeated indices
-  accumulate correctly.  When the gathered
-  tensor is a :class:`Parameter` with ``sparse_updates`` enabled, the backward
-  pass skips the dense scatter entirely and appends the ``(indices, rows)``
-  pair to the parameter's :class:`SparseGrad` instead — a training batch then
-  costs O(batch × dim) rather than O(num_rows × dim) per embedding table.
+  with :func:`scatter_add` (``np.add.at`` semantics, run as a bitwise-equal
+  flat 1-D scatter) so repeated indices accumulate correctly.  When the
+  gathered tensor is a :class:`Parameter` with ``sparse_updates`` enabled,
+  the backward pass skips the dense scatter entirely and appends the
+  ``(indices, rows)`` pair to the parameter's :class:`SparseGrad` instead — a
+  training batch then costs O(batch × dim) rather than O(num_rows × dim) per
+  embedding table.
 * ``Parameter.grad`` stays the compatibility surface: reading it folds any
   pending sparse segments into the dense gradient (reproducing the dense
   scatter bit-for-bit), so gradcheck and third-party consumers keep working.
@@ -31,11 +31,6 @@ Design notes
   The training hot path (TransE/DistMult scores, margin/logistic losses)
   records one node per call (:mod:`repro.autodiff.fused`) instead of a chain
   of primitives, with bit-identical values and gradient deposits.
-* Primitive ops route their arrays through the process-wide *active backend*
-  (:func:`repro.backend.active_backend`).  Only numpy may carry the tape
-  (``supports_autodiff``), and its ``xp`` namespace **is** the numpy module,
-  so every expression below is byte-for-byte the seed implementation.
-  :class:`SparseGrad` and the fused nodes call numpy directly.
 """
 
 from __future__ import annotations
@@ -44,8 +39,6 @@ import math
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from ..backend import active_backend
 
 ArrayLike = Union[np.ndarray, float, int, "Tensor"]
 
@@ -62,6 +55,36 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def scatter_add(target: np.ndarray, indices: ArrayLike, updates: ArrayLike) -> None:
+    """``np.add.at(target, indices, updates)``, via a 1-D scatter where possible.
+
+    For a C-contiguous target with two or more dims and in-range signed
+    integer row indices, the rows are scattered as flat offsets ``index *
+    width + column`` into ``target.reshape(-1)`` (a view).  Each cell
+    receives its contributions in the same order as the 2-D
+    ``np.add.at``, so the sums are bitwise equal, negative indices
+    included.  The 1-D ``np.add.at`` is several times faster than the
+    2-D one.  Anything else (a tuple of per-axis indices, or an
+    out-of-range index, which raises ``IndexError``) takes ``np.add.at``
+    on the target itself.
+    """
+    index = np.asarray(indices)
+    if (
+        isinstance(indices, tuple)
+        or target.ndim < 2
+        or not target.flags.c_contiguous
+        or index.dtype.kind != "i"
+        or (index.size and not -len(target) <= index.min() <= index.max() < len(target))
+    ):
+        np.add.at(target, indices, updates)
+        return
+    width = math.prod(target.shape[1:])
+    rows = index.astype(np.int64, copy=False).reshape(-1, 1)
+    offsets = (rows * width + np.arange(width)).reshape(-1)
+    values = np.broadcast_to(updates, index.shape + target.shape[1:]).reshape(-1)
+    np.add.at(target.reshape(-1), offsets, values)
 
 
 def _row_ids(indices: ArrayLike, rows: int) -> np.ndarray:
@@ -172,11 +195,10 @@ class SparseGrad:
 
     def to_dense(self) -> np.ndarray:
         """The full dense gradient (bitwise equal to the dense backward path)."""
-        backend = active_backend()
         total: Optional[np.ndarray] = None
         for indices, rows in self._segments:
             full = np.zeros(self.shape)
-            backend.scatter_add(full, indices, rows)
+            scatter_add(full, indices, rows)
             total = full if total is None else total + full
         return total if total is not None else np.zeros(self.shape)
 
@@ -203,7 +225,7 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = active_backend().asarray_float(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -272,7 +294,7 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = active_backend().asarray_float(grad)
+        grad = np.asarray(grad, dtype=np.float64)
         if self.grad is None:
             self.grad = grad.copy()
         else:
@@ -283,7 +305,7 @@ class Tensor:
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
         if grad is None:
-            grad = active_backend().xp.ones_like(self.data)
+            grad = np.ones_like(self.data)
         # Topological order via iterative DFS.
         order: List[Tensor] = []
         visited: set[int] = set()
@@ -397,7 +419,7 @@ class Tensor:
 
     # -- element-wise functions --------------------------------------------------------
     def exp(self) -> "Tensor":
-        data = active_backend().xp.exp(self.data)
+        data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -406,7 +428,7 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def log(self) -> "Tensor":
-        data = active_backend().xp.log(self.data)
+        data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -418,18 +440,16 @@ class Tensor:
         return self ** 0.5
 
     def abs(self) -> "Tensor":
-        xp = active_backend().xp
-        data = xp.abs(self.data)
+        data = np.abs(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * xp.sign(self.data))
+                self._accumulate(grad * np.sign(self.data))
 
         return self._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        xp = active_backend().xp
-        data = 1.0 / (1.0 + xp.exp(-xp.clip(self.data, -60.0, 60.0)))
+        data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -438,27 +458,25 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def cos(self) -> "Tensor":
-        xp = active_backend().xp
-        data = xp.cos(self.data)
+        data = np.cos(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-grad * xp.sin(self.data))
+                self._accumulate(-grad * np.sin(self.data))
 
         return self._make(data, (self,), backward)
 
     def sin(self) -> "Tensor":
-        xp = active_backend().xp
-        data = xp.sin(self.data)
+        data = np.sin(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * xp.cos(self.data))
+                self._accumulate(grad * np.cos(self.data))
 
         return self._make(data, (self,), backward)
 
     def tanh(self) -> "Tensor":
-        data = active_backend().xp.tanh(self.data)
+        data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -478,19 +496,18 @@ class Tensor:
 
     def softplus(self) -> "Tensor":
         """Numerically stable log(1 + exp(x))."""
-        xp = active_backend().xp
-        data = xp.logaddexp(0.0, self.data)
+        data = np.logaddexp(0.0, self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                sig = 1.0 / (1.0 + xp.exp(-xp.clip(self.data, -60.0, 60.0)))
+                sig = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
                 self._accumulate(grad * sig)
 
         return self._make(data, (self,), backward)
 
     def clamp_min(self, minimum: float) -> "Tensor":
         mask = self.data > minimum
-        data = active_backend().xp.maximum(self.data, minimum)
+        data = np.maximum(self.data, minimum)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -505,11 +522,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            xp = active_backend().xp
             expanded = grad
             if axis is not None and not keepdims:
-                expanded = xp.expand_dims(grad, axis=axis)
-            self._accumulate(xp.broadcast_to(expanded, self.shape).copy())
+                expanded = np.expand_dims(grad, axis=axis)
+            self._accumulate(np.broadcast_to(expanded, self.shape).copy())
 
         return self._make(data, (self,), backward)
 
@@ -525,12 +541,11 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            xp = active_backend().xp
-            expanded = grad if keepdims else xp.expand_dims(grad, axis=axis)
+            expanded = grad if keepdims else np.expand_dims(grad, axis=axis)
             maxima = self.data.max(axis=axis, keepdims=True)
             mask = self.data == maxima
             counts = mask.sum(axis=axis, keepdims=True)
-            self._accumulate(xp.broadcast_to(expanded, self.shape) * mask / counts)
+            self._accumulate(np.broadcast_to(expanded, self.shape) * mask / counts)
 
         return self._make(data, (self,), backward)
 
@@ -568,9 +583,9 @@ class Tensor:
         The backward of :meth:`gather`, and of the fused nodes in
         :mod:`repro.autodiff.fused`, which gather inside one node.  A
         :class:`Parameter` with ``sparse_updates`` enabled receives a
-        :class:`SparseGrad` segment; anything else a dense scatter (the
-        backend's ``scatter_add``, ``np.add.at`` semantics, so repeated
-        indices accumulate) into a zero table.
+        :class:`SparseGrad` segment; anything else a dense scatter
+        (:func:`scatter_add`, ``np.add.at`` semantics, so repeated indices
+        accumulate) into a zero table.
         """
         if not self.requires_grad:
             return
@@ -578,9 +593,8 @@ class Tensor:
         if sink is not None:
             sink.add(indices, rows)
             return
-        backend = active_backend()
-        full = backend.xp.zeros_like(self.data)
-        backend.scatter_add(full, indices, rows)
+        full = np.zeros_like(self.data)
+        scatter_add(full, indices, rows)
         self._accumulate(full)
 
     def gather(self, indices: np.ndarray) -> "Tensor":
@@ -591,9 +605,8 @@ class Tensor:
         ``(indices, rows)`` pair appended to the parameter's
         :class:`SparseGrad`, keeping the step cost proportional to the batch.
         """
-        backend = active_backend()
-        indices = backend.index_array(indices)
-        data = backend.take_rows(self.data, indices)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = self.data[indices]
 
         def backward(grad: np.ndarray) -> None:
             self._deposit_rows(indices, grad)
@@ -602,7 +615,7 @@ class Tensor:
 
     def concat(self, others: Iterable["Tensor"], axis: int = -1) -> "Tensor":
         tensors = [self, *[Tensor.ensure(o) for o in others]]
-        data = active_backend().xp.concatenate([t.data for t in tensors], axis=axis)
+        data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.shape[axis] for t in tensors]
         offsets = np.cumsum([0, *sizes])
 
@@ -620,9 +633,7 @@ class Tensor:
         if not training or rate <= 0.0:
             return self
         keep = 1.0 - rate
-        # The mask is drawn on the host RNG (bit-identical across carriers)
-        # and then moved onto the active backend.
-        mask = active_backend().asarray_float((rng.random(self.shape) < keep) / keep)
+        mask = (rng.random(self.shape) < keep) / keep
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -1,25 +1,19 @@
-"""Pluggable array backends for the reproduction's hot paths.
+"""Pluggable array backends for candidate scoring and ranking.
 
 ``get_backend("numpy" | "torch" | "auto")`` resolves a singleton
 :class:`~repro.backend.base.ArrayBackend`; numpy is always available and is
 the bit-identity reference, Torch is detected at runtime and raises
-:class:`BackendUnavailableError` when its library is absent.
-
-The autodiff engine additionally has a process-wide *active* backend
-(:func:`active_backend` / :func:`set_active_backend` / :func:`use_backend`)
-that primal and gradient arrays route through; only backends with
-``supports_autodiff`` may be activated there, which is numpy alone.
+:class:`BackendUnavailableError` when its library is absent.  The autodiff
+tape does not use a backend: it is numpy throughout.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, List, Type
 
 from .base import (
     DTYPE_SPECS,
     ArrayBackend,
-    BackendCapabilityError,
     BackendError,
     BackendUnavailableError,
     UnknownBackendError,
@@ -32,7 +26,6 @@ from .torch_backend import TorchBackend
 
 __all__ = [
     "ArrayBackend",
-    "BackendCapabilityError",
     "BackendError",
     "BackendUnavailableError",
     "UnknownBackendError",
@@ -45,9 +38,6 @@ __all__ = [
     "canonical_dtype",
     "numpy_dtype",
     "get_backend",
-    "active_backend",
-    "set_active_backend",
-    "use_backend",
 ]
 
 _REGISTRY: Dict[str, Type[ArrayBackend]] = {
@@ -92,39 +82,3 @@ def get_backend(name: Any = "numpy") -> ArrayBackend:
         _INSTANCES[key] = instance
     return instance
 
-
-_ACTIVE: ArrayBackend | None = None
-
-
-def active_backend() -> ArrayBackend:
-    """The backend the autodiff engine currently routes arrays through."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = get_backend("numpy")
-    return _ACTIVE
-
-
-def set_active_backend(name: Any) -> ArrayBackend:
-    """Switch the autodiff engine's array carrier (numpy only)."""
-    global _ACTIVE
-    backend = get_backend(name)
-    if not backend.supports_autodiff:
-        raise BackendCapabilityError(
-            f"backend {backend.name!r} does not support the autodiff tape; "
-            "it is scoped to candidate scoring and fused ranking "
-            "(use set_score_backend on a model instead)"
-        )
-    _ACTIVE = backend
-    return backend
-
-
-@contextmanager
-def use_backend(name: Any):
-    """Context manager form of :func:`set_active_backend`."""
-    global _ACTIVE
-    previous = active_backend()
-    set_active_backend(name)
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous

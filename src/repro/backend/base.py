@@ -1,25 +1,23 @@
-"""Array-backend interface: the ~25 operations the codebase actually uses.
+"""Array-backend interface: the operations candidate scoring and ranking use.
 
-The reproduction's hot paths — model score kernels, the evaluator's
-comparison counting, and the autodiff forward/backward — only ever touch a
-small slice of the numpy API: allocation, gather/scatter-add, matmul/einsum,
-elementwise math, reductions, comparison counts, RNG, host transfer, and
-dtype casts.  :class:`ArrayBackend` names exactly that slice so an
-alternative carrier (Torch) can be swapped in behind a registry while numpy
-remains the bit-identity reference.
+The model score kernels and the evaluator's rank kernel only ever touch a
+small slice of the numpy API: allocation, host transfer, row gathers,
+elementwise math, reductions and comparison counts.  :class:`ArrayBackend`
+names exactly that slice so an alternative carrier (Torch) can be swapped in
+behind a registry while numpy remains the bit-identity reference.
 
 Design note: elementwise math and reductions are exposed through the
 backend's ``xp`` namespace (the array module itself for numpy, a thin
 translation shim for torch) rather than one method per ufunc — kernels call
 ``xp.sqrt(...)``/``xp.sum(..., axis=-1)`` and stay readable.  Operations with
-semantics that differ across libraries (scatter-add, comparison counting,
-strided views, host transfer) get explicit methods.
+semantics that differ across libraries (comparison counting, index arrays,
+host transfer) get explicit methods.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -45,10 +43,6 @@ class BackendUnavailableError(BackendError):
     """Raised when a registered backend's library is not importable."""
 
 
-class BackendCapabilityError(BackendError):
-    """Raised when a backend cannot serve the requested role (e.g. autodiff)."""
-
-
 def canonical_dtype(spec: str) -> str:
     """Validate and normalise an evaluation dtype name."""
     name = str(spec).lower()
@@ -69,12 +63,6 @@ class ArrayBackend(ABC):
 
     #: Registry name; also what ``get_backend`` resolves.
     name: str = "abstract"
-
-    #: Whether the reverse-mode autodiff engine may run on this backend.
-    #: Requires numpy-compatible semantics for the full tape (fancy-index
-    #: scatter, ``unique``, stride tricks); torch deliberately opts out and is
-    #: scoped to the scoring/evaluation layer.
-    supports_autodiff: bool = False
 
     # -- availability ------------------------------------------------------
     @classmethod
@@ -98,20 +86,12 @@ class ArrayBackend(ABC):
         """Coerce ``data`` to a backend array (optionally in dtype ``spec``)."""
 
     @abstractmethod
-    def asarray_float(self, data: Any) -> Any:
-        """Coerce to the float64 autodiff carrier (the seed's Tensor dtype)."""
-
-    @abstractmethod
     def from_numpy(self, array: np.ndarray, spec: Optional[str] = None) -> Any:
         """Transfer a host numpy array onto the backend."""
 
     @abstractmethod
     def to_numpy(self, array: Any) -> np.ndarray:
         """Transfer a backend array back to host numpy."""
-
-    @abstractmethod
-    def cast(self, array: Any, spec: str) -> Any:
-        """Cast a backend array to the canonical dtype ``spec``."""
 
     @abstractmethod
     def zeros(self, shape: Any, spec: str = "fp64") -> Any:
@@ -122,29 +102,13 @@ class ArrayBackend(ABC):
         """Allocate an uninitialised backend array."""
 
     @abstractmethod
-    def arange(self, n: int) -> Any:
-        """0..n-1 as a backend integer array."""
-
-    @abstractmethod
     def index_array(self, indices: Any) -> Any:
         """Coerce ``indices`` to the backend's 64-bit integer index type."""
 
-    # -- gather / scatter / linear algebra --------------------------------
+    # -- gather ------------------------------------------------------------
     @abstractmethod
     def take_rows(self, table: Any, indices: Any) -> Any:
         """Row gather ``table[indices]`` (advanced indexing on axis 0)."""
-
-    @abstractmethod
-    def scatter_add(self, target: Any, indices: Any, updates: Any) -> None:
-        """In-place ``target[indices] += updates`` accumulating duplicates."""
-
-    @abstractmethod
-    def matmul(self, a: Any, b: Any) -> Any:
-        """Matrix product ``a @ b``."""
-
-    @abstractmethod
-    def einsum(self, spec: str, *operands: Any) -> Any:
-        """Einstein summation with the given subscript spec."""
 
     # -- fused comparison counting ----------------------------------------
     @abstractmethod
@@ -160,25 +124,6 @@ class ArrayBackend(ABC):
         (|thresholds|, E) comparison happens on-device and only the counts
         cross back to the host.
         """
-
-    # -- strided views (im2col) -------------------------------------------
-    @abstractmethod
-    def as_strided(self, array: Any, shape: Sequence[int], strides: Sequence[int]) -> Any:
-        """Zero-copy strided view (numpy ``as_strided`` semantics)."""
-
-    @abstractmethod
-    def ascontiguous(self, array: Any) -> Any:
-        """Contiguous copy-if-needed of a (possibly strided) view."""
-
-    # -- randomness --------------------------------------------------------
-    def rng(self, seed: Optional[int]) -> np.random.Generator:
-        """Host RNG used for initialization and sampling.
-
-        Deliberately a host numpy ``Generator`` on every backend so parameter
-        initialization and negative sampling are bit-identical regardless of
-        where the arithmetic runs.
-        """
-        return np.random.default_rng(seed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"

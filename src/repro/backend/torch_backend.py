@@ -2,17 +2,14 @@
 
 Torch's namespace is close to numpy but not identical (``dim`` vs ``axis``,
 ``keepdim`` vs ``keepdims``, ``clamp`` vs ``clip``), so ``xp`` here is a thin
-translation shim exposing only the functions the score kernels use.  The
-backend deliberately does **not** support the autodiff tape
-(``supports_autodiff = False``): the reverse-mode engine relies on numpy
-fancy-index scatter semantics, and torch's own autograd would be the right
-tool there anyway.  Torch is scoped to candidate scoring and fused ranking,
-where it covers fp32/fp16 eval and (when built with CUDA) GPU execution.
+translation shim exposing only the functions the score kernels use.  Torch is
+scoped to candidate scoring and fused ranking, where it covers fp32/fp16 eval
+and (when built with CUDA) GPU execution; training stays on the numpy tape.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -102,7 +99,6 @@ class TorchBackend(ArrayBackend):
     """Torch tensors (CPU by default, CUDA when available) for scoring/eval."""
 
     name = "torch"
-    supports_autodiff = False
 
     def __init__(self) -> None:
         self._xp = _TorchNamespace() if _TORCH_OK else None
@@ -128,9 +124,6 @@ class TorchBackend(ArrayBackend):
             return data.to(device=self._device, dtype=dtype or data.dtype)
         return torch.as_tensor(np.asarray(data), dtype=dtype, device=self._device)
 
-    def asarray_float(self, data: Any) -> Any:
-        return self.asarray(data, "fp64")
-
     def from_numpy(self, array: np.ndarray, spec: Optional[str] = None) -> Any:
         return self.asarray(array, spec)
 
@@ -139,17 +132,11 @@ class TorchBackend(ArrayBackend):
             return array.detach().cpu().numpy()
         return np.asarray(array)
 
-    def cast(self, array: Any, spec: str) -> Any:
-        return self.asarray(array, spec)
-
     def zeros(self, shape: Any, spec: str = "fp64") -> Any:
         return torch.zeros(tuple(np.atleast_1d(shape)), dtype=self.dtype(spec), device=self._device)
 
     def empty(self, shape: Any, spec: str = "fp64") -> Any:
         return torch.empty(tuple(np.atleast_1d(shape)), dtype=self.dtype(spec), device=self._device)
-
-    def arange(self, n: int) -> Any:
-        return torch.arange(n, dtype=torch.int64, device=self._device)
 
     def index_array(self, indices: Any) -> Any:
         if torch.is_tensor(indices):
@@ -159,24 +146,8 @@ class TorchBackend(ArrayBackend):
     def take_rows(self, table: Any, indices: Any) -> Any:
         return table[indices]
 
-    def scatter_add(self, target: Any, indices: Any, updates: Any) -> None:
-        target.index_add_(0, self.index_array(indices), updates)
-
-    def matmul(self, a: Any, b: Any) -> Any:
-        return a @ b
-
-    def einsum(self, spec: str, *operands: Any) -> Any:
-        return torch.einsum(spec, *operands)
-
     def compare_counts(self, scores: Any, thresholds: Any) -> Tuple[np.ndarray, np.ndarray]:
         rows = scores if scores.dim() == 2 else scores[None, :]
         greater = (rows > thresholds[:, None]).sum(dim=1)
         equal = (rows == thresholds[:, None]).sum(dim=1)
         return self.to_numpy(greater).astype(np.int64), self.to_numpy(equal).astype(np.int64)
-
-    def as_strided(self, array: Any, shape: Sequence[int], strides: Sequence[int]) -> Any:
-        element = array.element_size()
-        return torch.as_strided(array, tuple(shape), tuple(s // element for s in strides))
-
-    def ascontiguous(self, array: Any) -> Any:
-        return array.contiguous()

@@ -25,7 +25,7 @@ The evaluator runs the protocol **batched**, over arrays:
   scored exactly once per run, however many test triples share it;
 * unique queries are streamed through the scorer's
   ``score_tails_batch`` / ``score_heads_batch`` contract in configurable
-  chunks (``eval_batch_size``), keeping the ``(B, E)`` score matrices
+  chunks (``EvalOptions.batch_size``), keeping the ``(B, E)`` score matrices
   memory-bounded on FB15k-scale runs — scorers without the batched contract
   transparently fall back to per-query ``score_all_*`` calls;
 * each scored block is ranked whole by
@@ -35,18 +35,17 @@ The evaluator runs the protocol **batched**, over arrays:
   positions through index arrays.
 
 Rank extraction is exact integer comparison counting, so given equal score
-vectors the batched path agrees bit-for-bit with the per-triple protocol.
-The original per-triple protocol — including the models' seed scoring
-semantics — is preserved behind ``evaluate(..., batched=False)``, and the
-regression suite asserts rank identity between the two paths for every
-scorer family.
+vectors the batched path agrees bit-for-bit with the per-triple protocol;
+the regression suite keeps that protocol as a test oracle and asserts rank
+identity against it for every scorer family.
 
 Because unique queries are fully independent, the batched path also runs
-**sharded across worker processes** (``n_workers >= 2``): the unique-query
-order is partitioned into contiguous shards, workers rank each shard with the
-very same kernel the in-process path uses, and the per-shard rank arrays are
-merged back deterministically — see :mod:`repro.eval.sharding`.  Metrics are
-bit-identical to the single-process batched path at any worker count.
+**sharded across worker processes** (``EvalOptions.workers >= 2``): the
+unique-query order is partitioned into contiguous shards, workers rank each
+shard with the very same kernel the in-process path uses, and the per-shard
+rank arrays are merged back deterministically — see
+:mod:`repro.eval.sharding`.  Metrics are bit-identical to the single-process
+batched path at any worker count.
 """
 
 from __future__ import annotations
@@ -73,10 +72,6 @@ SIDES = ("head", "tail")
 #: matrix so large-scale evaluations stay memory-bounded.  The canonical
 #: value lives in the knob schema (``evaluation.batch_size``).
 DEFAULT_EVAL_BATCH_SIZE = EVALUATION_DEFAULTS["batch_size"]
-
-#: Sentinel distinguishing "use the evaluator-level knob" from an explicit
-#: ``None`` (= disable the fused path) in :meth:`LinkPredictionEvaluator.evaluate`.
-_UNSET = object()
 
 
 class CandidateScorer(Protocol):
@@ -168,17 +163,6 @@ class EvaluationResult:
             row: Dict[str, float] = {"model": self.model_name, "dataset": self.dataset_name}
             row.update(self.metrics().as_dict())
         return row
-
-
-def _rank_with_mean_ties(scores: np.ndarray, target_index: int, mask: np.ndarray) -> float:
-    """1-based rank of ``target_index`` among candidates where ``mask`` is True."""
-    target_score = scores[target_index]
-    considered = scores[mask]
-    higher = float(np.sum(considered > target_score))
-    tied = float(np.sum(considered == target_score))
-    # The target itself is always inside ``considered`` — exclude it from the tie count.
-    tied_others = max(tied - 1.0, 0.0)
-    return 1.0 + higher + tied_others / 2.0
 
 
 class LinkPredictionEvaluator:
@@ -284,23 +268,16 @@ class LinkPredictionEvaluator:
         scorer: CandidateScorer,
         test_triples: Optional[Sequence[Triple]] = None,
         model_name: Optional[str] = None,
-        sides: Tuple[str, ...] = ("head", "tail"),
-        batched: bool = True,
-        eval_batch_size: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        score_block_budget: object = _UNSET,
+        sides: Tuple[str, ...] = SIDES,
     ) -> EvaluationResult:
-        """Rank every test triple on the requested sides.
+        """Rank every test triple on the requested sides, as :attr:`options` say.
 
-        ``batched=False`` selects the per-triple reference protocol (one
-        scoring call and one mask copy per triple) kept for regression tests
-        and throughput comparisons.  ``n_workers`` / ``shard_size`` /
-        ``score_block_budget`` override the evaluator-level knobs for this
-        run; ``n_workers >= 2`` shards the unique-query order across worker
+        ``options.workers >= 2`` shards the unique-query order across worker
         processes with a deterministic merge (bit-identical ranks at any
         worker count), and a ``score_block_budget`` enables the fused
-        score+rank path (bit-identical ranks at any budget).
+        score+rank path (bit-identical ranks at any budget).  Other knobs take
+        another evaluator; pass it this one's :attr:`known_index` to share the
+        filter.
         """
         unknown = [side for side in sides if side not in SIDES]
         if unknown:
@@ -311,20 +288,7 @@ class LinkPredictionEvaluator:
         name = model_name or getattr(scorer, "name", type(scorer).__name__)
         result = EvaluationResult(model_name=name, dataset_name=self.dataset.name)
         self._configure_scorer(scorer)
-        if not batched:
-            return self._evaluate_per_triple(
-                scorer, as_triple_array(source).tolist(), result, sides
-            )
         options = self.options
-        batch_size = options.batch_size if eval_batch_size is None else max(1, int(eval_batch_size))
-        workers = options.workers if n_workers is None else max(1, int(n_workers))
-        shards = options.shard_size if shard_size is None else max(1, int(shard_size))
-        if score_block_budget is _UNSET:
-            block_budget = options.score_block_budget
-        else:
-            block_budget = (
-                None if score_block_budget is None else max(1, int(score_block_budget))  # type: ignore[arg-type]
-            )
         telemetry = get_telemetry()
         work: List[QueryWork] = []
         positions: Dict[str, np.ndarray] = {}
@@ -339,7 +303,8 @@ class LinkPredictionEvaluator:
         # evaluate_shards (no pool is ever created), so both worker counts
         # share one instrumented entry point.
         side_ranks = evaluate_shards(
-            scorer, work, workers, shards, batch_size, options.mp_start_method, block_budget,
+            scorer, work, options.workers, options.shard_size, options.batch_size,
+            options.mp_start_method, options.score_block_budget,
         )
         with telemetry.span("eval.assemble", triples=len(triples)):
             ranks: Dict[str, Tuple[List[float], List[float]]] = {}
@@ -362,37 +327,6 @@ class LinkPredictionEvaluator:
                     records.append(RankRecord(
                         h, r, t, "head", head_ranks[0][position], head_ranks[1][position]
                     ))
-        return result
-
-    def _evaluate_per_triple(
-        self,
-        scorer: CandidateScorer,
-        triples: Sequence[Triple],
-        result: EvaluationResult,
-        sides: Tuple[str, ...],
-    ) -> EvaluationResult:
-        """The original one-query-per-triple protocol (reference implementation)."""
-        num_entities = self.dataset.num_entities
-        all_candidates = np.ones(num_entities, dtype=bool)
-        for h, r, t in triples:
-            if "tail" in sides:
-                scores = np.asarray(scorer.score_all_tails(h, r), dtype=np.float64)
-                raw = _rank_with_mean_ties(scores, t, all_candidates)
-                mask = all_candidates.copy()
-                for known_tail in self.known_index.tails.completions(h, r).tolist():
-                    if known_tail != t:
-                        mask[known_tail] = False
-                filtered = _rank_with_mean_ties(scores, t, mask)
-                result.records.append(RankRecord(h, r, t, "tail", raw, filtered))
-            if "head" in sides:
-                scores = np.asarray(scorer.score_all_heads(r, t), dtype=np.float64)
-                raw = _rank_with_mean_ties(scores, h, all_candidates)
-                mask = all_candidates.copy()
-                for known_head in self.known_index.heads.completions(t, r).tolist():
-                    if known_head != h:
-                        mask[known_head] = False
-                filtered = _rank_with_mean_ties(scores, h, mask)
-                result.records.append(RankRecord(h, r, t, "head", raw, filtered))
         return result
 
 

@@ -9,9 +9,9 @@ load them into the same pipeline.
 
 Split files may also be gzip-compressed (``train.txt.gz``): every reader
 detects the ``.gz`` suffix and decompresses transparently.  For dumps too
-large to materialize as Python objects, :func:`load_dataset` accepts
-``streaming=True`` and delegates to the bounded-memory pipeline in
-:mod:`repro.kg.streaming`, which produces a bit-identical dataset.
+large to materialize as Python objects,
+:func:`repro.kg.streaming.ingest_dataset` streams the same files through a
+bounded-memory pipeline into a bit-identical dataset.
 """
 
 from __future__ import annotations
@@ -181,31 +181,9 @@ def save_dataset(dataset: Dataset, directory: Path) -> Path:
 
 
 def load_dataset(
-    directory: Path,
-    name: str | None = None,
-    streaming: bool = False,
-    chunk_size: Optional[int] = None,
-    max_queue_chunks: Optional[int] = None,
-    gzipped: Optional[bool] = None,
+    directory: Path, name: str | None = None, gzipped: Optional[bool] = None
 ) -> Dataset:
-    """Load a dataset saved by :func:`save_dataset` (or the public TSV layout).
-
-    With ``streaming=True`` the triples are pulled through the bounded-memory
-    producer/consumer pipeline of :mod:`repro.kg.streaming` instead of being
-    materialized as lists first; the resulting dataset is bit-identical.
-    ``chunk_size`` and ``max_queue_chunks`` set the pipeline's memory budget
-    (peak labelled-triple residency is ``chunk_size * (max_queue_chunks + 2)``).
-    """
-    if streaming:
-        from .streaming import load_dataset_streaming
-
-        return load_dataset_streaming(
-            directory,
-            name=name,
-            chunk_size=chunk_size,
-            max_queue_chunks=max_queue_chunks,
-            gzipped=gzipped,
-        )
+    """Load a dataset saved by :func:`save_dataset` (or the public TSV layout)."""
     directory = Path(directory)
     if not directory.is_dir():
         raise DatasetIOError(f"dataset directory not found: {directory}")

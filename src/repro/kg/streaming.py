@@ -323,7 +323,7 @@ def ingest_dataset(
 ) -> IngestReport:
     """Stream a TSV dataset directory into a :class:`Dataset` under a memory budget.
 
-    The orchestrator behind :func:`load_dataset_streaming` and the CLI's
+    The orchestrator behind the pipeline's source ingest and the CLI's
     ``ingest`` subcommand: one producer/consumer pipeline per split (train,
     valid, test in order), single-pass vocabulary interning, incremental
     statistics, and observer fan-out for audit indexes.  ``observers`` are
@@ -398,23 +398,3 @@ def ingest_dataset(
         seconds=seconds,
     )
 
-
-def load_dataset_streaming(
-    directory: Path,
-    name: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    max_queue_chunks: Optional[int] = None,
-    gzipped: Optional[bool] = None,
-) -> Dataset:
-    """Bounded-memory drop-in for :func:`repro.kg.io.load_dataset`.
-
-    Produces a dataset bit-identical to the materializing loader at any chunk
-    size and queue depth.
-    """
-    return ingest_dataset(
-        directory,
-        name=name,
-        chunk_size=chunk_size,
-        max_queue_chunks=max_queue_chunks,
-        gzipped=gzipped,
-    ).dataset

@@ -14,7 +14,6 @@ from .losses import (
 from .optim import Adagrad, Adam, Optimizer, SGD, make_optimizer
 from .trainer import (
     NaNLossError,
-    Trainer,
     TrainingCallback,
     TrainingConfig,
     TrainingResult,
@@ -54,7 +53,6 @@ __all__ = [
     "Adagrad",
     "Adam",
     "make_optimizer",
-    "Trainer",
     "TrainingRun",
     "TrainingCallback",
     "TrainingConfig",

@@ -584,10 +584,6 @@ def _decode_rng(encoded: np.ndarray) -> dict:
     return json.loads(str(encoded[()]))
 
 
-#: Backwards-compatible name: ``Trainer`` predates the lifecycle rebuild.
-Trainer = TrainingRun
-
-
 def train_model(
     model: KGEModel,
     dataset: Dataset,

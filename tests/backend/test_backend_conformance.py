@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, use_backend
+from repro.backend import available_backends
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import evaluate_model
@@ -89,14 +89,13 @@ def test_numpy_backend_scores_bit_identical(name):
 
 @pytest.mark.parametrize("name", ALL_EMBEDDING_MODELS)
 def test_numpy_backend_gradients_bit_identical(name):
-    with use_backend("numpy"):
-        configured = build_model(name)
-        configured.set_score_backend("numpy", "fp64")
-        loss_a = configured.score_triples(HEADS, RELATIONS, TAILS).sum()
-        loss_a.backward()
-        grads_a = {
-            key: np.array(p.grad) for key, p in configured.parameters().items()
-        }
+    configured = build_model(name)
+    configured.set_score_backend("numpy", "fp64")
+    loss_a = configured.score_triples(HEADS, RELATIONS, TAILS).sum()
+    loss_a.backward()
+    grads_a = {
+        key: np.array(p.grad) for key, p in configured.parameters().items()
+    }
     reference = build_model(name)
     loss_b = reference.score_triples(HEADS, RELATIONS, TAILS).sum()
     loss_b.backward()

@@ -1,9 +1,8 @@
-"""Backend registry and numpy-backend op semantics.
+"""Backend registry, numpy-backend op semantics and the tape's scatter.
 
 The registry contract: names resolve to singletons, unavailable accelerators
-fail loudly with a dedicated error, ``auto`` always resolves to *something*
-(numpy is unconditionally available), and the active autodiff backend can be
-swapped within a ``use_backend`` scope without leaking.
+fail loudly with a dedicated error, and ``auto`` always resolves to
+*something* (numpy is unconditionally available).
 """
 
 from __future__ import annotations
@@ -11,21 +10,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.autodiff.tensor import scatter_add
 from repro.backend import (
     ArrayBackend,
-    BackendCapabilityError,
     BackendUnavailableError,
     DTYPE_SPECS,
     EvalCompute,
     NumpyBackend,
     UnknownBackendError,
-    active_backend,
     available_backends,
     canonical_dtype,
     get_backend,
     numpy_dtype,
-    set_active_backend,
-    use_backend,
 )
 
 
@@ -35,7 +31,6 @@ def test_numpy_backend_always_available():
     backend = get_backend("numpy")
     assert isinstance(backend, NumpyBackend)
     assert backend.name == "numpy"
-    assert backend.supports_autodiff
 
 
 def test_backends_are_singletons():
@@ -66,25 +61,6 @@ def test_unavailable_accelerators_fail_loudly(name):
         get_backend(name)
 
 
-# ---------------------------------------------------------------------------- active backend
-def test_active_backend_defaults_to_numpy():
-    assert active_backend().name == "numpy"
-
-
-def test_use_backend_scope_restores_previous():
-    before = active_backend()
-    with use_backend("numpy") as backend:
-        assert active_backend() is backend
-    assert active_backend() is before
-
-
-def test_set_active_backend_rejects_non_autodiff_backends():
-    if "torch" not in available_backends():
-        pytest.skip("torch backend not available")
-    with pytest.raises(BackendCapabilityError):
-        set_active_backend("torch")
-
-
 # ---------------------------------------------------------------------------- dtypes
 def test_dtype_specs_canonicalize():
     assert set(DTYPE_SPECS) == {"fp64", "fp32", "fp16"}
@@ -112,9 +88,8 @@ def test_compare_counts_matches_reference_expressions():
 
 
 def test_scatter_add_accumulates_duplicates():
-    backend = get_backend("numpy")
     target = np.zeros((4, 2))
-    backend.scatter_add(
+    scatter_add(
         target, np.array([1, 1, 3]), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     )
     np.testing.assert_array_equal(target[1], [4.0, 6.0])
@@ -143,7 +118,7 @@ def test_scatter_add_is_bitwise_the_add_at_reference(case):
     np.add.at(expected, indices, updates)
     result = target.copy(order="K")
     assert result.flags.c_contiguous == target.flags.c_contiguous
-    get_backend("numpy").scatter_add(result, indices, updates)
+    scatter_add(result, indices, updates)
     assert result.shape == expected.shape
     assert result.tobytes() == expected.tobytes()
 
@@ -152,14 +127,7 @@ def test_scatter_add_is_bitwise_the_add_at_reference(case):
 def test_scatter_add_out_of_range_index_raises(bad):
     target = np.zeros((9, 5))
     with pytest.raises(IndexError):
-        get_backend("numpy").scatter_add(target, np.array([0, bad, 1]), np.ones((3, 5)))
-
-
-def test_rng_is_a_host_numpy_generator_on_every_backend():
-    for name in available_backends():
-        rng = get_backend(name).rng(123)
-        reference = np.random.default_rng(123)
-        np.testing.assert_array_equal(rng.random(4), reference.random(4))
+        scatter_add(target, np.array([0, bad, 1]), np.ones((3, 5)))
 
 
 # ---------------------------------------------------------------------------- EvalCompute

@@ -1,10 +1,11 @@
 """Regression tests: the batched evaluator must be bit-identical to the seed
-per-triple protocol (kept behind ``evaluate(..., batched=False)``) for every
-model family and for the rule/Cartesian/simple predictors, and must score each
-unique ``(h, r)`` / ``(r, t)`` query exactly once per run."""
+per-triple protocol (kept as the oracle ``tests/oracles/evaluation.py``) for
+every model family and for the rule/Cartesian/simple predictors, and must
+score each unique ``(h, r)`` / ``(r, t)`` query exactly once per run."""
 
 import numpy as np
 import pytest
+from oracles.evaluation import evaluate_per_triple
 
 from repro.api import EvalOptions
 from repro.core.baselines import SimpleRuleModel
@@ -46,8 +47,8 @@ def embedding_model(request, toy_dataset):
 def test_embedding_models_batched_matches_per_triple(embedding_model, toy_dataset):
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
-    reference = evaluator.evaluate(embedding_model, test_triples=triples, batched=False)
-    batched = evaluator.evaluate(embedding_model, test_triples=triples, batched=True)
+    reference = evaluate_per_triple(evaluator, embedding_model, test_triples=triples)
+    batched = evaluator.evaluate(embedding_model, test_triples=triples)
     _assert_identical_results(reference, batched)
 
 
@@ -62,8 +63,8 @@ def test_rule_and_baseline_predictors_batched_matches_per_triple(scorer_kind, to
         scorer = CartesianProductPredictor(toy_dataset.train, toy_dataset.num_entities)
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
-    reference = evaluator.evaluate(scorer, test_triples=triples, batched=False)
-    batched = evaluator.evaluate(scorer, test_triples=triples, batched=True)
+    reference = evaluate_per_triple(evaluator, scorer, test_triples=triples)
+    batched = evaluator.evaluate(scorer, test_triples=triples)
     _assert_identical_results(reference, batched)
 
 
@@ -76,7 +77,11 @@ def test_results_independent_of_eval_batch_size(toy_dataset):
     evaluator = LinkPredictionEvaluator(toy_dataset)
     baseline = evaluator.evaluate(model, test_triples=triples)
     for batch_size in (1, 2, 3, 1000):
-        other = evaluator.evaluate(model, test_triples=triples, eval_batch_size=batch_size)
+        other = LinkPredictionEvaluator(
+            toy_dataset,
+            options=EvalOptions(batch_size=batch_size),
+            known_index=evaluator.known_index,
+        ).evaluate(model, test_triples=triples)
         _assert_identical_results(baseline, other)
 
 
@@ -148,8 +153,8 @@ def test_scalar_only_scorers_still_work(toy_dataset):
     scorer = _ScalarOnlyScorer(toy_dataset.all_triples(), toy_dataset.num_entities)
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
-    reference = evaluator.evaluate(scorer, test_triples=triples, batched=False)
-    batched = evaluator.evaluate(scorer, test_triples=triples, batched=True)
+    reference = evaluate_per_triple(evaluator, scorer, test_triples=triples)
+    batched = evaluator.evaluate(scorer, test_triples=triples)
     _assert_identical_results(reference, batched)
     filtered = batched.filtered_metrics()
     assert filtered.hits_at_1 == pytest.approx(1.0)

@@ -108,14 +108,6 @@ def test_fused_evaluation_identical_for_rule_scorers(budget, toy_dataset):
         _assert_identical_results(reference, fused)
 
 
-def test_explicit_none_budget_uses_materializing_path(toy_dataset):
-    scorer = _embedding_scorer("DistMult", toy_dataset)
-    evaluator = LinkPredictionEvaluator(toy_dataset, options=EvalOptions(score_block_budget=4096))
-    overridden = evaluator.evaluate(scorer, score_block_budget=None)
-    reference = evaluate_model(scorer, toy_dataset)
-    _assert_identical_results(reference, overridden)
-
-
 def test_evaluator_level_budget_is_the_default(toy_dataset):
     scorer = _embedding_scorer("ComplEx", toy_dataset)
     evaluator = LinkPredictionEvaluator(toy_dataset, options=EvalOptions(score_block_budget=1))

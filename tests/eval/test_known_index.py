@@ -288,13 +288,12 @@ def test_worker_pool_block_ranks_equal_per_row_mean_tie_ranks(score_block_budget
 
 
 # ---------------------------------------------------------------------------- evaluator sides
-@pytest.mark.parametrize("batched", [True, False])
-def test_unknown_side_names_are_refused(batched, toy_dataset):
+def test_unknown_side_names_are_refused(toy_dataset):
     scorer = _TableScorer(np.zeros((1, toy_dataset.num_entities)))
     evaluator = LinkPredictionEvaluator(toy_dataset)
     with pytest.raises(ValueError, match='"head".*"tail"'):
-        evaluator.evaluate(scorer, sides=("tails",), batched=batched)
-    # Known names still work on both paths.
-    assert len(evaluator.evaluate(scorer, sides=("tail",), batched=batched).records) == len(
+        evaluator.evaluate(scorer, sides=("tails",))
+    # Known names still work.
+    assert len(evaluator.evaluate(scorer, sides=("tail",)).records) == len(
         toy_dataset.test
     )

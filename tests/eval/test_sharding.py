@@ -54,6 +54,13 @@ def _query_rich_triples(dataset):
     return list(dataset.train) + list(dataset.valid) + list(dataset.test)
 
 
+def _with_options(evaluator, **options):
+    """An evaluator with other options that shares ``evaluator``'s filter."""
+    return LinkPredictionEvaluator(
+        evaluator.dataset, options=EvalOptions(**options), known_index=evaluator.known_index
+    )
+
+
 # ---------------------------------------------------------------------------- planning
 @settings(max_examples=200, deadline=None)
 @given(
@@ -183,7 +190,9 @@ def test_embedding_models_sharded_matches_single_process(
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
     single = evaluator.evaluate(model, test_triples=triples)
-    sharded = evaluator.evaluate(model, test_triples=triples, n_workers=capped_workers(2))
+    sharded = _with_options(evaluator, workers=capped_workers(2)).evaluate(
+        model, test_triples=triples
+    )
     _assert_identical_results(single, sharded)
 
 
@@ -202,8 +211,8 @@ def test_rule_and_baseline_predictors_sharded_matches_single_process(
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
     single = evaluator.evaluate(scorer, test_triples=triples)
-    sharded = evaluator.evaluate(
-        scorer, test_triples=triples, n_workers=capped_workers(2), shard_size=2
+    sharded = _with_options(evaluator, workers=capped_workers(2), shard_size=2).evaluate(
+        scorer, test_triples=triples
     )
     _assert_identical_results(single, sharded)
 
@@ -215,7 +224,9 @@ def test_scalar_only_scorers_shard_through_the_fallback(toy_dataset, capped_work
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
     single = evaluator.evaluate(scorer, test_triples=triples)
-    sharded = evaluator.evaluate(scorer, test_triples=triples, n_workers=capped_workers(2))
+    sharded = _with_options(evaluator, workers=capped_workers(2)).evaluate(
+        scorer, test_triples=triples
+    )
     _assert_identical_results(single, sharded)
 
 
@@ -228,7 +239,9 @@ def test_more_workers_than_queries(toy_dataset, capped_workers):
     triples = [next(iter(toy_dataset.test))]
     evaluator = LinkPredictionEvaluator(toy_dataset)
     single = evaluator.evaluate(model, test_triples=triples)
-    sharded = evaluator.evaluate(model, test_triples=triples, n_workers=capped_workers(4))
+    sharded = _with_options(evaluator, workers=capped_workers(4)).evaluate(
+        model, test_triples=triples
+    )
     _assert_identical_results(single, sharded)
     assert len(sharded.records) == 2  # one head + one tail record
 
@@ -256,7 +269,7 @@ def test_sharded_metrics_equal_single_process_metrics(toy_dataset, capped_worker
     scorer = SimpleRuleModel(toy_dataset.train, toy_dataset.num_entities, threshold=0.5)
     evaluator = LinkPredictionEvaluator(toy_dataset)
     single = evaluator.evaluate(scorer)
-    sharded = evaluator.evaluate(scorer, n_workers=capped_workers(3))
+    sharded = _with_options(evaluator, workers=capped_workers(3)).evaluate(scorer)
     assert single.metrics().as_dict() == sharded.metrics().as_dict()
     assert single.metrics_by_relation().keys() == sharded.metrics_by_relation().keys()
 
@@ -315,6 +328,7 @@ def test_multiprocess_eval_telemetry_matches_single_process(
     )
     model.train_mode(False)
     evaluator = LinkPredictionEvaluator(toy_dataset)
+    sharding = _with_options(evaluator, workers=capped_workers(2))
     triples = _query_rich_triples(toy_dataset)
 
     untraced = evaluator.evaluate(model, test_triples=triples)
@@ -322,9 +336,7 @@ def test_multiprocess_eval_telemetry_matches_single_process(
         single = evaluator.evaluate(model, test_triples=triples)
         single_counts = single_t.snapshot()["counters"]
     with scoped(Telemetry(enabled=True)) as sharded_t:
-        sharded = evaluator.evaluate(
-            model, test_triples=triples, n_workers=capped_workers(2)
-        )
+        sharded = sharding.evaluate(model, test_triples=triples)
         sharded_counts = sharded_t.snapshot()["counters"]
 
     _assert_identical_results(untraced, single)   # telemetry never changes a rank

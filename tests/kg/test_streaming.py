@@ -31,7 +31,6 @@ from repro.kg import (
     dataset_statistics,
     ingest_dataset,
     load_dataset,
-    load_dataset_streaming,
     residency_bound,
     save_dataset,
     stream_triple_chunks,
@@ -80,9 +79,9 @@ def test_streamed_dataset_is_bit_identical(train, valid, test, chunk_size, max_q
     with tempfile.TemporaryDirectory() as tmp:
         directory = write_dataset_dir(Path(tmp) / "ds", train, valid, test, gzipped=gzipped)
         reference = load_dataset(directory)
-        streamed = load_dataset_streaming(
+        streamed = ingest_dataset(
             directory, chunk_size=chunk_size, max_queue_chunks=max_queue_chunks
-        )
+        ).dataset
         assert_bit_identical(reference, streamed)
 
 
@@ -167,7 +166,7 @@ def test_producer_error_propagates_with_position(tmp_path):
     directory.mkdir()
     (directory / "train.txt").write_text("a\tr\tb\nbad line\na\tr\tc\n", encoding="utf-8")
     with pytest.raises(DatasetIOError, match=r"train\.txt:2: expected 3 tab-separated fields"):
-        load_dataset_streaming(directory, chunk_size=1)
+        ingest_dataset(directory, chunk_size=1)
     with pytest.raises(DatasetIOError, match=r"train\.txt:2: expected 3 tab-separated fields"):
         load_dataset(directory)
 
@@ -178,7 +177,7 @@ def test_gzipped_malformed_line_keeps_position(tmp_path):
     with gzip.open(directory / "train.txt.gz", "wt", encoding="utf-8") as handle:
         handle.write("a\tr\tb\na\tr\tc\ntoo\tfew\n")
     with pytest.raises(DatasetIOError, match=r"train\.txt\.gz:3:"):
-        load_dataset_streaming(directory)
+        ingest_dataset(directory)
 
 
 def test_streaming_empty_train_raises_like_in_memory(tmp_path):
@@ -186,14 +185,14 @@ def test_streaming_empty_train_raises_like_in_memory(tmp_path):
     directory.mkdir()
     (directory / "test.txt").write_text("a\tr\tb\n", encoding="utf-8")
     with pytest.raises(DatasetIOError, match="no training triples"):
-        load_dataset_streaming(directory)
+        ingest_dataset(directory)
     with pytest.raises(DatasetIOError, match="no training triples"):
         load_dataset(directory)
 
 
 def test_streaming_missing_directory_raises(tmp_path):
     with pytest.raises(DatasetIOError, match="dataset directory not found"):
-        load_dataset_streaming(tmp_path / "nope")
+        ingest_dataset(tmp_path / "nope")
 
 
 # ------------------------------------------------------------------ integration
@@ -201,16 +200,9 @@ def test_saved_dataset_roundtrips_through_streaming(tmp_path, toy_dataset):
     directory = save_dataset(toy_dataset, tmp_path / "toy")
     reference = load_dataset(directory)
     for chunk_size in (1, 3, 1000):
-        assert_bit_identical(reference, load_dataset_streaming(directory, chunk_size=chunk_size))
+        assert_bit_identical(reference, ingest_dataset(directory, chunk_size=chunk_size).dataset)
     # metadata (provenance, reverse pairs) must survive the streamed path too
-    streamed = load_dataset_streaming(directory)
+    streamed = ingest_dataset(directory).dataset
     assert streamed.metadata.reverse_property_pairs == [("directed_by", "films_directed")]
     assert streamed.metadata.provenance_of("married_to").symmetric is True
 
-
-def test_load_dataset_streaming_flag_delegates(tmp_path, toy_dataset):
-    directory = save_dataset(toy_dataset, tmp_path / "toy")
-    assert_bit_identical(
-        load_dataset(directory),
-        load_dataset(directory, streaming=True, chunk_size=5, max_queue_chunks=2),
-    )

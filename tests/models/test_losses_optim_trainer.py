@@ -13,8 +13,8 @@ from repro.models import (
     ModelConfig,
     SGD,
     SelfAdversarialLoss,
-    Trainer,
     TrainingConfig,
+    TrainingRun,
     make_loss,
     make_model,
     make_optimizer,
@@ -136,15 +136,15 @@ def test_training_reduces_loss_and_beats_untrained(toy_dataset):
 
 def test_trainer_respects_loss_override(toy_dataset):
     model = make_model("TransE", toy_dataset.num_entities, toy_dataset.num_relations, ModelConfig(dim=8))
-    trainer = Trainer(model, toy_dataset, TrainingConfig(epochs=1, loss="bce"))
+    trainer = TrainingRun(model, toy_dataset, TrainingConfig(epochs=1, loss="bce"))
     assert isinstance(trainer.loss_fn, LogisticLoss)
-    trainer = Trainer(model, toy_dataset, TrainingConfig(epochs=1))
+    trainer = TrainingRun(model, toy_dataset, TrainingConfig(epochs=1))
     assert isinstance(trainer.loss_fn, MarginRankingLoss)
 
 
 def test_trainer_uniform_sampler_option(toy_dataset):
     model = make_model("TransE", toy_dataset.num_entities, toy_dataset.num_relations, ModelConfig(dim=8))
-    trainer = Trainer(model, toy_dataset, TrainingConfig(epochs=2, sampler="uniform"))
+    trainer = TrainingRun(model, toy_dataset, TrainingConfig(epochs=2, sampler="uniform"))
     result = trainer.train()
     assert result.epochs_run == 2
     assert result.seconds > 0

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.autodiff import Tensor
-from repro.backend import get_backend
+from repro.autodiff.tensor import scatter_add
 
 
 def transe_score_triples(model, heads, relations, tails) -> Tensor:
@@ -59,7 +59,6 @@ def coalesce_by_segment(
     """``SparseGrad.coalesce`` as a per-segment replay over ``np.unique``."""
     if not segments:
         return np.empty(0, dtype=np.int64), np.empty((0, *shape[1:]))
-    backend = get_backend("numpy")
     all_indices = np.concatenate([indices for indices, _ in segments])
     unique, inverse = np.unique(all_indices, return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -67,7 +66,7 @@ def coalesce_by_segment(
     offset = 0
     for indices, rows in segments:
         segment = np.zeros((len(unique), *shape[1:]))
-        backend.scatter_add(segment, inverse[offset:offset + len(indices)], rows)
+        scatter_add(segment, inverse[offset:offset + len(indices)], rows)
         total = segment if total is None else total + segment
         offset += len(indices)
     return unique, total
