@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import EvalOptions, ExperimentSpec, schema
 from repro.api.options import NON_SCHEMA_FIELDS
+from repro.core.baselines import SimpleRuleModel
 from repro.eval import LinkPredictionEvaluator
 
 
@@ -38,6 +39,22 @@ def test_every_field_is_either_a_schema_knob_or_a_declared_extra():
 def test_evaluator_rejects_unknown_keywords(toy_dataset):
     with pytest.raises(TypeError, match="typo_knob"):
         LinkPredictionEvaluator(toy_dataset, typo_knob=1)
+
+
+def test_evaluate_takes_no_per_call_overrides(toy_dataset):
+    """Evaluation knobs live on ``EvalOptions`` only; ``evaluate()`` refuses them."""
+    evaluator = LinkPredictionEvaluator(toy_dataset)
+    scorer = SimpleRuleModel(toy_dataset.train, toy_dataset.num_entities, threshold=0.5)
+    overrides = {
+        "batched": False,
+        "eval_batch_size": 2,
+        "n_workers": 2,
+        "shard_size": 2,
+        "score_block_budget": None,
+    }
+    for keyword, value in overrides.items():
+        with pytest.raises(TypeError, match=keyword):
+            evaluator.evaluate(scorer, **{keyword: value})
 
 
 def test_spec_eval_options_reads_the_evaluation_section():

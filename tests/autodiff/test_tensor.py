@@ -130,6 +130,31 @@ def test_dropout_scales_kept_units():
     assert x.grad is not None
 
 
+def test_dropout_mask_is_drawn_from_the_given_generator():
+    values = RNG.normal(size=(3, 5))
+    x = Parameter(values.copy())
+    out = x.dropout(0.25, np.random.default_rng(11), training=True)
+    mask = (np.random.default_rng(11).random((3, 5)) < 0.75) / 0.75
+    assert out.data.tobytes() == (values * mask).tobytes()
+    out.sum().backward()
+    assert x.grad.tobytes() == mask.tobytes()
+
+
+# ------------------------------------------------------------------ carrier
+def test_tensor_data_is_a_float64_numpy_array():
+    sources = ([1, 2, 3], np.arange(3, dtype=np.int32), np.ones(3, dtype=np.float32))
+    for source in sources:
+        tensor = Tensor(source)
+        assert type(tensor.data) is np.ndarray and tensor.data.dtype == np.float64
+        assert Tensor(tensor).data is tensor.data
+    table = Parameter(np.arange(8.0).reshape(4, 2))
+    rows = table.gather([3, 0, 3])   # a plain list gathers like an int64 array
+    assert rows.data.dtype == np.float64
+    np.testing.assert_array_equal(rows.data, [[6.0, 7.0], [0.0, 1.0], [6.0, 7.0]])
+    rows.sum().backward()
+    np.testing.assert_array_equal(table.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
+
+
 # ------------------------------------------------------------------ mechanics
 def test_backward_requires_grad():
     with pytest.raises(RuntimeError):

@@ -17,6 +17,7 @@ from repro.backend import (
     DTYPE_SPECS,
     EvalCompute,
     NumpyBackend,
+    TorchBackend,
     UnknownBackendError,
     available_backends,
     canonical_dtype,
@@ -59,6 +60,22 @@ def test_unavailable_accelerators_fail_loudly(name):
         pytest.skip(f"{name} is importable here; unavailability path not reachable")
     with pytest.raises(BackendUnavailableError):
         get_backend(name)
+
+
+def test_array_backend_contract_is_the_scoring_slice():
+    """The contract names what candidate scoring and ranking call, and no more."""
+    assert ArrayBackend.__abstractmethods__ == {
+        "is_available", "xp", "dtype",
+        "asarray", "from_numpy", "to_numpy",
+        "zeros", "empty",
+        "index_array", "take_rows", "compare_counts",
+    }
+    tape_only = (
+        "asarray_float", "cast", "arange", "scatter_add", "matmul",
+        "einsum", "as_strided", "ascontiguous", "rng", "supports_autodiff",
+    )
+    for backend_class in (ArrayBackend, NumpyBackend, TorchBackend):
+        assert not [name for name in tape_only if hasattr(backend_class, name)], backend_class
 
 
 # ---------------------------------------------------------------------------- dtypes

@@ -85,6 +85,36 @@ def test_results_independent_of_eval_batch_size(toy_dataset):
         _assert_identical_results(baseline, other)
 
 
+@pytest.mark.parametrize("side", ["head", "tail"])
+def test_single_side_evaluation_matches_per_triple(side, toy_dataset):
+    scorer = SimpleRuleModel(toy_dataset.train, toy_dataset.num_entities, threshold=0.5)
+    evaluator = LinkPredictionEvaluator(toy_dataset)
+    triples = _query_rich_triples(toy_dataset)
+    reference = evaluate_per_triple(evaluator, scorer, test_triples=triples, sides=(side,))
+    batched = evaluator.evaluate(scorer, test_triples=triples, sides=(side,))
+    _assert_identical_results(reference, batched)
+    assert len(batched.records) == len(triples)
+    assert {record.side for record in batched.records} == {side}
+
+
+def test_evaluators_share_a_prebuilt_or_lazy_known_index(toy_dataset):
+    scorer = SimpleRuleModel(toy_dataset.train, toy_dataset.num_entities, threshold=0.5)
+    triples = _query_rich_triples(toy_dataset)
+    first = LinkPredictionEvaluator(toy_dataset)
+    options = EvalOptions(batch_size=3, score_block_budget=64)
+    prebuilt = LinkPredictionEvaluator(toy_dataset, options=options, known_index=first.known_index)
+    lazy = LinkPredictionEvaluator(
+        toy_dataset, options=options, known_index=lambda: first.known_index
+    )
+    assert prebuilt.known_index is first.known_index
+    assert lazy.known_index is first.known_index
+    own = LinkPredictionEvaluator(toy_dataset, options=options)
+    assert own.known_index is not first.known_index
+    reference = own.evaluate(scorer, test_triples=triples)
+    _assert_identical_results(reference, prebuilt.evaluate(scorer, test_triples=triples))
+    _assert_identical_results(reference, lazy.evaluate(scorer, test_triples=triples))
+
+
 class _CountingScorer:
     """Records every query the evaluator asks for, delegating to uniform scores."""
 

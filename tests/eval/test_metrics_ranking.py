@@ -12,6 +12,7 @@ from repro.eval import (
     evaluate_model,
     metrics_from_rank_pairs,
 )
+from repro.eval.sharding import mean_tie_ranks
 from repro.kg import TripleSet
 
 
@@ -63,6 +64,26 @@ def test_rank_with_mean_ties():
     assert rank_with_mean_ties(scores, 3, mask) == 4.0
     mask[0] = False
     assert rank_with_mean_ties(scores, 1, mask) == 1.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_property_oracle_rank_equals_mean_tie_ranks(scores, data):
+    """The oracle's masked rank and the count-based rank agree bit for bit."""
+    scores = np.asarray(scores, dtype=np.float64)   # few values: heavy ties
+    target = data.draw(st.integers(0, len(scores) - 1))
+    known = np.asarray(
+        data.draw(st.lists(st.integers(0, len(scores) - 1), unique=True)), dtype=np.int64
+    )
+    everything = np.ones(len(scores), dtype=bool)
+    mask = everything.copy()
+    mask[known[known != target]] = False
+    raw, filtered = mean_tie_ranks(scores, np.array([target]), known)
+    assert raw.tolist() == [rank_with_mean_ties(scores, target, everything)]
+    assert filtered.tolist() == [rank_with_mean_ties(scores, target, mask)]
 
 
 # ------------------------------------------------------------------ the protocol
