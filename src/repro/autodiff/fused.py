@@ -52,7 +52,12 @@ def translation_score(
             rows = np.expand_dims(-grad, -1) * np.sign(delta)
         else:
             # d(-sqrt(s))/ds, then d(s)/d(delta) = 2 * delta, as ``**`` computes them.
-            scale = (-grad) * 0.5 * squared ** (0.5 - 1)
+            # The root's derivative is infinite at zero distance: such a row
+            # gets the zero gradient ``sign(0)`` gives it in the L1 branch.
+            at_zero = squared == 0
+            scale = np.where(
+                at_zero, 0.0, (-grad) * 0.5 * np.where(at_zero, 1.0, squared) ** (0.5 - 1)
+            )
             rows = np.expand_dims(scale, -1) * 2 * delta ** (2 - 1)
         entity._deposit_rows(heads, rows)
         relation._deposit_rows(relations, rows)

@@ -102,6 +102,16 @@ def _row_ids(indices: ArrayLike, rows: int) -> np.ndarray:
     return ids
 
 
+def unique_rows(ids: np.ndarray, rows: int) -> np.ndarray:
+    """The sorted unique values of the row ids ``ids`` in ``[0, rows)``, as int64.
+
+    They are read off a row-marking table, without the sort ``np.unique`` makes.
+    """
+    marks = np.zeros(rows, dtype=bool)
+    marks[ids] = True
+    return np.flatnonzero(marks)
+
+
 class SparseGrad:
     """Row-indexed gradient of an axis-0 gather on a 2-D (or 1-D) table.
 
@@ -147,14 +157,9 @@ class SparseGrad:
         return sum(len(indices) for indices, _ in self._segments)
 
     def _ids(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every segment's ids in order, and their sorted unique values.
-
-        The unique values are read off a row-marking table, without a sort.
-        """
+        """Every segment's ids in order, and their sorted unique values."""
         ids = np.concatenate([indices for indices, _ in self._segments])
-        marks = np.zeros(self.shape[0], dtype=bool)
-        marks[ids] = True
-        return ids, np.flatnonzero(marks)
+        return ids, unique_rows(ids, self.shape[0])
 
     def touched_indices(self) -> np.ndarray:
         """Sorted unique row indices with a pending contribution."""

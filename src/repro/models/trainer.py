@@ -59,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..api.schema import TRAINING_DEFAULTS
+from ..autodiff.tensor import unique_rows
 from ..eval.ranking import DEFAULT_EVAL_BATCH_SIZE, LinkPredictionEvaluator
 from ..telemetry import get_telemetry
 from ..kg.dataset import Dataset
@@ -371,10 +372,13 @@ class TrainingRun:
                 # support, so constraining those rows is complete — and the
                 # schedule is identical in sparse and dense mode, which keeps
                 # SGD/Adagrad bit-comparable across the two.
-                touched_entities = np.unique(
-                    np.concatenate([batch[:, 0], batch[:, 2], negatives[:, 0], negatives[:, 2]])
+                touched_entities = unique_rows(
+                    np.concatenate([batch[:, 0], batch[:, 2], negatives[:, 0], negatives[:, 2]]),
+                    self.model.num_entities,
                 )
-                touched_relations = np.unique(np.concatenate([batch[:, 1], negatives[:, 1]]))
+                touched_relations = unique_rows(
+                    np.concatenate([batch[:, 1], negatives[:, 1]]), self.model.num_relations
+                )
                 self._rows_touched.add(len(touched_entities) + len(touched_relations))
                 self.model.apply_constraints(
                     touched_entities=touched_entities, touched_relations=touched_relations

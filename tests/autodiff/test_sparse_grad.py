@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles.training import coalesce_by_segment
 
 from repro.autodiff import Parameter, SparseGrad, Tensor, numerical_gradient
+from repro.autodiff.tensor import unique_rows
 
 NUM_ROWS = 12
 DIM = 5
@@ -227,3 +228,15 @@ def test_coalesce_equals_the_per_segment_replay(data, num_rows, width, num_segme
     assert rows.tobytes() == expected_rows.tobytes()
     assert sparse.touched_indices().tobytes() == ids.tobytes()
     assert sparse.to_dense()[ids].tobytes() == rows.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), num_rows=st.integers(1, 20))
+def test_unique_rows_equals_np_unique(data, num_rows):
+    """The marking table reads off ``np.unique``'s sorted int64 rows."""
+    ids = np.asarray(data.draw(st.lists(st.integers(0, num_rows - 1), max_size=40)), dtype=np.int64)
+    every_row = np.asarray(data.draw(st.permutations(range(num_rows))), dtype=np.int64)
+    for case in (ids, np.concatenate([ids, ids[::-1]]), np.empty(0, dtype=np.int64), every_row):
+        rows = unique_rows(case, num_rows)
+        assert rows.dtype == np.int64
+        assert rows.tobytes() == np.unique(case).tobytes()

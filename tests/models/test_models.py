@@ -217,3 +217,26 @@ def test_translational_scores_are_nonpositive():
         tails = (np.arange(10) + 1) % NUM_ENTITIES
         scores = model.score_triples_np(heads, relations, tails)
         assert np.all(scores <= 1e-9)
+
+
+def test_transe_l2_gradient_is_zero_at_zero_distance():
+    """``h + r - t == 0`` back-propagates zeros under the L2 norm, not NaN.
+
+    The square root's derivative is infinite there; the row gets the zero
+    gradient the L1 norm gives it through ``sign(0)``, without a warning
+    (the suite turns warnings into errors), and other rows keep their bits.
+    """
+
+    def entity_grad(heads, tails):
+        model = make_model("TransE", 3, 1, ModelConfig(dim=4, seed=0, extra={"norm": 2}))
+        model.relation.data[0] = 0.0
+        relations = np.zeros(len(heads), dtype=np.int64)
+        model.score_triples(np.array(heads), relations, np.array(tails)).sum().backward()
+        return model.entity.grad
+
+    at_zero = entity_grad([1], [1])
+    assert at_zero.tolist() == np.zeros((3, 4)).tolist()
+    mixed = entity_grad([1, 0], [1, 2])
+    alone = entity_grad([0], [2])
+    assert np.isfinite(alone).all() and np.abs(alone).sum() > 0
+    assert mixed.tobytes() == alone.tobytes()

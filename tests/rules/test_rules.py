@@ -1,9 +1,10 @@
 """Tests for the AMIE-style miner, rule statistics and rule-based prediction."""
 
-from collections import defaultdict
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.rules import SeedLoopMiner
 
 from repro.core import make_fb15k237_like, make_wn18rr_like, make_yago_dr_like
 from repro.kg import TripleSet, fb15k_like, wn18_like, yago3_like
@@ -179,50 +180,6 @@ def test_predictor_uses_path_rules():
 
 
 # ------------------------------------------------------------------ path mining
-class _SeedLoopMiner(AmieMiner):
-    """The path-rule loop before subjects were walked once and body sizes cached."""
-
-    def _mine_path_rules(self):
-        outgoing = defaultdict(list)
-        for h, r, t in self.train:
-            outgoing[h].append((r, t))
-        rules = []
-        for head_relation in self.train.relations:
-            head_pairs = self._pairs[head_relation]
-            if len(head_pairs) < self.config.min_support:
-                continue
-            head_subjects = self._subjects[head_relation]
-            body_bindings = defaultdict(set)
-            for x, _ in head_pairs:
-                for r1, z in outgoing.get(x, ()):
-                    for r2, y in outgoing.get(z, ()):
-                        body_bindings[(r1, r2)].add((x, y))
-            candidates = []
-            for (r1, r2), bindings in body_bindings.items():
-                support = len(bindings & head_pairs)
-                if support < self.config.min_support:
-                    continue
-                pca_body_size = sum(1 for x, _ in bindings if x in head_subjects)
-                full_body = set()
-                for x, z in self._pairs[r1]:
-                    for r, y in outgoing.get(z, ()):
-                        if r == r2:
-                            full_body.add((x, y))
-                rule = Rule(
-                    body=(Atom(r1, X, Z), Atom(r2, Z, Y)),
-                    head=Atom(head_relation, X, Y),
-                    support=support,
-                    body_size=max(len(full_body), len(bindings)),
-                    pca_body_size=max(pca_body_size, 1),
-                    head_size=len(head_pairs),
-                )
-                if self._passes_thresholds(rule):
-                    candidates.append(rule)
-            candidates.sort(key=lambda rule: rule.pca_confidence, reverse=True)
-            rules.extend(candidates[: self.config.max_path_rules_per_head])
-        return rules
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -232,15 +189,70 @@ class _SeedLoopMiner(AmieMiner):
         lambda: make_fb15k237_like(fb15k_like("tiny", seed=13)[0]),
         lambda: yago3_like("tiny", seed=21),
         lambda: make_yago_dr_like(yago3_like("tiny", seed=21)),
+        lambda: wn18_like("small", seed=16),
+        lambda: make_wn18rr_like(wn18_like("small", seed=16)),
+        lambda: fb15k_like("small", seed=13)[0],
+        lambda: make_fb15k237_like(fb15k_like("small", seed=13)[0]),
+        lambda: yago3_like("small", seed=21),
+        lambda: make_yago_dr_like(yago3_like("small", seed=21)),
     ],
-    ids=["wn18", "wn18rr", "fb15k", "fb15k237", "yago3", "yago3dr"],
+    ids=[
+        "wn18", "wn18rr", "fb15k", "fb15k237", "yago3", "yago3dr",
+        "wn18-small", "wn18rr-small", "fb15k-small", "fb15k237-small", "yago3-small",
+        "yago3dr-small",
+    ],
 )
 def test_path_mining_equals_the_seed_loop(build):
     """Rules, their order and their statistics equal the per-pair walk's."""
     train = build().train
     config = AmieConfig(min_support=1, min_head_coverage=0.0, min_pca_confidence=0.0)
     for miner_config in (AmieConfig(), config):
-        expected = _SeedLoopMiner(train, miner_config).mine()
+        expected = SeedLoopMiner(train, miner_config).mine()
         actual = AmieMiner(train, miner_config).mine()
         assert actual.rules == expected.rules
         assert actual.num_path == expected.num_path
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 14 entities, 4 relations and 80 triples.
+
+    Half the subjects are one hub; self-loops and pairs linked by two
+    relations are drawn on purpose as well as by chance.
+    """
+    entity = st.integers(0, 13)
+    relation = st.integers(0, 3)
+    hub = draw(entity)
+    subject = st.one_of(st.just(hub), entity)
+    triples = draw(st.lists(st.tuples(subject, relation, entity), max_size=64))
+    for node, r in draw(st.lists(st.tuples(entity, relation), max_size=4)):
+        triples.append((node, r, node))
+    for h, t, r1, r2 in draw(st.lists(st.tuples(subject, entity, relation, relation), max_size=6)):
+        triples.extend([(h, r1, t), (h, r2, t)])
+    return TripleSet(triples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=small_graphs(),
+    config=st.sampled_from([AmieConfig()] + [
+        AmieConfig(min_support=1, min_head_coverage=0.0, min_pca_confidence=0.0,
+                   max_path_rules_per_head=cut)
+        for cut in (50, 1, 2)
+    ]),
+)
+def test_path_mining_equals_the_oracle_on_small_graphs(train, config):
+    """The array joins mine the per-pair walk's rules, in its order, on any graph.
+
+    A cut of 1 or 2 rules per head falls inside PCA-confidence ties, where
+    the first-reach order decides which rules are kept.
+    """
+    expected = SeedLoopMiner(train, config).mine()
+    actual = AmieMiner(train, config).mine()
+    assert actual.rules == expected.rules
+    assert actual.num_path == expected.num_path
+
+
+def test_config_refuses_min_support_below_one():
+    with pytest.raises(ValueError, match="min_support"):
+        AmieConfig(min_support=0)
