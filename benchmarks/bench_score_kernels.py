@@ -15,9 +15,6 @@ entities, hundreds of redundant test queries) this measures:
 2. **Block-budget sweep** — fused wall-clock across budgets spanning
    row-at-a-time to effectively-materializing, recorded (not gated) to expose
    the budget/latency curve.
-3. **Accelerator backends** — when torch is importable, the fused
-   path on that backend at fp32 is timed and recorded *report-only*; absent
-   backends are listed as skipped, never failed, so CPU-only CI stays green.
 
 The script is CI's benchmark regression gate for the compute layer: it always
 writes ``BENCH_score_kernels.json`` (``--json PATH`` to override) and exits
@@ -38,7 +35,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.options import EvalOptions
-from repro.backend import available_backends
 from repro.eval import LinkPredictionEvaluator
 from repro.kg import Dataset, TripleSet, Vocabulary
 from repro.models import ModelConfig, make_model
@@ -178,39 +174,10 @@ def measure_budget_sweep(
     return {"results": results}
 
 
-def measure_accelerators(seed: int = 41) -> dict:
-    """Report-only fused timings on every importable accelerator backend."""
-    entries = []
-    for name in ("torch",):
-        if name not in available_backends():
-            entries.append({"backend": name, "status": "skipped", "reason": "not importable"})
-            continue
-        dataset, model = build_workload(seed)
-        evaluator = LinkPredictionEvaluator(
-            dataset,
-            options=EvalOptions(
-                backend=name, eval_dtype="fp32", score_block_budget=FUSED_BUDGET
-            ),
-        )
-        seconds, outcome = _best_of(lambda: evaluator.evaluate(model), repeats=1)
-        entries.append(
-            {
-                "backend": name,
-                "eval_dtype": "fp32",
-                "status": "measured",
-                "seconds": seconds,
-                "triples_per_second": len(dataset.test) / seconds,
-                "records": len(outcome.records),
-            }
-        )
-    return {"results": entries}
-
-
 def build_report() -> Tuple[dict, bool]:
     """All measurements plus gate verdicts; returns ``(report, all_gates_ok)``."""
     comparison = measure_fused_vs_materializing()
     sweep = measure_budget_sweep()
-    accelerators = measure_accelerators()
 
     fused_gate = {
         "name": "fused_vs_materializing_speedup",
@@ -222,10 +189,8 @@ def build_report() -> Tuple[dict, bool]:
     report = {
         "benchmark": "score_kernels",
         "cpu_count": os.cpu_count() or 1,
-        "available_backends": available_backends(),
         "fused_vs_materializing": comparison,
         "budget_sweep": sweep,
-        "accelerators": accelerators,
         "gates": [fused_gate],
     }
     return report, all(gate["passed"] for gate in report["gates"])
@@ -242,15 +207,6 @@ def _print_report(report: dict) -> None:
             f"{entry['triples_per_second']:,.0f} triples/s "
             f"({entry['rows_per_block']} rows/block)"
         )
-    print()
-    for entry in report["accelerators"]["results"]:
-        if entry["status"] == "skipped":
-            print(f"{entry['backend']:>36}: SKIP ({entry['reason']})")
-        else:
-            print(
-                f"{entry['backend']:>36}: {entry['triples_per_second']:,.0f} triples/s "
-                f"(fp32, report-only)"
-            )
     print()
     for gate in report["gates"]:
         status = "PASS" if gate["passed"] else "FAIL"

@@ -2,7 +2,7 @@
 
 :class:`repro.eval.LinkPredictionEvaluator` and
 :func:`repro.eval.evaluate_model` take their evaluation knobs (batch size,
-workers, shard size, backend, dtype, block budget, …) as one value object,
+workers, shard size, dtype, block budget, …) as one value object,
 :class:`EvalOptions`, whose fields mirror the ``evaluation`` section of the
 knob schema (:mod:`repro.api.schema`) — name-for-name, default-for-default —
 plus the handful of engine-level extras that are not experiment knobs
@@ -43,8 +43,6 @@ class EvalOptions:
     workers: int = schema.EVALUATION_DEFAULTS["workers"]
     #: Queries per shard (None = one balanced shard per worker).
     shard_size: Optional[int] = schema.EVALUATION_DEFAULTS["shard_size"]
-    #: Array backend the batched score kernels compute on.
-    backend: str = schema.EVALUATION_DEFAULTS["backend"]
     #: Candidate-scoring dtype (fp64 = the bit-identity reference).
     eval_dtype: str = schema.EVALUATION_DEFAULTS["eval_dtype"]
     #: Max elements of a resident score block (enables the fused rank path).

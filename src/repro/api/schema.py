@@ -17,16 +17,18 @@ variable, a TOML key and a validated spec field that can never drift apart —
 the regression suite asserts parser defaults equal these schema defaults for
 every subcommand.
 
-The module is deliberately a **leaf**: it imports nothing from the rest of
-``repro`` (only the stdlib), so any subsystem — the trainer, the streaming
-ingester, the evaluator — can derive its defaults from here without import
-cycles.
+The module is deliberately a **leaf**: from the rest of ``repro`` it imports
+only :mod:`repro.backend`, which imports nothing but numpy, for the eval dtype
+names.  Any subsystem — the trainer, the streaming ingester, the evaluator —
+can therefore derive its defaults from here without import cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
+
+from ..backend import DTYPE_SPECS
 
 # --------------------------------------------------------------------------- dataset keys
 #: Dataset keys used throughout the experiment drivers (canonical spellings).
@@ -59,8 +61,7 @@ LOSS_CHOICES: Tuple[str, ...] = (
     "default", "margin", "margin_ranking", "bce", "logistic", "self_adversarial", "rotate",
 )
 SAMPLER_CHOICES: Tuple[str, ...] = ("bernoulli", "uniform")
-BACKEND_CHOICES: Tuple[str, ...] = ("numpy", "torch", "auto")
-EVAL_DTYPE_CHOICES: Tuple[str, ...] = ("fp64", "fp32", "fp16")
+EVAL_DTYPE_CHOICES: Tuple[str, ...] = DTYPE_SPECS
 
 
 # --------------------------------------------------------------------------- knob model
@@ -301,12 +302,6 @@ EVALUATION = Section(
             "shard_size", int, None,
             "queries per evaluation shard (default: one balanced shard per worker)",
             optional=True, minimum=1, flag="--eval-shard-size",
-        ),
-        Knob(
-            "backend", str, "numpy",
-            "array backend the batched score kernels compute on "
-            "('auto' picks the first available accelerator, falling back to numpy)",
-            choices=BACKEND_CHOICES, flag="--eval-backend",
         ),
         Knob(
             "eval_dtype", str, "fp64",

@@ -158,7 +158,6 @@ class EvaluationSpec:
     batch_size: int = schema.EVALUATION_DEFAULTS["batch_size"]
     workers: int = schema.EVALUATION_DEFAULTS["workers"]
     shard_size: Optional[int] = None
-    backend: str = schema.EVALUATION_DEFAULTS["backend"]
     eval_dtype: str = schema.EVALUATION_DEFAULTS["eval_dtype"]
     score_block_budget: Optional[int] = None
 
@@ -311,6 +310,9 @@ class ExperimentSpec:
         """
         data = self.to_dict()
         data.pop("telemetry", None)
+        # The removed ``evaluation.backend`` knob stays hashed at its one value,
+        # so artifact caches keyed before its removal keep their keys.
+        data["evaluation"]["backend"] = "numpy"
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -537,6 +539,26 @@ def _validate_dataset_name(
         )
 
 
+def _drop_backend(table: Any, path: str, errors: List[SpecError]) -> Any:
+    """``table`` without the removed ``backend`` knob.
+
+    ``evaluation.backend`` chose the array carrier of the score kernels;
+    numpy is the only one left, so a table that still says ``"numpy"`` loads
+    unchanged and any other value is refused.
+    """
+    if not isinstance(table, dict) or "backend" not in table:
+        return table
+    if table["backend"] != "numpy":
+        errors.append(
+            SpecError(
+                f"{path}.backend",
+                "the backend knob was removed: scoring is numpy-only, so only "
+                f"'numpy' is accepted, got {table['backend']!r}",
+            )
+        )
+    return {key: value for key, value in table.items() if key != "backend"}
+
+
 def _validate_overrides(
     raw: Any, valid_datasets: List[str], errors: List[SpecError]
 ) -> Dict[str, Dict[str, Dict[str, Dict[str, Any]]]]:
@@ -579,6 +601,8 @@ def _validate_overrides(
                         )
                     )
                     continue
+                if section_name == "evaluation":
+                    knobs = _drop_backend(knobs, f"{target_path}.evaluation", errors)
                 values = _validate_section_table(
                     schema.section(section_name), knobs, f"{target_path}.{section_name}", errors
                 )
@@ -685,6 +709,8 @@ def _spec_from_dict(data: Dict[str, Any]) -> Tuple["ExperimentSpec", List[SpecEr
         # spec files that still carry the key load unchanged instead of
         # failing on an unknown knob.
         data = {**data, "ingest": {k: v for k, v in ingest.items() if k != "fused"}}
+    if "evaluation" in data:
+        data = {**data, "evaluation": _drop_backend(data["evaluation"], "evaluation", errors)}
 
     for key in data:
         if key not in _KNOWN_TOP_LEVEL:

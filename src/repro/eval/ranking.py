@@ -186,9 +186,9 @@ class LinkPredictionEvaluator:
         scorer evaluated on the dataset).
         """
         #: How this evaluation runs — the schema-derived option object.  Its
-        #: backend + dtype are applied to scorers exposing
-        #: ``set_score_backend`` at ``evaluate()`` time; a score block budget
-        #: enables the fused score+rank path.
+        #: eval dtype is applied to scorers exposing ``set_eval_dtype`` at
+        #: ``evaluate()`` time; a score block budget enables the fused
+        #: score+rank path.
         self.options = (options or EvalOptions()).normalized()
         self.dataset = dataset
         with get_telemetry().span("eval.filter_index", dataset=dataset.name):
@@ -208,18 +208,15 @@ class LinkPredictionEvaluator:
 
     # -- batched ranking internals ----------------------------------------------------
     def _configure_scorer(self, scorer: CandidateScorer) -> None:
-        """Apply the evaluator's backend/dtype selection to the scorer.
+        """Apply the evaluator's eval dtype to the scorer.
 
-        Only a non-default selection is pushed, so scorers configured directly
-        through ``set_score_backend`` keep their configuration under a default
-        evaluator, and scorers without the knob are left untouched.
+        The dtype is applied on every call, the default included, so no dtype
+        carries over from an earlier evaluation of the same scorer.  Scorers
+        without the knob are left untouched.
         """
-        backend, eval_dtype = self.options.backend, self.options.eval_dtype
-        if backend == "numpy" and eval_dtype == "fp64":
-            return
-        configure = getattr(scorer, "set_score_backend", None)
+        configure = getattr(scorer, "set_eval_dtype", None)
         if configure is not None:
-            configure(backend, eval_dtype)
+            configure(self.options.eval_dtype)
 
     def _side_work(self, triples: np.ndarray, side: str) -> Tuple[QueryWork, np.ndarray]:
         """One side's deduplicated queries plus the triple position of each target.

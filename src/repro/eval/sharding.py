@@ -35,9 +35,9 @@ Design constraints, in decreasing order of importance:
 
 Every scored block — a materialized ``(eval_batch_size, E)`` chunk, or, with
 a ``score_block_budget``, a **fused** row block small enough that ``rows ×
-num_entities`` stays under the budget and that stays on the scorer's backend
-— is ranked by one kernel, :func:`rank_block`: one comparison pass over the
-block counts, for every (row, target) pair, the candidates scoring above and
+num_entities`` stays under the budget, kept in the scorer's eval dtype — is
+ranked by one kernel, :func:`rank_block`: one comparison pass over the block
+counts, for every (row, target) pair, the candidates scoring above and
 level with the target, and the filtered counts subtract the same comparisons
 over the row's known completions (a CSR gather plus segment sums).  Counts are
 integers, so the ranks are bit-identical at any batch size and block budget.
@@ -51,7 +51,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
 from ..telemetry import Telemetry, get_telemetry, scoped
 
 #: A deduplicated link-prediction query: ``(head, relation)`` on the tail
@@ -222,30 +221,11 @@ def plan_shards(
 
 
 # ---------------------------------------------------------------------------- ranking kernels
-def _scores_as_numpy(scorer, scores) -> np.ndarray:
-    """A batched kernel's output back on the host as float64.
-
-    Kernels return arrays on the scorer's configured score backend; the
-    materializing rank path compares on the host, so device arrays come back
-    through the scorer's compute context (identity on numpy/fp64).
-    """
-    compute = getattr(scorer, "score_compute", None)
-    if compute is not None:
-        scores = compute.as_numpy(scores)
-    return np.asarray(scores, dtype=np.float64)
-
-
-def _score_backend(scorer) -> ArrayBackend:
-    """The backend owning a scorer's batched kernel outputs (numpy if unset)."""
-    compute = getattr(scorer, "score_compute", None)
-    return compute.backend if compute is not None else get_backend("numpy")
-
-
 def _score_rows(scorer, queries: np.ndarray, side: str):
     """The ``(len(queries), E)`` block as the scorer produces it.
 
-    The batched kernel's output, on the scorer's backend; scorers without the
-    batched contract give host float64 rows from one ``score_all_*`` call per
+    The batched kernel's output, in the scorer's eval dtype; scorers without
+    the batched contract give float64 rows from one ``score_all_*`` call per
     query.
     """
     batch_fn = getattr(
@@ -260,26 +240,14 @@ def _score_rows(scorer, queries: np.ndarray, side: str):
 
 
 def score_query_chunk(scorer, queries: np.ndarray, side: str) -> np.ndarray:
-    """``(len(queries), E)`` host score matrix, via the batched contract when available.
+    """``(len(queries), E)`` float64 score matrix, via the batched contract when available.
 
     ``queries`` is an ``(n, 2)`` integer array in the batched methods'
     argument order: ``(head, relation)`` rows for the tail side,
     ``(relation, tail)`` rows for the head side.  Scorers without the batched
     contract fall back to one ``score_all_*`` call per query.
     """
-    return _scores_as_numpy(scorer, _score_rows(scorer, queries, side))
-
-
-def _score_query_block(scorer, queries: np.ndarray, side: str):
-    """Backend-resident ``(len(queries), E)`` score block (no host transfer).
-
-    The fused rank path keeps kernel outputs on the scorer's backend and
-    reduces them to comparison counts there; only the counts travel to the
-    host.  Host rows of scorers without the batched contract are re-wrapped
-    by the backend (a no-op on numpy).
-    """
-    backend = _score_backend(scorer)
-    return backend.asarray(_score_rows(scorer, queries, side)), backend
+    return np.asarray(_score_rows(scorer, queries, side), dtype=np.float64)
 
 
 def gather_runs(
@@ -298,9 +266,26 @@ def _check_entities(entities: np.ndarray, width: int) -> None:
         raise IndexError(f"entity ids must lie in [0, {width}) to index a score row")
 
 
+def compare_counts(
+    scores: np.ndarray, thresholds: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-threshold counts of ``scores`` strictly greater / exactly equal.
+
+    ``scores`` is one ``(E,)`` row compared against every threshold, or a
+    ``(M, E)`` block whose row ``i`` is compared against threshold ``i``.
+    Returns two int64 arrays of shape ``thresholds.shape``.
+    """
+    rows = scores if scores.ndim == 2 else scores[None, :]
+    column = thresholds[:, None]
+    # A row holds fewer than 2**31 candidates; the int32 reduction of the
+    # boolean mask is about twice as fast as the default int64 one.
+    greater = np.add.reduce(rows > column, axis=1, dtype=np.int32)
+    equal = np.add.reduce(rows == column, axis=1, dtype=np.int32)
+    return greater.astype(np.int64), equal.astype(np.int64)
+
+
 def rank_block(
-    backend: ArrayBackend,
-    block,
+    block: np.ndarray,
     targets: np.ndarray,
     target_offsets: np.ndarray,
     known: np.ndarray,
@@ -308,12 +293,12 @@ def rank_block(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Raw and filtered mean-tie ranks of every (row, target) pair of a scored block.
 
-    ``block`` is a ``(B, E)`` score array on ``backend``; row ``i`` ranks
+    ``block`` is a ``(B, E)`` score array; row ``i`` ranks
     ``targets[target_offsets[i]:target_offsets[i + 1]]`` (at least one) with
     known completions ``known[known_offsets[i]:known_offsets[i + 1]]``.
-    Ranks come back in pair order, as host float64 arrays.
+    Ranks come back in pair order, as float64 arrays.
 
-    One ``compare_counts`` pass over the block counts, for each row's first
+    One :func:`compare_counts` pass over the block counts, for each row's first
     target, the candidates scoring above and level with it; only the further
     targets of multi-target rows compare their rows again, gathered in slabs
     of at most :data:`_GATHER_BUDGET` scores.  The
@@ -332,22 +317,19 @@ def rank_block(
     _check_entities(targets, width)
     pair_rows = np.repeat(np.arange(num_rows), per_row)
     flat = block.reshape(-1)
-    target_scores = backend.take_rows(flat, backend.index_array(pair_rows * width + targets))
+    target_scores = flat[pair_rows * width + targets]
     lead = target_offsets[:-1]
     greater = np.empty(num_pairs, dtype=np.int64)
     equal = np.empty(num_pairs, dtype=np.int64)
-    greater[lead], equal[lead] = backend.compare_counts(
-        block, backend.take_rows(target_scores, backend.index_array(lead))
-    )
+    greater[lead], equal[lead] = compare_counts(block, target_scores[lead])
     rest = np.ones(num_pairs, dtype=bool)
     rest[lead] = False
     rest = np.flatnonzero(rest)
     step = max(1, _GATHER_BUDGET // max(width, 1))
     for begin in range(0, len(rest), step):
         pairs = rest[begin:begin + step]
-        greater[pairs], equal[pairs] = backend.compare_counts(
-            backend.take_rows(block, backend.index_array(pair_rows[pairs])),
-            backend.take_rows(target_scores, backend.index_array(pairs)),
+        greater[pairs], equal[pairs] = compare_counts(
+            block[pair_rows[pairs]], target_scores[pairs]
         )
     raw = 1.0 + greater + np.maximum(equal - 1, 0) / 2.0
     # Every pair compares against its row's whole run of known completions.
@@ -356,10 +338,8 @@ def rank_block(
         return raw, raw.copy()
     _check_entities(candidates, width)
     owner = np.repeat(np.arange(num_pairs), np.diff(runs))
-    candidate_scores = backend.to_numpy(
-        backend.take_rows(flat, backend.index_array(pair_rows[owner] * width + candidates))
-    )
-    thresholds = backend.to_numpy(target_scores)[owner]
+    candidate_scores = flat[pair_rows[owner] * width + candidates]
+    thresholds = target_scores[owner]
     known_greater = np.bincount(owner[candidate_scores > thresholds], minlength=num_pairs)
     known_equal = np.bincount(owner[candidate_scores == thresholds], minlength=num_pairs)
     contains_target = np.bincount(owner[candidates == targets[owner]], minlength=num_pairs)
@@ -417,8 +397,8 @@ def rank_shard(
 
     ``score_block_budget`` (max elements of a resident score block) selects
     the fused score+rank path: each chunk is scored in row blocks of at most
-    ``budget // num_entities`` queries that stay on the scorer's backend,
-    without a host ``(B, E)`` matrix.  Counting is exact, so ranks are
+    ``budget // num_entities`` queries, kept in the scorer's eval dtype,
+    without a ``(B, E)`` matrix.  Counting is exact, so ranks are
     bit-identical to the materializing path at any budget.  Scorers that do
     not expose ``num_entities`` keep the materializing path.
 
@@ -432,7 +412,6 @@ def rank_shard(
         # Late import: models.trainer imports eval.ranking, so a module-level
         # import here would be circular.
         from ..models.base import iter_row_slices
-    host = get_backend("numpy")
     raw_parts: List[np.ndarray] = []
     filtered_parts: List[np.ndarray] = []
     for start in range(0, len(work), eval_batch_size):
@@ -449,12 +428,12 @@ def rank_shard(
         for block in blocks:
             with telemetry.span("eval.score", rows=len(block)):
                 if fused:
-                    scores, backend = _score_query_block(scorer, block.queries, work.side)
+                    scores = np.asarray(_score_rows(scorer, block.queries, work.side))
                 else:
-                    scores, backend = score_query_chunk(scorer, block.queries, work.side), host
+                    scores = score_query_chunk(scorer, block.queries, work.side)
             with telemetry.span("eval.rank", targets=len(block.targets)):
                 raw, filtered = rank_block(
-                    backend, scores, block.targets, block.target_offsets,
+                    scores, block.targets, block.target_offsets,
                     block.known, block.known_offsets,
                 )
             # Free this block before the next one is scored: at most one

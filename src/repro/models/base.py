@@ -20,9 +20,9 @@ special-case a model:
   to it as a one-row batch (so per-query callers never pay the brute-force
   sweep twice); only scorers implementing nothing but the single-triple
   contract fall back to the original ``score_triples`` sweep.
-* ``set_score_backend(backend, eval_dtype)`` — selects the array backend and
-  dtype the batched kernels compute on (:mod:`repro.backend`); the default
-  numpy/fp64 configuration is bit-identical to the seed implementation.
+* ``set_eval_dtype(eval_dtype)`` — selects the dtype the batched kernels
+  compute in (:mod:`repro.backend`); the default fp64 is bit-identical to the
+  seed implementation.
 * ``parameters()`` — the trainable :class:`~repro.autodiff.tensor.Parameter`
   objects for the optimizer.
 """
@@ -208,7 +208,7 @@ class KGEModel(ScoreComputeMixin, ABC):
             row = self.score_tails_batch(
                 np.array([head], dtype=np.int64), np.array([relation], dtype=np.int64)
             )
-            return np.asarray(self.score_compute.as_numpy(row), dtype=np.float64)[0]
+            return np.asarray(row, dtype=np.float64)[0]
         candidates = np.arange(self.num_entities)
         heads = np.full(self.num_entities, head, dtype=np.int64)
         relations = np.full(self.num_entities, relation, dtype=np.int64)
@@ -223,7 +223,7 @@ class KGEModel(ScoreComputeMixin, ABC):
             row = self.score_heads_batch(
                 np.array([relation], dtype=np.int64), np.array([tail], dtype=np.int64)
             )
-            return np.asarray(self.score_compute.as_numpy(row), dtype=np.float64)[0]
+            return np.asarray(row, dtype=np.float64)[0]
         candidates = np.arange(self.num_entities)
         relations = np.full(self.num_entities, relation, dtype=np.int64)
         tails = np.full(self.num_entities, tail, dtype=np.int64)

@@ -161,9 +161,8 @@ class ConvE(KGEModel):
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         """1-N scoring: one hidden vector per query, matched against every entity.
 
-        The convolutional hidden vectors are computed on the host autodiff
-        path; only the large entity matmul runs on the configured score
-        backend.
+        The convolutional hidden vectors are computed on the fp64 autodiff
+        path; only the large entity matmul runs in the configured eval dtype.
         """
         ec = self.score_compute
         hidden = ec.array(self._hidden_np(heads, relations))              # (B, d)
@@ -188,8 +187,8 @@ class ConvE(KGEModel):
                 # Sweep the candidate heads in slices: the convolution
                 # temporaries scale with flat_size per candidate, so an
                 # unchunked all-entity pass would defeat the evaluator's
-                # memory bounding.  The cache stays host-side (fp64) so it is
-                # valid across backend reconfigurations.
+                # memory bounding.  The cache stays fp64 so it is valid
+                # across eval dtype changes.
                 hidden = np.empty((self.num_entities, self.config.dim))
                 for candidate_rows in iter_row_slices(self.num_entities, self.flat_size):
                     chunk = candidates[candidate_rows]

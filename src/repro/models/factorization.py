@@ -41,7 +41,7 @@ class RESCAL(KGEModel):
         entities = ec.table(self.entity)
         h = entities[ec.index(heads)]                                      # (B, d)
         w_r = ec.table(self.relation)[ec.index(relations)]                 # (B, d, d)
-        query = ec.xp.einsum("bd,bdk->bk", h, w_r)                         # h^T W_r
+        query = np.einsum("bd,bdk->bk", h, w_r)                            # h^T W_r
         return query @ entities.T
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -49,7 +49,7 @@ class RESCAL(KGEModel):
         entities = ec.table(self.entity)
         t = entities[ec.index(tails)]
         w_r = ec.table(self.relation)[ec.index(relations)]
-        query = ec.xp.einsum("bdk,bk->bd", w_r, t)                         # W_r t
+        query = np.einsum("bdk,bk->bd", w_r, t)                            # W_r t
         return query @ entities.T
 
 
@@ -187,20 +187,18 @@ class TuckER(KGEModel):
 
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         entities = ec.table(self.entity)
         h = entities[ec.index(heads)]                                      # (B, d_e)
         r = ec.table(self.relation)[ec.index(relations)]                   # (B, d_r)
-        hw = xp.einsum("bi,ijk->bjk", h, ec.table(self.core))              # W ×₁ h
-        query = xp.einsum("bj,bjk->bk", r, hw)                             # ×₂ w_r
+        hw = np.einsum("bi,ijk->bjk", h, ec.table(self.core))              # W ×₁ h
+        query = np.einsum("bj,bjk->bk", r, hw)                             # ×₂ w_r
         return query @ entities.T
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         entities = ec.table(self.entity)
         r = ec.table(self.relation)[ec.index(relations)]
         t = entities[ec.index(tails)]
-        wt = xp.einsum("ijk,bk->bij", ec.table(self.core), t)              # W ×₃ t
-        query = xp.einsum("bij,bj->bi", wt, r)                             # ×₂ w_r
+        wt = np.einsum("ijk,bk->bij", ec.table(self.core), t)              # W ×₃ t
+        query = np.einsum("bij,bj->bi", wt, r)                             # ×₂ w_r
         return query @ entities.T

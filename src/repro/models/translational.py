@@ -37,33 +37,31 @@ class TransE(KGEModel):
     def score_triples(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> Tensor:
         return translation_score(self.entity, self.relation, heads, relations, tails, self.norm)
 
-    def _distance_np(self, delta: np.ndarray, xp=np) -> np.ndarray:
+    def _distance_np(self, delta: np.ndarray) -> np.ndarray:
         if self.norm == 1:
-            return xp.sum(xp.abs(delta), axis=-1)
-        return xp.sqrt(xp.sum(delta ** 2, axis=-1))
+            return np.sum(np.abs(delta), axis=-1)
+        return np.sqrt(np.sum(delta ** 2, axis=-1))
 
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         entities = ec.table(self.entity)
         h = entities[ec.index(heads)]
         r = ec.table(self.relation)[ec.index(relations)]
         query = h + r
         scores = ec.empty((len(query), self.num_entities))
         for rows in iter_row_slices(len(query), self.entity.data.size):
-            scores[rows] = -self._distance_np(query[rows, None, :] - entities[None, :, :], xp)
+            scores[rows] = -self._distance_np(query[rows, None, :] - entities[None, :, :])
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         entities = ec.table(self.entity)
         r = ec.table(self.relation)[ec.index(relations)]
         t = entities[ec.index(tails)]
         scores = ec.empty((len(r), self.num_entities))
         for rows in iter_row_slices(len(r), self.entity.data.size):
             delta = (entities[None, :, :] + r[rows, None, :]) - t[rows, None, :]
-            scores[rows] = -self._distance_np(delta, xp)
+            scores[rows] = -self._distance_np(delta)
         return scores
 
 
@@ -101,45 +99,43 @@ class TransH(KGEModel):
         return -delta.abs().sum(axis=-1)
 
     @staticmethod
-    def _unit_normals(normals_table, relations, xp=np):
+    def _unit_normals(normals_table, relations):
         w_r = normals_table[relations]
-        norm = xp.sqrt(xp.sum(w_r ** 2, axis=-1, keepdims=True) + 1e-12)
+        norm = np.sqrt(np.sum(w_r ** 2, axis=-1, keepdims=True) + 1e-12)
         return w_r / norm
 
     @staticmethod
-    def _project_np(vectors: np.ndarray, normals: np.ndarray, xp=np) -> np.ndarray:
-        component = xp.sum(vectors * normals, axis=-1, keepdims=True)
+    def _project_np(vectors: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        component = np.sum(vectors * normals, axis=-1, keepdims=True)
         return vectors - component * normals
 
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         relations = ec.index(relations)
         entities = ec.table(self.entity)
         h = entities[ec.index(heads)]
         d_r = ec.table(self.relation)[relations]
-        w_r = self._unit_normals(ec.table(self.normal), relations, xp)    # (B, d)
-        query = self._project_np(h, w_r, xp) + d_r                        # (B, d)
+        w_r = self._unit_normals(ec.table(self.normal), relations)        # (B, d)
+        query = self._project_np(h, w_r) + d_r                            # (B, d)
         scores = ec.empty((len(query), self.num_entities))
         for rows in iter_row_slices(len(query), self.entity.data.size):
-            t_proj = self._project_np(entities[None, :, :], w_r[rows, None, :], xp)
-            scores[rows] = -xp.sum(xp.abs(query[rows, None, :] - t_proj), axis=-1)
+            t_proj = self._project_np(entities[None, :, :], w_r[rows, None, :])
+            scores[rows] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         relations = ec.index(relations)
         entities = ec.table(self.entity)
         t = entities[ec.index(tails)]
         d_r = ec.table(self.relation)[relations]
-        w_r = self._unit_normals(ec.table(self.normal), relations, xp)
-        t_proj = self._project_np(t, w_r, xp)                             # (B, d)
+        w_r = self._unit_normals(ec.table(self.normal), relations)
+        t_proj = self._project_np(t, w_r)                                 # (B, d)
         scores = ec.empty((len(t), self.num_entities))
         for rows in iter_row_slices(len(t), self.entity.data.size):
-            h_proj = self._project_np(entities[None, :, :], w_r[rows, None, :], xp)
+            h_proj = self._project_np(entities[None, :, :], w_r[rows, None, :])
             delta = (h_proj + d_r[rows, None, :]) - t_proj[rows, None, :]
-            scores[rows] = -xp.sum(xp.abs(delta), axis=-1)
+            scores[rows] = -np.sum(np.abs(delta), axis=-1)
         return scores
 
 
@@ -183,33 +179,31 @@ class TransR(KGEModel):
 
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         relations = ec.index(relations)
         entities = ec.table(self.entity)
         h = entities[ec.index(heads)]                                      # (B, d)
         r = ec.table(self.relation)[relations]                             # (B, k)
         m_r = ec.table(self.projection)[relations]                         # (B, k, d)
-        query = xp.einsum("bkd,bd->bk", m_r, h) + r                        # (B, k)
+        query = np.einsum("bkd,bd->bk", m_r, h) + r                        # (B, k)
         scores = ec.empty((len(query), self.num_entities))
         for rows in iter_row_slices(len(query), self.num_entities * self.relation_dim):
-            t_proj = xp.einsum("bkd,ed->bek", m_r[rows], entities)         # (rows, E, k)
-            scores[rows] = -xp.sum(xp.abs(query[rows, None, :] - t_proj), axis=-1)
+            t_proj = np.einsum("bkd,ed->bek", m_r[rows], entities)         # (rows, E, k)
+            scores[rows] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         relations = ec.index(relations)
         entities = ec.table(self.entity)
         t = entities[ec.index(tails)]
         r = ec.table(self.relation)[relations]
         m_r = ec.table(self.projection)[relations]
-        t_proj = xp.einsum("bkd,bd->bk", m_r, t)                           # (B, k)
+        t_proj = np.einsum("bkd,bd->bk", m_r, t)                           # (B, k)
         scores = ec.empty((len(t), self.num_entities))
         for rows in iter_row_slices(len(t), self.num_entities * self.relation_dim):
-            h_proj = xp.einsum("bkd,ed->bek", m_r[rows], entities)         # (rows, E, k)
+            h_proj = np.einsum("bkd,ed->bek", m_r[rows], entities)         # (rows, E, k)
             delta = (h_proj + r[rows, None, :]) - t_proj[rows, None, :]
-            scores[rows] = -xp.sum(xp.abs(delta), axis=-1)
+            scores[rows] = -np.sum(np.abs(delta), axis=-1)
         return scores
 
 
@@ -247,15 +241,12 @@ class TransD(KGEModel):
         delta = self._project(h, h_p, r_p) + r - self._project(t, t_p, r_p)
         return -delta.abs().sum(axis=-1)
 
-    def _entity_components(self, ec=None) -> np.ndarray:
+    def _entity_components(self, ec) -> np.ndarray:
         """``(e_p · e)`` for every entity — the dynamic projection coefficients."""
-        if ec is None:
-            return (self.entity_proj.data * self.entity.data).sum(axis=-1)
-        return ec.xp.sum(ec.table(self.entity_proj) * ec.table(self.entity), axis=-1)
+        return np.sum(ec.table(self.entity_proj) * ec.table(self.entity), axis=-1)
 
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         heads = ec.index(heads)
         relations = ec.index(relations)
         entities = ec.table(self.entity)
@@ -263,17 +254,16 @@ class TransD(KGEModel):
         r = ec.table(self.relation)[relations]
         h_p = ec.table(self.entity_proj)[heads]
         r_p = ec.table(self.relation_proj)[relations]
-        query = h + (xp.sum(h_p * h, axis=-1, keepdims=True)) * r_p + r    # (B, d)
+        query = h + (np.sum(h_p * h, axis=-1, keepdims=True)) * r_p + r    # (B, d)
         components = self._entity_components(ec)                            # (E,)
         scores = ec.empty((len(query), self.num_entities))
         for rows in iter_row_slices(len(query), self.entity.data.size):
             t_proj = entities[None, :, :] + components[None, :, None] * r_p[rows, None, :]
-            scores[rows] = -xp.sum(xp.abs(query[rows, None, :] - t_proj), axis=-1)
+            scores[rows] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         relations = ec.index(relations)
         tails = ec.index(tails)
         entities = ec.table(self.entity)
@@ -281,13 +271,13 @@ class TransD(KGEModel):
         r = ec.table(self.relation)[relations]
         t_p = ec.table(self.entity_proj)[tails]
         r_p = ec.table(self.relation_proj)[relations]
-        t_proj = t + (xp.sum(t_p * t, axis=-1, keepdims=True)) * r_p        # (B, d)
+        t_proj = t + (np.sum(t_p * t, axis=-1, keepdims=True)) * r_p        # (B, d)
         components = self._entity_components(ec)
         scores = ec.empty((len(t), self.num_entities))
         for rows in iter_row_slices(len(t), self.entity.data.size):
             h_proj = entities[None, :, :] + components[None, :, None] * r_p[rows, None, :]
             delta = (h_proj + r[rows, None, :]) - t_proj[rows, None, :]
-            scores[rows] = -xp.sum(xp.abs(delta), axis=-1)
+            scores[rows] = -np.sum(np.abs(delta), axis=-1)
         return scores
 
 
@@ -327,16 +317,12 @@ class RotatE(KGEModel):
         distance = (delta_sq.sum(axis=-1) + 1e-12).sqrt()
         return -distance
 
-    def _rotations(self, relations: np.ndarray, ec=None) -> tuple:
-        if ec is None:
-            phases = self.phase.data[relations]
-            return np.cos(phases), np.sin(phases)
+    def _rotations(self, relations: np.ndarray, ec) -> tuple:
         phases = ec.table(self.phase)[relations]
-        return ec.xp.cos(phases), ec.xp.sin(phases)
+        return np.cos(phases), np.sin(phases)
 
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         heads = ec.index(heads)
         relations = ec.index(relations)
         entities_re = ec.table(self.entity_re)
@@ -352,12 +338,11 @@ class RotatE(KGEModel):
                 (rotated_re[rows, None, :] - entities_re[None, :, :]) ** 2
                 + (rotated_im[rows, None, :] - entities_im[None, :, :]) ** 2
             )
-            scores[rows] = -xp.sqrt(xp.sum(delta_sq, axis=-1) + 1e-12)
+            scores[rows] = -np.sqrt(np.sum(delta_sq, axis=-1) + 1e-12)
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
         ec = self.score_compute
-        xp = ec.xp
         relations = ec.index(relations)
         tails = ec.index(tails)
         entities_re = ec.table(self.entity_re)
@@ -376,7 +361,7 @@ class RotatE(KGEModel):
                 + entities_im[None, :, :] * cos_r[rows, None, :]
             )
             delta_sq = (rotated_re - t_re[rows, None, :]) ** 2 + (rotated_im - t_im[rows, None, :]) ** 2
-            scores[rows] = -xp.sqrt(xp.sum(delta_sq, axis=-1) + 1e-12)
+            scores[rows] = -np.sqrt(np.sum(delta_sq, axis=-1) + 1e-12)
         return scores
 
     def apply_constraints(

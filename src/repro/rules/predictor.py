@@ -136,9 +136,8 @@ class RuleBasedPredictor(ScoreComputeMixin):
         so each row is answered from the predictor-lifetime score-vector
         cache: repeated queries — across evaluation sides, analysis passes,
         or serving requests — reuse the instantiated vector instead of
-        re-walking the rule bodies.  The finished matrix is exported to the
-        configured score backend/dtype (identity on the default numpy/fp64
-        configuration).
+        re-walking the rule bodies.  The finished matrix is exported in the
+        configured eval dtype (itself at the default fp64).
         """
         heads = np.asarray(heads, dtype=np.int64).reshape(-1)
         relations = np.asarray(relations, dtype=np.int64).reshape(-1)

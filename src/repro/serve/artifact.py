@@ -322,13 +322,11 @@ class ArtifactScorerRef:
     """
 
     directory: str
-    backend: str = "numpy"
     eval_dtype: str = "fp64"
 
     def resolve(self) -> Any:
         scorer = load_model(self.directory, mmap=True, verify=False)
-        if self.backend != "numpy" or self.eval_dtype != "fp64":
-            scorer.set_score_backend(self.backend, self.eval_dtype)
+        scorer.set_eval_dtype(self.eval_dtype)
         return scorer
 
 
@@ -346,6 +344,5 @@ def artifact_ref_for(scorer: Any) -> Optional[ArtifactScorerRef]:
         return None
     if not (Path(directory) / MANIFEST_NAME).exists():
         return None
-    backend = getattr(scorer, "_score_backend_name", "numpy")
     eval_dtype = getattr(scorer, "_score_dtype_name", "fp64")
-    return ArtifactScorerRef(str(directory), backend, eval_dtype)
+    return ArtifactScorerRef(str(directory), eval_dtype)

@@ -99,6 +99,14 @@ def test_invalid_environment_override_is_a_clean_error(monkeypatch):
         build_parser()
 
 
+@pytest.mark.parametrize("argv", [["run", "unused.toml"], ["train"]], ids=["run", "train"])
+def test_removed_eval_backend_flag_is_unknown(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--eval-backend", "numpy"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --eval-backend" in capsys.readouterr().err
+
+
 def test_cli_flag_values_go_through_schema_validation():
     """Out-of-range flag values are rejected like a spec file would reject
     them, instead of silently producing a zero-epoch run."""

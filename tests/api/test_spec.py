@@ -6,6 +6,7 @@ spec file must be a *lossless* record of the experimental procedure.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,45 @@ def test_ingest_fused_key_loads_fingerprints_and_runs_unchanged(tmp_path, toy_da
             assert run.rows == plain_run.rows
             assert run.text == plain_run.text
         assert with_key["ingest"]["fused"] is fused  # the caller's dict is untouched
+
+
+def test_evaluation_backend_numpy_loads_and_is_dropped():
+    """``evaluation.backend`` chose the score kernels' array carrier, and
+    numpy is the only one left: ``backend = "numpy"`` still loads, in the
+    ``[evaluation]`` table and in an override patch, and the key is dropped."""
+    plain = ExperimentSpec.loads('[evaluation]\neval_dtype = "fp32"\n')
+    spec = ExperimentSpec.loads('[evaluation]\nbackend = "numpy"\neval_dtype = "fp32"\n')
+    assert spec == plain
+    assert spec.fingerprint() == plain.fingerprint()
+    patched = ExperimentSpec.loads(
+        '[overrides.models.TransE.evaluation]\nbackend = "numpy"\nbatch_size = 8\n'
+    )
+    assert patched.overrides == {"models": {"TransE": {"evaluation": {"batch_size": 8}}}}
+    only_backend = ExperimentSpec.loads('[overrides.models.TransE.evaluation]\nbackend = "numpy"\n')
+    assert only_backend.overrides == {}
+
+
+@pytest.mark.parametrize("value", ["torch", "auto"])
+def test_evaluation_backend_other_than_numpy_is_refused(value):
+    for text, path in (
+        (f'[evaluation]\nbackend = "{value}"\n', "evaluation.backend"),
+        (
+            f'[overrides.models.TransE.evaluation]\nbackend = "{value}"\n',
+            "overrides.models.TransE.evaluation.backend",
+        ),
+    ):
+        errors = _errors_of(text)
+        assert [error.path for error in errors] == [path]
+        assert "removed" in errors[0].message
+        assert "numpy-only" in errors[0].message
+
+
+def test_fingerprints_keep_the_removed_backend_knob_constant():
+    """The removed ``evaluation.backend`` knob is hashed at its one value, so
+    spec fingerprints, and the artifact caches keyed by them, do not move."""
+    assert ExperimentSpec().fingerprint() == "e9ce8e04651513fd"
+    headline = Path(__file__).parents[2] / "examples" / "specs" / "headline_tiny.toml"
+    assert ExperimentSpec.load(headline).fingerprint() == "2ee338ce79f652cb"
 
 
 # ------------------------------------------------------------------ validation errors

@@ -1,12 +1,9 @@
-"""Backend conformance: the numpy backend is bit-identical to the seed.
+"""Eval dtype conformance: fp64 scoring is bit-identical to the seed.
 
-Configuring a scorer with ``set_score_backend("numpy", "fp64")`` (or not
-configuring it at all) must leave every score, rank and gradient **bitwise**
-equal to a freshly-built reference scorer: the reference configuration is a
-pure pass-through, so any byte of difference is a threading bug in the
-kernels.  An accelerator backend (torch), when importable, is held to
-``allclose`` against the fp64 reference instead — different carriers
-legitimately reorder reductions.
+Configuring a scorer with ``set_eval_dtype("fp64")`` (or not configuring it
+at all) must leave every score, rank and gradient **bitwise** equal to a
+freshly-built reference scorer: the reference configuration is a pure
+pass-through, so any byte of difference is a threading bug in the kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import available_backends
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import evaluate_model
@@ -77,7 +73,7 @@ def assert_scorer_bitwise_identical(configured, reference, num_entities):
 @pytest.mark.parametrize("name", ALL_EMBEDDING_MODELS)
 def test_numpy_backend_scores_bit_identical(name):
     configured = build_model(name)
-    configured.set_score_backend("numpy", "fp64")
+    configured.set_eval_dtype("fp64")
     reference = build_model(name)
     assert_scorer_bitwise_identical(configured, reference, NUM_ENTITIES)
     # Pointwise scores ride the autodiff path: equally untouched.
@@ -90,7 +86,7 @@ def test_numpy_backend_scores_bit_identical(name):
 @pytest.mark.parametrize("name", ALL_EMBEDDING_MODELS)
 def test_numpy_backend_gradients_bit_identical(name):
     configured = build_model(name)
-    configured.set_score_backend("numpy", "fp64")
+    configured.set_eval_dtype("fp64")
     loss_a = configured.score_triples(HEADS, RELATIONS, TAILS).sum()
     loss_a.backward()
     grads_a = {
@@ -107,7 +103,7 @@ def test_numpy_backend_rule_scorers_bit_identical(toy_dataset):
     for configured, reference in zip(
         build_rule_scorers(toy_dataset), build_rule_scorers(toy_dataset)
     ):
-        configured.set_score_backend("numpy", "fp64")
+        configured.set_eval_dtype("fp64")
         assert_scorer_bitwise_identical(
             configured, reference, toy_dataset.num_entities
         )
@@ -122,7 +118,7 @@ def test_numpy_backend_evaluation_ranks_bit_identical(name, toy_dataset):
         ModelConfig(dim=16, seed=3, extra={"embedding_height": 4} if name == "ConvE" else {}),
     )
     configured.train_mode(False)
-    configured.set_score_backend("numpy", "fp64")
+    configured.set_eval_dtype("fp64")
     reference = make_model(
         name,
         toy_dataset.num_entities,
@@ -136,26 +132,3 @@ def test_numpy_backend_evaluation_ranks_bit_identical(name, toy_dataset):
         assert expected.raw_rank == actual.raw_rank
         assert expected.filtered_rank == actual.filtered_rank
 
-
-# ---------------------------------------------------------------------------- accelerators
-ACCELERATORS = [name for name in ("torch",) if name in available_backends()]
-
-
-@pytest.mark.skipif(not ACCELERATORS, reason="no accelerator backend importable")
-@pytest.mark.parametrize("backend_name", ACCELERATORS)
-@pytest.mark.parametrize("name", ALL_EMBEDDING_MODELS)
-def test_accelerator_backend_scores_allclose(backend_name, name):
-    configured = build_model(name)
-    configured.set_score_backend(backend_name, "fp32")
-    reference = build_model(name)
-    ec = configured.score_compute
-    actual = np.asarray(
-        ec.as_numpy(configured.score_tails_batch(HEADS, RELATIONS)), dtype=np.float64
-    )
-    expected = reference.score_tails_batch(HEADS, RELATIONS)
-    np.testing.assert_allclose(actual, expected, rtol=2e-3, atol=2e-3)
-    actual_heads = np.asarray(
-        ec.as_numpy(configured.score_heads_batch(RELATIONS, TAILS)), dtype=np.float64
-    )
-    expected_heads = reference.score_heads_batch(RELATIONS, TAILS)
-    np.testing.assert_allclose(actual_heads, expected_heads, rtol=2e-3, atol=2e-3)

@@ -1,9 +1,4 @@
-"""Backend registry, numpy-backend op semantics and the tape's scatter.
-
-The registry contract: names resolve to singletons, unavailable accelerators
-fail loudly with a dedicated error, and ``auto`` always resolves to
-*something* (numpy is unconditionally available).
-"""
+"""Eval dtypes, the rank kernel's comparison counts and the tape's scatter."""
 
 from __future__ import annotations
 
@@ -11,71 +6,8 @@ import numpy as np
 import pytest
 
 from repro.autodiff.tensor import scatter_add
-from repro.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    DTYPE_SPECS,
-    EvalCompute,
-    NumpyBackend,
-    TorchBackend,
-    UnknownBackendError,
-    available_backends,
-    canonical_dtype,
-    get_backend,
-    numpy_dtype,
-)
-
-
-# ---------------------------------------------------------------------------- registry
-def test_numpy_backend_always_available():
-    assert "numpy" in available_backends()
-    backend = get_backend("numpy")
-    assert isinstance(backend, NumpyBackend)
-    assert backend.name == "numpy"
-
-
-def test_backends_are_singletons():
-    assert get_backend("numpy") is get_backend("numpy")
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(UnknownBackendError):
-        get_backend("tensorflow")
-
-
-def test_the_removed_cupy_backend_is_unknown():
-    with pytest.raises(UnknownBackendError):
-        get_backend("cupy")
-
-
-def test_auto_resolves_to_an_available_backend():
-    backend = get_backend("auto")
-    assert isinstance(backend, ArrayBackend)
-    assert backend.name in available_backends()
-
-
-@pytest.mark.parametrize("name", ["torch"])
-def test_unavailable_accelerators_fail_loudly(name):
-    if name in available_backends():
-        pytest.skip(f"{name} is importable here; unavailability path not reachable")
-    with pytest.raises(BackendUnavailableError):
-        get_backend(name)
-
-
-def test_array_backend_contract_is_the_scoring_slice():
-    """The contract names what candidate scoring and ranking call, and no more."""
-    assert ArrayBackend.__abstractmethods__ == {
-        "is_available", "xp", "dtype",
-        "asarray", "from_numpy", "to_numpy",
-        "zeros", "empty",
-        "index_array", "take_rows", "compare_counts",
-    }
-    tape_only = (
-        "asarray_float", "cast", "arange", "scatter_add", "matmul",
-        "einsum", "as_strided", "ascontiguous", "rng", "supports_autodiff",
-    )
-    for backend_class in (ArrayBackend, NumpyBackend, TorchBackend):
-        assert not [name for name in tape_only if hasattr(backend_class, name)], backend_class
+from repro.backend import DTYPE_SPECS, EvalCompute, canonical_dtype, numpy_dtype
+from repro.eval.sharding import compare_counts
 
 
 # ---------------------------------------------------------------------------- dtypes
@@ -91,10 +23,9 @@ def test_dtype_specs_canonicalize():
 # ---------------------------------------------------------------------------- numpy op semantics
 def test_compare_counts_matches_reference_expressions():
     rng = np.random.default_rng(0)
-    backend = get_backend("numpy")
     scores = rng.integers(0, 5, size=50).astype(np.float64)   # heavy ties
     thresholds = scores[[3, 10, 33]]
-    greater, equal = backend.compare_counts(scores, thresholds)
+    greater, equal = compare_counts(scores, thresholds)
     np.testing.assert_array_equal(
         greater, (scores[None, :] > thresholds[:, None]).sum(axis=1)
     )
@@ -151,19 +82,18 @@ def test_scatter_add_out_of_range_index_raises(bad):
 def test_reference_compute_is_pure_passthrough():
     from repro.autodiff import Parameter
 
-    compute = EvalCompute("numpy", "fp64")
+    compute = EvalCompute("fp64")
     assert compute.is_reference
     parameter = Parameter(np.arange(6, dtype=np.float64).reshape(3, 2))
     assert compute.table(parameter) is parameter.data
     scores = np.ones((2, 3))
     assert compute.export(scores) is scores
-    assert compute.as_numpy(scores) is scores
 
 
 def test_non_reference_compute_casts_and_caches():
     from repro.autodiff import Parameter
 
-    compute = EvalCompute("numpy", "fp32")
+    compute = EvalCompute("fp32")
     assert not compute.is_reference
     parameter = Parameter(np.arange(6, dtype=np.float64).reshape(3, 2))
     table = compute.table(parameter)
@@ -176,8 +106,6 @@ def test_non_reference_compute_casts_and_caches():
 def test_compute_pickles_by_name():
     import pickle
 
-    compute = EvalCompute("numpy", "fp32")
+    compute = EvalCompute("fp32")
     clone = pickle.loads(pickle.dumps(compute))
-    assert clone.backend_name == "numpy"
     assert clone.dtype_name == "fp32"
-    assert clone.backend is get_backend("numpy")

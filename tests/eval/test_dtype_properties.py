@@ -19,19 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EvalOptions
-from repro.backend import ScoreComputeMixin, get_backend
+from repro.backend import ScoreComputeMixin
 from repro.kg import Dataset, TripleSet, Vocabulary
+from repro.kg.wordnet import wn18_like
 from repro.eval import evaluate_model, rank_block
 from repro.eval.sharding import mean_tie_ranks
+from repro.models import ModelConfig, make_model
 
-BACKEND = get_backend("numpy")
 
-
-def fused_rank_row(backend, scores, targets, known):
+def fused_rank_row(scores, targets, known):
     """One score row ranked by the block kernel, as a one-row block."""
     known = np.empty(0, dtype=np.int64) if known is None else known
     return rank_block(
-        backend, scores[None, :], targets, np.array([0, len(targets)]),
+        scores[None, :], targets, np.array([0, len(targets)]),
         known, np.array([0, len(known)]),
     )
 
@@ -99,7 +99,7 @@ def test_fp32_ranks_match_fp64_on_well_separated_scores(case):
     scores, targets, known = case
     raw64, filtered64 = mean_tie_ranks(scores, targets, known)
     demoted = scores.astype(np.float32).astype(np.float64)
-    raw32, filtered32 = fused_rank_row(BACKEND, demoted, targets, known)
+    raw32, filtered32 = fused_rank_row(demoted, targets, known)
     np.testing.assert_array_equal(raw32, raw64)
     np.testing.assert_array_equal(filtered32, filtered64)
 
@@ -119,7 +119,7 @@ def test_fp16_ranks_match_fp64_when_separation_survives_fp16(case):
     if not np.array_equal(order64, order16):
         return
     raw64, filtered64 = mean_tie_ranks(scores, targets, known)
-    raw16, filtered16 = fused_rank_row(BACKEND, demoted, targets, known)
+    raw16, filtered16 = fused_rank_row(demoted, targets, known)
     np.testing.assert_array_equal(raw16, raw64)
     np.testing.assert_array_equal(filtered16, filtered64)
 
@@ -130,7 +130,7 @@ def test_fp16_ranks_match_fp64_when_separation_survives_fp16(case):
 def test_ties_mean_ranked_identically_under_fused_kernel(case):
     scores, targets, known = case
     raw_ref, filtered_ref = mean_tie_ranks(scores, targets, known)
-    raw_fused, filtered_fused = fused_rank_row(BACKEND, scores, targets, known)
+    raw_fused, filtered_fused = fused_rank_row(scores, targets, known)
     np.testing.assert_array_equal(raw_fused, raw_ref)
     np.testing.assert_array_equal(filtered_fused, filtered_ref)
 
@@ -142,7 +142,7 @@ def test_tie_handling_is_dtype_invariant_for_small_integer_scores(case):
     raw_ref, filtered_ref = mean_tie_ranks(scores, targets, known)
     for dtype in (np.float32, np.float16):
         demoted = scores.astype(dtype).astype(np.float64)
-        raw, filtered = fused_rank_row(BACKEND, demoted, targets, known)
+        raw, filtered = fused_rank_row(demoted, targets, known)
         np.testing.assert_array_equal(raw, raw_ref)
         np.testing.assert_array_equal(filtered, filtered_ref)
 
@@ -166,7 +166,7 @@ class _IntegerTableScorer(ScoreComputeMixin):
     def _rows(self, table: np.ndarray, index: np.ndarray) -> np.ndarray:
         compute = self.score_compute
         resident = compute.export(table)
-        rows = compute.as_numpy(resident)[index % len(table)]
+        rows = resident[index % len(table)]
         return np.asarray(rows, dtype=np.float64)
 
     def score_tails_batch(self, heads, relations) -> np.ndarray:
@@ -202,9 +202,32 @@ def test_fp_reduced_evaluation_metrics_identical_on_integer_scores(
 ):
     scorer = _IntegerTableScorer(integer_dataset.num_entities)
     reference = evaluate_model(scorer, integer_dataset)
-    scorer.set_score_backend("numpy", "fp64")  # reset between runs
+    scorer.set_eval_dtype("fp64")  # reset between runs
     reduced = evaluate_model(scorer, integer_dataset, options=EvalOptions(eval_dtype=eval_dtype))
     assert len(reference.records) == len(reduced.records)
     for expected, actual in zip(reference.records, reduced.records):
         assert expected.raw_rank == actual.raw_rank
         assert expected.filtered_rank == actual.filtered_rank
+
+
+def test_eval_dtype_does_not_stick_to_the_scorer():
+    """Every evaluation applies its own eval dtype, the default fp64 included,
+    so an earlier fp16 evaluation leaves nothing behind on the scorer."""
+    dataset = wn18_like("tiny", seed=1)
+
+    def distmult():
+        model = make_model(
+            "DistMult", dataset.num_entities, dataset.num_relations,
+            ModelConfig(dim=16, seed=2),
+        )
+        model.train_mode(False)
+        return model
+
+    model = distmult()
+    evaluate_model(model, dataset, options=EvalOptions(eval_dtype="fp16"))
+    after = evaluate_model(model, dataset)
+    fresh = evaluate_model(distmult(), dataset)
+    assert [(r.raw_rank, r.filtered_rank) for r in after.records] == [
+        (r.raw_rank, r.filtered_rank) for r in fresh.records
+    ]
+    assert model.score_tails_batch(np.array([0]), np.array([0])).dtype == np.float64

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.api import EvalOptions
-from repro.backend import get_backend
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import LinkPredictionEvaluator, evaluate_model, rank_block
@@ -50,12 +49,12 @@ def _embedding_scorer(name, dataset, seed=11):
     return model
 
 
-def fused_rank_row(backend, scores, targets, known):
+def fused_rank_row(scores, targets, known):
     """One score row ranked by the block kernel, as a one-row block."""
     targets = np.asarray(targets, dtype=np.int64)
     known = np.empty(0, dtype=np.int64) if known is None else np.asarray(known, dtype=np.int64)
     return rank_block(
-        backend, scores[None, :], targets, np.array([0, len(targets)]),
+        scores[None, :], targets, np.array([0, len(targets)]),
         known, np.array([0, len(known)]),
     )
 
@@ -63,11 +62,10 @@ def fused_rank_row(backend, scores, targets, known):
 # ---------------------------------------------------------------------------- row primitive
 def test_fused_rank_row_matches_mean_tie_ranks_bitwise():
     rng = np.random.default_rng(7)
-    backend = get_backend("numpy")
     scores = rng.integers(0, 6, size=64).astype(np.float64)  # heavy ties
     targets = np.array([0, 5, 5, 63, 17])
     for known in (None, np.array([], dtype=np.int64), np.array([5, 12, 17, 40])):
-        raw_fused, filtered_fused = fused_rank_row(backend, scores, targets, known)
+        raw_fused, filtered_fused = fused_rank_row(scores, targets, known)
         raw_ref, filtered_ref = mean_tie_ranks(scores, targets, known)
         np.testing.assert_array_equal(raw_fused, raw_ref)
         np.testing.assert_array_equal(filtered_fused, filtered_ref)
@@ -76,11 +74,10 @@ def test_fused_rank_row_matches_mean_tie_ranks_bitwise():
 def test_fused_rank_row_adds_back_target_in_known_set():
     # When the target itself appears among the known entities, filtering must
     # not subtract it from its own tie group.
-    backend = get_backend("numpy")
     scores = np.array([3.0, 1.0, 3.0, 3.0, 0.0])
     targets = np.array([2])
     known = np.array([0, 2])  # one tied competitor filtered, target re-added
-    raw, filtered = fused_rank_row(backend, scores, targets, known)
+    raw, filtered = fused_rank_row(scores, targets, known)
     raw_ref, filtered_ref = mean_tie_ranks(scores, targets, known)
     np.testing.assert_array_equal(raw, raw_ref)
     np.testing.assert_array_equal(filtered, filtered_ref)

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import get_backend
 from repro.eval import LinkPredictionEvaluator, QueryWork, evaluate_shards, plan_shards
 from repro.eval import rank_block, rank_shard, sharding
 from repro.eval.sharding import mean_tie_ranks
@@ -31,7 +30,6 @@ from repro.kg.known_index import KnownTripleIndex
 
 NUM_ENTITIES = 7
 NUM_RELATIONS = 3
-HOST = get_backend("numpy")
 
 
 # ---------------------------------------------------------------------------- oracle: filter build
@@ -198,7 +196,7 @@ def test_block_ranks_equal_per_row_mean_tie_ranks(case, gather_budget):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sharding, "_GATHER_BUDGET", gather_budget)
         raw, filtered = rank_block(
-            HOST, scores, target_values, target_offsets, known_values, known_offsets
+            scores, target_values, target_offsets, known_values, known_offsets
         )
     expected_raw, expected_filtered = _per_row_oracle(scores, targets, known)
     assert raw.dtype == filtered.dtype == np.float64

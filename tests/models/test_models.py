@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.autodiff.functional import numerical_gradient
 from repro.models import (
     ALL_EMBEDDING_MODELS,
     ModelConfig,
     UnknownModelError,
+    losses,
     make_model,
     resolve_model_class,
 )
+from repro.models.losses import make_loss
 
 NUM_ENTITIES = 30
 NUM_RELATIONS = 5
@@ -240,3 +243,42 @@ def test_transe_l2_gradient_is_zero_at_zero_distance():
     alone = entity_grad([0], [2])
     assert np.isfinite(alone).all() and np.abs(alone).sum() > 0
     assert mixed.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("loss_name", ["margin", "logistic", "self_adversarial"])
+@pytest.mark.parametrize("name", ALL_EMBEDDING_MODELS)
+def test_gradients_match_central_differences(name, loss_name, monkeypatch):
+    """The tape's gradient of a training loss, for every parameter of every
+    model, matches central differences of the same loss.
+
+    The self-adversarial loss treats its negative weights as constants, so
+    they are held at their unperturbed values while the loss is perturbed.
+    """
+    num_entities, num_relations, positives, per_positive = 12, 3, 4, 2
+    model = make_model(name, num_entities, num_relations, ModelConfig(dim=8, seed=3))
+    model.train_mode(False)
+    loss_fn = make_loss(loss_name)
+    rng = np.random.default_rng(11)
+
+    def triples(size):
+        bounds = (num_entities, num_relations, num_entities)
+        return tuple(rng.integers(0, bound, size=size) for bound in bounds)
+
+    positive, negative = triples(positives), triples(positives * per_positive)
+    positive_index = np.repeat(np.arange(positives), per_positive)
+
+    def loss():
+        return loss_fn(
+            model.score_triples(*positive), model.score_triples(*negative), positive_index
+        )
+
+    loss().backward()
+    if loss_name == "self_adversarial":
+        negative_scores = model.score_triples_np(*negative)
+        weights = losses._grouped_softmax(loss_fn.alpha * negative_scores, positive_index)
+        monkeypatch.setattr(losses, "_grouped_softmax", lambda values, groups: weights)
+    for parameter_name, parameter in model.parameters().items():
+        numeric = numerical_gradient(lambda _: float(loss().data), parameter.data)
+        analytic = np.zeros_like(numeric) if parameter.grad is None else parameter.grad
+        error = np.abs(analytic - numeric).max()
+        assert error <= 1e-6 * np.abs(numeric).max(), (parameter_name, error)

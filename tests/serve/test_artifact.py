@@ -177,15 +177,26 @@ def test_shippable_scorer_prefers_the_ref(tmp_path):
 
 
 @pytest.mark.multiprocess
+@pytest.mark.parametrize(
+    "eval_dtype, name, dataset_fixture",
+    [("fp64", "DistMult", "toy_dataset"), ("fp16", "TransE", "wn_tiny")],
+)
 def test_sharded_eval_through_artifact_refs_is_bit_identical(
-    tmp_path, toy_dataset, capped_workers
+    eval_dtype, name, dataset_fixture, tmp_path, request, capped_workers
 ):
-    model = build_model("DistMult")
-    reference = evaluate_model(model, toy_dataset)
+    """Workers re-open the artifact at the shipped eval dtype.
+
+    The fp16 input ranks a 160-entity graph, where about one record in ten
+    ranks differently at fp16 than at fp64, so a worker that scored at fp64
+    would show.
+    """
+    dataset = request.getfixturevalue(dataset_fixture)
+    model = build_model(name, dataset.num_entities, dataset.num_relations)
+    reference = evaluate_model(model, dataset, options=EvalOptions(eval_dtype=eval_dtype))
 
     ModelArtifact.save(model, tmp_path / "a")                 # attaches the artifact
     sharded = evaluate_model(
-        model, toy_dataset, options=EvalOptions(workers=capped_workers(2))
+        model, dataset, options=EvalOptions(workers=capped_workers(2), eval_dtype=eval_dtype)
     )
     for ours, theirs in zip(reference.records, sharded.records):
         assert ours.raw_rank == theirs.raw_rank
