@@ -5,11 +5,10 @@ directory (train/valid/test splits, Zipf-skewed relation frequencies):
 
 1. **Peak residency** — the streaming pipeline
    (:func:`repro.kg.streaming.ingest_dataset`) is run at several chunk sizes
-   and its peak labelled-triple residency (chunks buffered in the bounded
-   queue plus the producer's and consumer's in-flight chunks) is recorded.
-   The defining property of the subsystem is that this peak is bounded by
-   ``chunk_size * (max_queue_chunks + 2)`` — a function of the memory budget
-   knobs, **not** of the dataset size.
+   and its peak labelled-triple residency (the chunk being consumed) is
+   recorded.  The defining property of the subsystem is that this peak is
+   bounded by ``chunk_size`` — the memory budget knob, **not** the dataset
+   size.
 2. **Throughput** — triples-per-second through the streaming pipeline versus
    the materializing loader (:func:`repro.kg.io.load_dataset`), which reads
    every split into Python lists first.  Every streamed run is asserted
@@ -21,16 +20,16 @@ The script is part of CI's **benchmark regression gate**: it always writes a
 machine-readable report (``BENCH_ingest_throughput.json`` by default,
 ``--json PATH`` to override) and exits non-zero when an enforced gate fails:
 
-- every streamed run's peak residency must stay within its
-  ``chunk_size * (max_queue_chunks + 2)`` bound — always enforced;
+- every streamed run's peak residency must stay within one chunk,
+  ``chunk_size`` labelled triples — always enforced;
 - the default chunk size (the largest tested, ``DEFAULT_CHUNK_SIZE``) must
   keep peak residency under ``BENCH_MAX_RESIDENT_FRACTION`` (default 25 %)
   of the parsed triples, demonstrating sub-dataset memory — always enforced;
 - streaming throughput at the default chunk size must stay above
   ``BENCH_MIN_INGEST_RELATIVE_THROUGHPUT`` (default 0.3×) of the
   materializing loader — always enforced (the pipeline does the same
-  interning work plus queue handoffs, so it sits near 1×; the conservative
-  floor absorbs noisy shared runners).
+  parsing and interning work chunk by chunk, so it sits near 1×; the
+  conservative floor absorbs noisy shared runners).
 
 Run standalone (``python benchmarks/bench_ingest_throughput.py``, which is
 what CI does) or via ``pytest benchmarks/bench_ingest_throughput.py``.
@@ -54,7 +53,6 @@ from repro.kg import (
     Dataset,
     ingest_dataset,
     load_dataset,
-    residency_bound,
     write_triples_tsv,
 )
 from repro.telemetry.bench import bench_main
@@ -68,9 +66,8 @@ NUM_TEST = 4000
 #: Chunk sizes swept for the residency measurement.  The last entry is the
 #: shipped default, so the dataset-fraction and throughput gates cover the
 #: configuration users actually get; the small first entry exercises the
-#: bound accounting under many queue handoffs.
+#: bound accounting over many chunks.
 CHUNK_SIZES = (512, DEFAULT_CHUNK_SIZE)
-MAX_QUEUE_CHUNKS = 4
 
 MAX_RESIDENT_FRACTION = float(environ.get("BENCH_MAX_RESIDENT_FRACTION", "0.25"))
 MIN_RELATIVE_THROUGHPUT = float(environ.get("BENCH_MIN_INGEST_RELATIVE_THROUGHPUT", "0.3"))
@@ -121,21 +118,13 @@ def measure_ingest(
     directory: Path, reference: Dataset, chunk_size: int, gzipped=None, name=None
 ) -> dict:
     """One streamed run: bit-identity asserted, residency and throughput recorded."""
-    report = ingest_dataset(
-        directory,
-        name=name,
-        chunk_size=chunk_size,
-        max_queue_chunks=MAX_QUEUE_CHUNKS,
-        gzipped=gzipped,
-    )
+    report = ingest_dataset(directory, name=name, chunk_size=chunk_size, gzipped=gzipped)
     assert_bit_identical(reference, report.dataset, f"chunk_size={chunk_size}")
     return {
         "chunk_size": chunk_size,
-        "max_queue_chunks": MAX_QUEUE_CHUNKS,
         "total_triples": report.total_triples,
         "total_chunks": report.total_chunks,
         "peak_resident_triples": report.peak_resident_triples,
-        "residency_bound": report.residency_bound,
         "resident_fraction_of_dataset": report.peak_resident_triples / report.total_triples,
         "seconds": report.seconds,
         "triples_per_second": report.triples_per_second,
@@ -173,16 +162,14 @@ def build_report() -> Tuple[dict, bool]:
 
     bounded_runs = streaming_runs + [gzip_run]
     bound_gate = {
-        "name": "peak_residency_within_chunk_x_queue_bound",
+        "name": "peak_residency_within_one_chunk",
         "threshold": 1.0,
         "value": max(
-            run["peak_resident_triples"] / run["residency_bound"]
-            for run in bounded_runs
+            run["peak_resident_triples"] / run["chunk_size"] for run in bounded_runs
         ),
         "enforced": True,
         "passed": all(
-            run["peak_resident_triples"] <= run["residency_bound"]
-            for run in bounded_runs
+            run["peak_resident_triples"] <= run["chunk_size"] for run in bounded_runs
         ),
     }
     largest = streaming_runs[-1]
@@ -229,7 +216,7 @@ def _print_report(report: dict) -> None:
         print(
             f"{label:>28}: {run['triples_per_second']:,.0f} triples/s, "
             f"peak resident {run['peak_resident_triples']} "
-            f"(bound {run['residency_bound']}, "
+            f"(bound {run['chunk_size']}, "
             f"{run['resident_fraction_of_dataset']:.1%} of dataset)"
         )
     print()

@@ -105,7 +105,7 @@ def ranking_workload(seed: int = 31) -> Tuple[object, QueryWork]:
 
 
 def _ranks_baseline(scorer, work) -> Tuple[np.ndarray, np.ndarray]:
-    return rank_shard(scorer, work, EVAL_BATCH_SIZE, None)
+    return rank_shard(scorer, work, EVAL_BATCH_SIZE)
 
 
 def _ranks_instrumented(scorer, work, enabled: bool) -> Tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 :class:`repro.eval.LinkPredictionEvaluator` and
 :func:`repro.eval.evaluate_model` take their evaluation knobs (batch size,
-workers, shard size, dtype, block budget, …) as one value object,
+workers, shard size, dtype) as one value object,
 :class:`EvalOptions`, whose fields mirror the ``evaluation`` section of the
 knob schema (:mod:`repro.api.schema`) — name-for-name, default-for-default —
 plus the handful of engine-level extras that are not experiment knobs
@@ -37,7 +37,7 @@ class EvalOptions:
     file's ``[evaluation]`` table.
     """
 
-    #: Unique queries per batched scorer call (bounds the (B, E) score matrix).
+    #: Unique queries per batched scorer call (bounds the (B, E) score block).
     batch_size: int = schema.EVALUATION_DEFAULTS["batch_size"]
     #: Worker processes for sharded evaluation; 1 = exact in-process path.
     workers: int = schema.EVALUATION_DEFAULTS["workers"]
@@ -45,8 +45,6 @@ class EvalOptions:
     shard_size: Optional[int] = schema.EVALUATION_DEFAULTS["shard_size"]
     #: Candidate-scoring dtype (fp64 = the bit-identity reference).
     eval_dtype: str = schema.EVALUATION_DEFAULTS["eval_dtype"]
-    #: Max elements of a resident score block (enables the fused rank path).
-    score_block_budget: Optional[int] = schema.EVALUATION_DEFAULTS["score_block_budget"]
     #: Multiprocessing start method override (None = platform best).
     mp_start_method: Optional[str] = None
 
@@ -90,9 +88,4 @@ class EvalOptions:
             batch_size=max(1, int(self.batch_size)),
             workers=max(1, int(self.workers)),
             shard_size=None if self.shard_size is None else max(1, int(self.shard_size)),
-            score_block_budget=(
-                None
-                if self.score_block_budget is None
-                else max(1, int(self.score_block_budget))
-            ),
         )

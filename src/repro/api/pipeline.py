@@ -122,7 +122,6 @@ def ingest_dataset_into_store(
         directory,
         name=name,
         chunk_size=spec.ingest.chunk_size,
-        max_queue_chunks=spec.ingest.max_queue_chunks,
         gzipped=spec.ingest.gzipped,
     )
     register_dataset(store, report.dataset)

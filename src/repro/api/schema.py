@@ -164,10 +164,9 @@ INGEST = Section(
     "ingest",
     "Bounded-memory streaming ingestion pipeline.",
     (
-        Knob("chunk_size", int, 4096, "labelled triples per pipeline chunk", minimum=1),
         Knob(
-            "max_queue_chunks", int, 4,
-            "bounded-queue depth in chunks; peak residency is chunk_size * (this + 2)",
+            "chunk_size", int, 4096,
+            "labelled triples per pipeline chunk; peak residency is one chunk",
             minimum=1,
         ),
         Knob(
@@ -248,11 +247,6 @@ TRAINING = Section(
             invert_flag="--dense-updates",
         ),
         Knob(
-            "row_budget", int, None,
-            "max coalesced rows per sparse optimizer update before densifying the step",
-            optional=True, minimum=1,
-        ),
-        Knob(
             "validate_every", int, 0,
             "epochs between validation-MRR passes (0 = no validation)", minimum=0,
         ),
@@ -289,7 +283,9 @@ EVALUATION = Section(
     (
         Knob(
             "batch_size", int, 256,
-            "unique link-prediction queries scored per batched evaluator call",
+            "unique link-prediction queries scored per batched evaluator call; "
+            "bounds the resident (batch_size, num_entities) score block "
+            "(ranks are bit-identical at any size)",
             minimum=1, flag="--eval-batch-size",
         ),
         Knob(
@@ -308,13 +304,6 @@ EVALUATION = Section(
             "dtype of candidate scoring (fp64 = bit-identity reference; "
             "fp32/fp16 trade precision for throughput and memory)",
             choices=EVAL_DTYPE_CHOICES,
-        ),
-        Knob(
-            "score_block_budget", int, None,
-            "max elements of a resident score block; enables the fused "
-            "score+rank path, which never materializes the full (B, E) score "
-            "matrix (ranks are bit-identical at any budget)",
-            optional=True, minimum=1,
         ),
     ),
 )

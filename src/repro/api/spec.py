@@ -112,7 +112,6 @@ class DatasetSpec:
 @dataclass
 class IngestSpec:
     chunk_size: int = schema.INGEST_DEFAULTS["chunk_size"]
-    max_queue_chunks: int = schema.INGEST_DEFAULTS["max_queue_chunks"]
     gzipped: Optional[bool] = None
 
 
@@ -144,7 +143,6 @@ class TrainingSpec:
     margin: float = schema.TRAINING_DEFAULTS["margin"]
     sampler: str = schema.TRAINING_DEFAULTS["sampler"]
     sparse_updates: bool = schema.TRAINING_DEFAULTS["sparse_updates"]
-    row_budget: Optional[int] = None
     validate_every: int = schema.TRAINING_DEFAULTS["validate_every"]
     patience: int = schema.TRAINING_DEFAULTS["patience"]
     restore_best: bool = schema.TRAINING_DEFAULTS["restore_best"]
@@ -159,7 +157,6 @@ class EvaluationSpec:
     workers: int = schema.EVALUATION_DEFAULTS["workers"]
     shard_size: Optional[int] = None
     eval_dtype: str = schema.EVALUATION_DEFAULTS["eval_dtype"]
-    score_block_budget: Optional[int] = None
 
 
 @dataclass
@@ -310,8 +307,9 @@ class ExperimentSpec:
         """
         data = self.to_dict()
         data.pop("telemetry", None)
-        # The removed ``evaluation.backend`` knob stays hashed at its one value,
-        # so artifact caches keyed before its removal keep their keys.
+        # Removed knobs that every spec ran at one value stay hashed at it,
+        # so artifact caches keyed before their removal keep their keys.
+        data["ingest"]["max_queue_chunks"] = 4
         data["evaluation"]["backend"] = "numpy"
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -478,6 +476,27 @@ def _check_knob(
     return value
 
 
+#: Knobs the schema no longer has, by ``section.knob``: the values a spec may
+#: still carry (``None``: any value) and why the knob went.  A carried value
+#: is dropped on load, in a section table and in an override patch alike;
+#: any other value is refused with the reason.
+_REMOVED_KNOBS: Dict[str, Tuple[Optional[Tuple[Any, ...]], str]] = {
+    "ingest.fused": (None, "one ingest path is left"),
+    "ingest.max_queue_chunks": (None, "ingest parses in the caller's thread, without a queue"),
+    "evaluation.backend": (("numpy",), "scoring is numpy-only"),
+    "evaluation.score_block_budget": (
+        (),
+        "evaluation.batch_size bounds the score block; a budget of B elements "
+        "is evaluation.batch_size = max(1, B // num_entities)",
+    ),
+    "training.row_budget": (
+        (),
+        "sparse optimizer steps never densify (under Adam, a densified step "
+        "changed every row's step count)",
+    ),
+}
+
+
 def _validate_section_table(
     section: schema.Section, table: Any, path_prefix: str, errors: List[SpecError]
 ) -> Dict[str, Any]:
@@ -487,6 +506,15 @@ def _validate_section_table(
         return values
     known = [knob.name for knob in section.knobs]
     for key, value in table.items():
+        removed = _REMOVED_KNOBS.get(f"{section.name}.{key}")
+        if removed is not None:
+            accepted, reason = removed
+            if accepted is not None and value not in accepted:
+                message = f"the {key} knob was removed: {reason}"
+                if accepted:
+                    message += f", so only {accepted[0]!r} is accepted, got {value!r}"
+                errors.append(SpecError(f"{path_prefix}.{key}", message))
+            continue
         if key not in known:
             errors.append(
                 SpecError(
@@ -539,26 +567,6 @@ def _validate_dataset_name(
         )
 
 
-def _drop_backend(table: Any, path: str, errors: List[SpecError]) -> Any:
-    """``table`` without the removed ``backend`` knob.
-
-    ``evaluation.backend`` chose the array carrier of the score kernels;
-    numpy is the only one left, so a table that still says ``"numpy"`` loads
-    unchanged and any other value is refused.
-    """
-    if not isinstance(table, dict) or "backend" not in table:
-        return table
-    if table["backend"] != "numpy":
-        errors.append(
-            SpecError(
-                f"{path}.backend",
-                "the backend knob was removed: scoring is numpy-only, so only "
-                f"'numpy' is accepted, got {table['backend']!r}",
-            )
-        )
-    return {key: value for key, value in table.items() if key != "backend"}
-
-
 def _validate_overrides(
     raw: Any, valid_datasets: List[str], errors: List[SpecError]
 ) -> Dict[str, Dict[str, Dict[str, Dict[str, Any]]]]:
@@ -601,8 +609,6 @@ def _validate_overrides(
                         )
                     )
                     continue
-                if section_name == "evaluation":
-                    knobs = _drop_backend(knobs, f"{target_path}.evaluation", errors)
                 values = _validate_section_table(
                     schema.section(section_name), knobs, f"{target_path}.{section_name}", errors
                 )
@@ -701,16 +707,6 @@ def _spec_from_dict(data: Dict[str, Any]) -> Tuple["ExperimentSpec", List[SpecEr
     errors: List[SpecError] = []
     if not isinstance(data, dict):
         return ExperimentSpec(), [SpecError("<root>", "spec must be a table/object")]
-
-    ingest = data.get("ingest")
-    if isinstance(ingest, dict) and "fused" in ingest:
-        # ``ingest.fused`` chose between two ingest paths that gave identical
-        # results, and never entered the fingerprint.  One path is left, so
-        # spec files that still carry the key load unchanged instead of
-        # failing on an unknown knob.
-        data = {**data, "ingest": {k: v for k, v in ingest.items() if k != "fused"}}
-    if "evaluation" in data:
-        data = {**data, "evaluation": _drop_backend(data["evaluation"], "evaluation", errors)}
 
     for key in data:
         if key not in _KNOWN_TOP_LEVEL:

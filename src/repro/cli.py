@@ -108,7 +108,7 @@ GENERATED_DATASETS = (
 #: Generated flags per subcommand: ``{command: {dest: (section, knob)}}``.
 #: The regression suite walks this to assert parser defaults == schema
 #: defaults; :func:`_parsed_knob_values` walks it to map parsed namespaces
-#: back onto spec sections.
+#: back onto spec sections, and :func:`main` to check every parsed value.
 GENERATED_KNOB_FLAGS: Dict[str, Dict[str, Tuple[str, str]]] = {}
 
 _ENV_TRUE = ("1", "true", "yes", "on")
@@ -187,6 +187,8 @@ def _add_schema_flags(
                 help=help_text + f" (default: {default})",
             )
         registry[knob.cli_dest] = (section.name, knob.name)
+    # :func:`main` finds the chosen subcommand's flags in the registry by this key.
+    sub.set_defaults(knob_command=command)
 
 
 def _parsed_knob_values(args: argparse.Namespace, command: str) -> Dict[Tuple[str, str], Any]:
@@ -198,6 +200,28 @@ def _parsed_knob_values(args: argparse.Namespace, command: str) -> Dict[Tuple[st
     return values
 
 
+def _exit_on_errors(errors: Sequence[Any]) -> None:
+    """Exit listing every schema error, if there are any."""
+    if errors:
+        raise SystemExit(
+            "invalid option value(s):\n" + "\n".join(f"  - {error}" for error in errors)
+        )
+
+
+def _check_generated_flags(args: argparse.Namespace) -> None:
+    """Exit unless every generated flag of the chosen subcommand passes its knob's checks.
+
+    The range and choice checks of a spec file, run once after parsing for
+    every subcommand, so no surface accepts a value another refuses.
+    """
+    errors = []
+    command = getattr(args, "knob_command", None)
+    for (section_name, knob_name), value in _parsed_knob_values(args, command).items():
+        knob = schema.section(section_name).knob(knob_name)
+        errors += check_knob_value(section_name, knob, value)
+    _exit_on_errors(errors)
+
+
 def _spec_from_args(args: argparse.Namespace, command: str) -> ExperimentSpec:
     """An :class:`ExperimentSpec` carrying the subcommand's parsed knob values.
 
@@ -207,11 +231,7 @@ def _spec_from_args(args: argparse.Namespace, command: str) -> ExperimentSpec:
     spec = ExperimentSpec()
     for (section_name, knob_name), value in _parsed_knob_values(args, command).items():
         setattr(getattr(spec, section_name), knob_name, value)
-    errors = spec.validate()
-    if errors:
-        raise SystemExit(
-            "invalid option value(s):\n" + "\n".join(f"  - {error}" for error in errors)
-        )
+    _exit_on_errors(spec.validate())
     return spec
 
 
@@ -652,7 +672,6 @@ def command_ingest(args: argparse.Namespace) -> int:
             directory,
             name=args.name,
             chunk_size=args.chunk_size,
-            max_queue_chunks=args.max_queue_chunks,
             gzipped=args.gzip,
             observers=(pair_index.observe,),
             progress=report_progress if args.progress else None,
@@ -672,7 +691,7 @@ def command_ingest(args: argparse.Namespace) -> int:
             "parsed triples": report.total_triples,
             "chunks": report.total_chunks,
             "peak resident labelled triples": report.peak_resident_triples,
-            "residency bound (chunk x queue)": report.residency_bound,
+            "residency bound (one chunk)": report.chunk_size,
             "ingest seconds": round(report.seconds, 3),
             "triples / second": round(report.triples_per_second, 1),
         },
@@ -1155,6 +1174,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_generated_flags(args)
     return args.handler(args)
 
 

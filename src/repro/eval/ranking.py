@@ -187,8 +187,7 @@ class LinkPredictionEvaluator:
         """
         #: How this evaluation runs — the schema-derived option object.  Its
         #: eval dtype is applied to scorers exposing ``set_eval_dtype`` at
-        #: ``evaluate()`` time; a score block budget enables the fused
-        #: score+rank path.
+        #: ``evaluate()`` time.
         self.options = (options or EvalOptions()).normalized()
         self.dataset = dataset
         with get_telemetry().span("eval.filter_index", dataset=dataset.name):
@@ -271,9 +270,9 @@ class LinkPredictionEvaluator:
 
         ``options.workers >= 2`` shards the unique-query order across worker
         processes with a deterministic merge (bit-identical ranks at any
-        worker count), and a ``score_block_budget`` enables the fused
-        score+rank path (bit-identical ranks at any budget).  Other knobs take
-        another evaluator; pass it this one's :attr:`known_index` to share the
+        worker count), and ``options.batch_size`` bounds each resident score
+        block (bit-identical ranks at any size).  Other knobs take another
+        evaluator; pass it this one's :attr:`known_index` to share the
         filter.
         """
         unknown = [side for side in sides if side not in SIDES]
@@ -301,7 +300,7 @@ class LinkPredictionEvaluator:
         # share one instrumented entry point.
         side_ranks = evaluate_shards(
             scorer, work, options.workers, options.shard_size, options.batch_size,
-            options.mp_start_method, options.score_block_budget,
+            options.mp_start_method,
         )
         with telemetry.span("eval.assemble", triples=len(triples)):
             ranks: Dict[str, Tuple[List[float], List[float]]] = {}

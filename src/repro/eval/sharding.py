@@ -33,14 +33,14 @@ Design constraints, in decreasing order of importance:
   without multiprocessing start methods) never creates a pool — it is the
   exact in-process batched path.
 
-Every scored block — a materialized ``(eval_batch_size, E)`` chunk, or, with
-a ``score_block_budget``, a **fused** row block small enough that ``rows ×
-num_entities`` stays under the budget, kept in the scorer's eval dtype — is
-ranked by one kernel, :func:`rank_block`: one comparison pass over the block
-counts, for every (row, target) pair, the candidates scoring above and
-level with the target, and the filtered counts subtract the same comparisons
-over the row's known completions (a CSR gather plus segment sums).  Counts are
-integers, so the ranks are bit-identical at any batch size and block budget.
+Every scored block — the ``(eval_batch_size, E)`` scores of one chunk of
+queries, freed before the next chunk is scored — is ranked by one kernel,
+:func:`rank_block`: one comparison pass over the block counts, for every
+(row, target) pair, the candidates scoring above and level with the target,
+and the filtered counts subtract the same comparisons over the row's known
+completions (a CSR gather plus segment sums).  Counts are integers, so the
+ranks are bit-identical at any batch size; ``eval_batch_size`` is the one
+knob that bounds the resident score block.
 """
 
 from __future__ import annotations
@@ -221,24 +221,6 @@ def plan_shards(
 
 
 # ---------------------------------------------------------------------------- ranking kernels
-def _score_rows(scorer, queries: np.ndarray, side: str):
-    """The ``(len(queries), E)`` block as the scorer produces it.
-
-    The batched kernel's output, in the scorer's eval dtype; scorers without
-    the batched contract give float64 rows from one ``score_all_*`` call per
-    query.
-    """
-    batch_fn = getattr(
-        scorer, "score_tails_batch" if side == "tail" else "score_heads_batch", None
-    )
-    if batch_fn is not None:
-        return batch_fn(np.ascontiguousarray(queries[:, 0]), np.ascontiguousarray(queries[:, 1]))
-    single_fn = scorer.score_all_tails if side == "tail" else scorer.score_all_heads
-    return np.stack(
-        [np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries.tolist()]
-    )
-
-
 def score_query_chunk(scorer, queries: np.ndarray, side: str) -> np.ndarray:
     """``(len(queries), E)`` float64 score matrix, via the batched contract when available.
 
@@ -247,7 +229,18 @@ def score_query_chunk(scorer, queries: np.ndarray, side: str) -> np.ndarray:
     ``(relation, tail)`` rows for the head side.  Scorers without the batched
     contract fall back to one ``score_all_*`` call per query.
     """
-    return np.asarray(_score_rows(scorer, queries, side), dtype=np.float64)
+    batch_fn = getattr(
+        scorer, "score_tails_batch" if side == "tail" else "score_heads_batch", None
+    )
+    if batch_fn is not None:
+        scores = batch_fn(
+            np.ascontiguousarray(queries[:, 0]), np.ascontiguousarray(queries[:, 1])
+        )
+        return np.asarray(scores, dtype=np.float64)
+    single_fn = scorer.score_all_tails if side == "tail" else scorer.score_all_heads
+    return np.stack(
+        [np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries.tolist()]
+    )
 
 
 def gather_runs(
@@ -382,65 +375,35 @@ def mean_tie_ranks(
 
 
 def rank_shard(
-    scorer,
-    work: QueryWork,
-    eval_batch_size: int,
-    score_block_budget: Optional[int] = None,
+    scorer, work: QueryWork, eval_batch_size: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Raw/filtered ranks of one shard, concatenated in query order.
 
     Each query contributes one rank per target, in target order.  This is the
     single ranking implementation: the in-process path runs it on the whole
-    query order, workers run it on their shard.  Queries are scored in
-    chunks of ``eval_batch_size`` and every scored block is ranked by
-    :func:`rank_block`.
-
-    ``score_block_budget`` (max elements of a resident score block) selects
-    the fused score+rank path: each chunk is scored in row blocks of at most
-    ``budget // num_entities`` queries, kept in the scorer's eval dtype,
-    without a ``(B, E)`` matrix.  Counting is exact, so ranks are
-    bit-identical to the materializing path at any budget.  Scorers that do
-    not expose ``num_entities`` keep the materializing path.
+    query order, workers run it on their shard.  Each block of
+    ``eval_batch_size`` queries is scored by :func:`score_query_chunk`,
+    ranked by :func:`rank_block` and freed before the next block is scored,
+    so at most one ``(eval_batch_size, E)`` score block is resident.
 
     Each block opens one ``eval.score`` and one ``eval.rank`` span.
     """
     eval_batch_size = max(1, int(eval_batch_size))
     telemetry = get_telemetry()
-    num_entities = getattr(scorer, "num_entities", None)
-    fused = score_block_budget is not None and num_entities is not None
-    if fused:
-        # Late import: models.trainer imports eval.ranking, so a module-level
-        # import here would be circular.
-        from ..models.base import iter_row_slices
     raw_parts: List[np.ndarray] = []
     filtered_parts: List[np.ndarray] = []
     for start in range(0, len(work), eval_batch_size):
-        chunk = work[start:start + eval_batch_size]
-        if fused:
-            blocks = [
-                chunk[rows]
-                for rows in iter_row_slices(
-                    len(chunk), int(num_entities), budget=max(1, int(score_block_budget))
-                )
-            ]
-        else:
-            blocks = [chunk]
-        for block in blocks:
-            with telemetry.span("eval.score", rows=len(block)):
-                if fused:
-                    scores = np.asarray(_score_rows(scorer, block.queries, work.side))
-                else:
-                    scores = score_query_chunk(scorer, block.queries, work.side)
-            with telemetry.span("eval.rank", targets=len(block.targets)):
-                raw, filtered = rank_block(
-                    scores, block.targets, block.target_offsets,
-                    block.known, block.known_offsets,
-                )
-            # Free this block before the next one is scored: at most one
-            # score block is resident at a time.
-            del scores
-            raw_parts.append(raw)
-            filtered_parts.append(filtered)
+        block = work[start:start + eval_batch_size]
+        with telemetry.span("eval.score", rows=len(block)):
+            scores = score_query_chunk(scorer, block.queries, work.side)
+        with telemetry.span("eval.rank", targets=len(block.targets)):
+            raw, filtered = rank_block(
+                scores, block.targets, block.target_offsets,
+                block.known, block.known_offsets,
+            )
+        del scores
+        raw_parts.append(raw)
+        filtered_parts.append(filtered)
     if not raw_parts:
         return np.empty(0), np.empty(0)
     return np.concatenate(raw_parts), np.concatenate(filtered_parts)
@@ -462,19 +425,14 @@ def _shippable_scorer(scorer):
     return artifact_ref_for(scorer) or scorer
 
 
-def _init_worker(
-    scorer,
-    eval_batch_size: int,
-    score_block_budget: Optional[int] = None,
-    telemetry_enabled: bool = False,
-) -> None:
+def _init_worker(scorer, eval_batch_size: int, telemetry_enabled: bool = False) -> None:
     """Pool initializer: install the scorer once per worker."""
     global _WORKER_STATE
     from ..serve.artifact import ArtifactScorerRef
 
     if isinstance(scorer, ArtifactScorerRef):
         scorer = scorer.resolve()
-    _WORKER_STATE = (scorer, eval_batch_size, score_block_budget, telemetry_enabled)
+    _WORKER_STATE = (scorer, eval_batch_size, telemetry_enabled)
 
 
 def _rank_one_shard(
@@ -483,7 +441,6 @@ def _rank_one_shard(
     shard_index: int,
     work: QueryWork,
     eval_batch_size: int,
-    score_block_budget: Optional[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One shard's ranks, wrapped in the shared span/counter instrumentation.
 
@@ -493,7 +450,7 @@ def _rank_one_shard(
     with telemetry.span(
         "eval.rank_shard", side=work.side, shard=shard_index, entries=len(work)
     ):
-        raw, filtered = rank_shard(scorer, work, eval_batch_size, score_block_budget)
+        raw, filtered = rank_shard(scorer, work, eval_batch_size)
     telemetry.counter("eval.shards").add(1)
     telemetry.counter("eval.entries").add(len(work))
     telemetry.counter("eval.ranked_targets").add(len(raw))
@@ -512,11 +469,11 @@ def _rank_shard_task(
     later payload from the same worker.
     """
     assert _WORKER_STATE is not None, "worker used before initialization"
-    scorer, eval_batch_size, score_block_budget, telemetry_enabled = _WORKER_STATE
+    scorer, eval_batch_size, telemetry_enabled = _WORKER_STATE
     shard_index, work = task
     with scoped(Telemetry(enabled=telemetry_enabled)) as telemetry:
         raw, filtered = _rank_one_shard(
-            telemetry, scorer, shard_index, work, eval_batch_size, score_block_budget,
+            telemetry, scorer, shard_index, work, eval_batch_size
         )
         payload = telemetry.worker_payload() if telemetry_enabled else None
     return raw, filtered, payload
@@ -529,7 +486,6 @@ def evaluate_shards(
     shard_size: Optional[int],
     eval_batch_size: int,
     start_method: Optional[str] = None,
-    score_block_budget: Optional[int] = None,
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Rank every side's query order, sharded across worker processes.
 
@@ -544,9 +500,7 @@ def evaluate_shards(
     total_entries = sum(len(side_work) for side_work in work)
     if n_workers == 1 or total_entries == 0 or not multiprocessing_available():
         return {
-            side_work.side: _rank_one_shard(
-                telemetry, scorer, 0, side_work, eval_batch_size, score_block_budget,
-            )
+            side_work.side: _rank_one_shard(telemetry, scorer, 0, side_work, eval_batch_size)
             for side_work in work
         }
     tasks: List[Tuple[int, QueryWork]] = []
@@ -560,10 +514,7 @@ def evaluate_shards(
     with context.Pool(
         processes=processes,
         initializer=_init_worker,
-        initargs=(
-            _shippable_scorer(scorer), eval_batch_size, score_block_budget,
-            telemetry.enabled,
-        ),
+        initargs=(_shippable_scorer(scorer), eval_batch_size, telemetry.enabled),
     ) as pool:
         # Pool.map preserves task submission order: the merge below is a
         # deterministic concatenation, independent of completion order.

@@ -22,12 +22,10 @@ from .sampling import BernoulliNegativeSampler, NegativeSampler, UniformNegative
 from .io import DatasetIOError, load_dataset, read_triples_tsv, save_dataset, write_triples_tsv
 from .streaming import (
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_MAX_QUEUE_CHUNKS,
     IngestProgress,
     IngestReport,
     StreamingDatasetBuilder,
     ingest_dataset,
-    residency_bound,
     stream_triple_chunks,
 )
 from .deltas import (
@@ -82,13 +80,11 @@ __all__ = [
     "read_triples_tsv",
     "write_triples_tsv",
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_MAX_QUEUE_CHUNKS",
     "IngestProgress",
     "IngestReport",
     "StreamingDatasetBuilder",
     "StreamingStatisticsBuilder",
     "ingest_dataset",
-    "residency_bound",
     "stream_triple_chunks",
     "DeltaApplyReport",
     "DeltaBatch",

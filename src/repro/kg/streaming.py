@@ -2,28 +2,26 @@
 
 The materializing loader (:func:`repro.kg.io.load_dataset`) reads every split
 into a Python list before the first triple is usable, so its peak memory is
-proportional to the dump size.  This module streams the same files through a
-producer/consumer pipeline instead:
+proportional to the dump size.  This module streams the same files chunk by
+chunk instead, all in the caller's thread:
 
-``reader thread`` → ``bounded chunk queue`` → ``consumer stages``
+``parse a chunk`` → ``intern and insert it`` → ``observers`` → ``drop it``
 
-* the **producer** parses the (possibly gzipped) TSV into chunks of at most
-  ``chunk_size`` labelled triples and pushes them into a queue holding at most
-  ``max_queue_chunks`` chunks — when the consumer falls behind, the bounded
-  queue blocks the reader (backpressure) instead of buffering the file;
-* the **consumer** interns labels into the vocabulary in a single pass,
-  inserts the encoded triples into the split's :class:`~repro.kg.triples.TripleSet`,
-  and forwards each chunk's *newly added* encoded triples to observers — the
-  incremental statistics builder
+* :func:`stream_triple_chunks` parses the (possibly gzipped) TSV into chunks
+  of at most ``chunk_size`` labelled triples;
+* :class:`StreamingDatasetBuilder` interns each chunk's labels into the
+  vocabulary in a single pass, inserts the encoded triples into the split's
+  :class:`~repro.kg.triples.TripleSet`, and :func:`ingest_dataset` forwards
+  the chunk's *newly added* encoded triples to observers — the incremental
+  statistics builder
   (:class:`repro.kg.statistics.StreamingStatisticsBuilder`), the incremental
   redundancy index (:class:`repro.core.redundancy.StreamingPairIndexBuilder`),
   or any callable with the same shape.
 
-At no point does a full split exist as labelled Python tuples: peak
-labelled-triple residency is bounded by
-``chunk_size * (max_queue_chunks + PIPELINE_SLACK_CHUNKS)`` — the queue plus
-the chunk in the producer's hand and the chunk being consumed — regardless of
-dataset size (``benchmarks/bench_ingest_throughput.py`` gates this in CI).
+A chunk is consumed before the next one is parsed, so at no point does a full
+split exist as labelled Python tuples: peak labelled-triple residency is one
+chunk, at most ``chunk_size`` triples, regardless of dataset size
+(``benchmarks/bench_ingest_throughput.py`` gates this in CI).
 
 Splits are consumed in ``train → valid → test`` order with chunk-order
 preserved, so the crystallized dataset is **bit-identical** to the in-memory
@@ -34,11 +32,9 @@ ingest — the pipeline's, the CLI's, the delta maintainer's — builds that one
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from queue import Empty, Full, Queue
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .dataset import Dataset, DatasetMetadata
@@ -56,18 +52,9 @@ from .vocabulary import Vocabulary
 from ..api.schema import INGEST_DEFAULTS
 from ..telemetry import SIZE_BUCKETS, get_telemetry
 
-#: Labelled triples per pipeline chunk (the unit of parsing, queueing, interning).
+#: Labelled triples per pipeline chunk (the unit of parsing and interning).
 #: The canonical value lives in the knob schema (``ingest.chunk_size``).
 DEFAULT_CHUNK_SIZE = INGEST_DEFAULTS["chunk_size"]
-
-#: Chunks the bounded queue may hold before the reader thread blocks
-#: (``ingest.max_queue_chunks`` in the knob schema).
-DEFAULT_MAX_QUEUE_CHUNKS = INGEST_DEFAULTS["max_queue_chunks"]
-
-#: One chunk in the producer's hand plus one being consumed sit outside the
-#: queue, so the pipeline's hard residency bound is ``max_queue_chunks + 2``
-#: chunks of labelled triples.
-PIPELINE_SLACK_CHUNKS = 2
 
 #: The split consumption order that makes streamed vocabulary ids bit-identical
 #: to :func:`repro.kg.dataset.build_dataset_from_labelled_triples`.
@@ -81,36 +68,6 @@ Chunk = List[LabelledTriple]
 ChunkObserver = Callable[[str, Sequence[Triple]], None]
 
 
-def residency_bound(chunk_size: int, max_queue_chunks: int) -> int:
-    """The pipeline's peak labelled-triple residency guarantee."""
-    return chunk_size * (max_queue_chunks + PIPELINE_SLACK_CHUNKS)
-
-
-class PipelineMonitor:
-    """Thread-safe accounting of labelled triples buffered in the pipeline."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.resident_triples = 0
-        self.peak_resident_triples = 0
-        self.total_triples = 0
-        self.total_chunks = 0
-
-    def produced(self, count: int) -> None:
-        """A chunk of ``count`` labelled triples now exists (producer side)."""
-        with self._lock:
-            self.resident_triples += count
-            if self.resident_triples > self.peak_resident_triples:
-                self.peak_resident_triples = self.resident_triples
-
-    def consumed(self, count: int) -> None:
-        """A chunk of ``count`` labelled triples was fully processed and dropped."""
-        with self._lock:
-            self.resident_triples -= count
-            self.total_triples += count
-            self.total_chunks += 1
-
-
 @dataclass(frozen=True)
 class IngestProgress:
     """Cumulative pipeline counters, emitted to the progress callback per chunk."""
@@ -118,6 +75,7 @@ class IngestProgress:
     split: str
     chunks: int
     triples: int
+    #: Labelled triples of the chunk just consumed, and the largest chunk so far.
     resident_triples: int
     peak_resident_triples: int
 
@@ -129,12 +87,11 @@ def stream_triple_chunks(
     path: Path,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     gzipped: Optional[bool] = None,
-    monitor: Optional[PipelineMonitor] = None,
 ) -> Iterator[Chunk]:
     """Parse a TSV file into chunks of at most ``chunk_size`` labelled triples.
 
-    A plain synchronous generator — the producer thread runs it behind the
-    bounded queue, but it is equally usable standalone.  Malformed lines raise
+    A plain synchronous generator: the file is read only as far as the
+    consumer has pulled chunks.  Malformed lines raise
     :class:`DatasetIOError` with the exact ``path:line_number`` position.
     """
     path = Path(path)
@@ -150,85 +107,10 @@ def stream_triple_chunks(
                 continue
             chunk.append(row)
             if len(chunk) >= chunk_size:
-                if monitor is not None:
-                    monitor.produced(len(chunk))
                 yield chunk
                 chunk = []
     if chunk:
-        if monitor is not None:
-            monitor.produced(len(chunk))
         yield chunk
-
-
-class _Failure:
-    """Wraps a producer-side exception for re-raising on the consumer side."""
-
-    def __init__(self, error: BaseException) -> None:
-        self.error = error
-
-
-_END = object()
-
-
-def bounded_chunk_pipeline(
-    chunks: Iterable[Chunk], max_queue_chunks: int = DEFAULT_MAX_QUEUE_CHUNKS
-) -> Iterator[Chunk]:
-    """Drive ``chunks`` from a producer thread through a bounded queue.
-
-    The queue holds at most ``max_queue_chunks`` chunks; a full queue blocks
-    the producer (backpressure), a producer exception is re-raised at the
-    consumer with its original traceback position intact, and abandoning the
-    iterator (e.g. a downstream error) stops the producer promptly.
-    """
-    if max_queue_chunks < 1:
-        raise ValueError(f"max_queue_chunks must be >= 1, got {max_queue_chunks}")
-    queue: Queue = Queue(maxsize=max_queue_chunks)
-    stop = threading.Event()
-    telemetry = get_telemetry()
-    stalls = telemetry.counter("ingest.backpressure_stalls")
-    queue_depth = telemetry.gauge("ingest.queue_depth_chunks")
-
-    def put(item: object) -> bool:
-        """Blocking put that gives up when the consumer went away."""
-        while not stop.is_set():
-            try:
-                queue.put(item, timeout=0.05)
-                return True
-            except Full:
-                # One stall tick per 50ms the bounded queue held the reader.
-                stalls.add(1)
-                continue
-        return False
-
-    def produce() -> None:
-        try:
-            for chunk in chunks:
-                if not put(chunk):
-                    return
-        except BaseException as error:  # noqa: BLE001 - re-raised on the consumer side
-            put(_Failure(error))
-        else:
-            put(_END)
-
-    producer = threading.Thread(target=produce, name="repro-ingest-producer", daemon=True)
-    producer.start()
-    try:
-        while True:
-            try:
-                item = queue.get(timeout=0.05)
-            except Empty:
-                if not producer.is_alive() and queue.empty():
-                    break
-                continue
-            if item is _END:
-                break
-            if isinstance(item, _Failure):
-                raise item.error
-            queue_depth.set(queue.qsize())
-            yield item
-    finally:
-        stop.set()
-        producer.join(timeout=5.0)
 
 
 class StreamingDatasetBuilder:
@@ -300,10 +182,9 @@ class IngestReport:
     statistics: DatasetStatistics
     total_triples: int
     total_chunks: int
+    #: The largest chunk consumed: at most ``chunk_size``.
     peak_resident_triples: int
-    residency_bound: int
     chunk_size: int
-    max_queue_chunks: int
     seconds: float
 
     @property
@@ -315,7 +196,6 @@ def ingest_dataset(
     directory: Path,
     name: Optional[str] = None,
     chunk_size: Optional[int] = None,
-    max_queue_chunks: Optional[int] = None,
     gzipped: Optional[bool] = None,
     observers: Sequence[ChunkObserver] = (),
     progress: Optional[ProgressCallback] = None,
@@ -324,16 +204,15 @@ def ingest_dataset(
     """Stream a TSV dataset directory into a :class:`Dataset` under a memory budget.
 
     The orchestrator behind the pipeline's source ingest and the CLI's
-    ``ingest`` subcommand: one producer/consumer pipeline per split (train,
-    valid, test in order), single-pass vocabulary interning, incremental
-    statistics, and observer fan-out for audit indexes.  ``observers`` are
-    called per chunk with ``(split, newly_added_encoded_triples)``.
+    ``ingest`` subcommand: each split (train, valid, test in order) is parsed
+    chunk by chunk in the caller's thread, with single-pass vocabulary
+    interning, incremental statistics, and observer fan-out for audit
+    indexes.  ``observers`` are called per chunk with
+    ``(split, newly_added_encoded_triples)``.  At most one chunk of labelled
+    triples is held at a time.
     """
     directory = Path(directory)
     chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
-    max_queue_chunks = (
-        DEFAULT_MAX_QUEUE_CHUNKS if max_queue_chunks is None else max_queue_chunks
-    )
     if progress_every_chunks < 1:
         raise ValueError(
             f"progress_every_chunks must be >= 1, got {progress_every_chunks}"
@@ -343,13 +222,13 @@ def ingest_dataset(
     dataset_name, metadata = read_directory_metadata(directory, name)
     builder = StreamingDatasetBuilder(dataset_name, metadata)
     stats = StreamingStatisticsBuilder(dataset_name)
-    monitor = PipelineMonitor()
     telemetry = get_telemetry()
     chunk_counter = telemetry.counter("ingest.chunks")
     triple_counter = telemetry.counter("ingest.triples")
     residency_gauge = telemetry.gauge("ingest.resident_triples")
     chunk_sizes = telemetry.histogram("ingest.chunk_triples", bounds=SIZE_BUCKETS)
     chunk_seconds = telemetry.histogram("ingest.chunk_seconds")
+    total_chunks = total_triples = peak_resident = 0
 
     start = time.perf_counter()
     for split in SPLIT_ORDER:
@@ -357,28 +236,29 @@ def ingest_dataset(
         if path is None:
             continue
         with telemetry.span("ingest.split", dataset=dataset_name, split=split):
-            source = stream_triple_chunks(path, chunk_size, gzipped, monitor)
-            for chunk in bounded_chunk_pipeline(source, max_queue_chunks):
+            for chunk in stream_triple_chunks(path, chunk_size, gzipped):
                 chunk_started = time.perf_counter() if telemetry.enabled else 0.0
                 added = builder.add_chunk(split, chunk)
                 stats.observe(split, added)
                 for observe in observers:
                     observe(split, added)
-                monitor.consumed(len(chunk))
+                total_chunks += 1
+                total_triples += len(chunk)
+                peak_resident = max(peak_resident, len(chunk))
                 chunk_counter.add(1)
                 triple_counter.add(len(chunk))
-                residency_gauge.set(monitor.resident_triples)
+                residency_gauge.set(len(chunk))
                 if telemetry.enabled:
                     chunk_sizes.observe(len(chunk))
                     chunk_seconds.observe(time.perf_counter() - chunk_started)
-                if progress is not None and monitor.total_chunks % progress_every_chunks == 0:
+                if progress is not None and total_chunks % progress_every_chunks == 0:
                     progress(
                         IngestProgress(
                             split=split,
-                            chunks=monitor.total_chunks,
-                            triples=monitor.total_triples,
-                            resident_triples=monitor.resident_triples,
-                            peak_resident_triples=monitor.peak_resident_triples,
+                            chunks=total_chunks,
+                            triples=total_triples,
+                            resident_triples=len(chunk),
+                            peak_resident_triples=peak_resident,
                         )
                     )
     if builder.split_size("train") == 0:
@@ -389,12 +269,9 @@ def ingest_dataset(
     return IngestReport(
         dataset=dataset,
         statistics=stats.statistics(),
-        total_triples=monitor.total_triples,
-        total_chunks=monitor.total_chunks,
-        peak_resident_triples=monitor.peak_resident_triples,
-        residency_bound=residency_bound(chunk_size, max_queue_chunks),
+        total_triples=total_triples,
+        total_chunks=total_chunks,
+        peak_resident_triples=peak_resident,
         chunk_size=chunk_size,
-        max_queue_chunks=max_queue_chunks,
         seconds=seconds,
     )
-

@@ -20,11 +20,6 @@ Every optimizer consumes gradients through two paths:
   touched.  Momentum of untouched rows does **not** decay, which is the
   standard sparse/LazyAdam trade-off of large-scale embedding systems.
 
-``row_budget`` caps the sparse bookkeeping: when one step coalesces more
-rows than the budget, the gradient is densified and applied as an all-rows
-sparse update (for Adam this advances every row's lazy step count, which is
-exactly the dense schedule).
-
 ``weight_decay`` folds an L2 penalty gradient (``wd * parameter``) into
 whichever gradient path is active *before* the update rule runs.  On the
 sparse path only the batch rows pay the decay, so regularized sparse training
@@ -58,7 +53,6 @@ class Optimizer:
         self,
         parameters: Dict[str, Parameter],
         learning_rate: float = 0.01,
-        row_budget: Optional[int] = None,
         weight_decay: float = 0.0,
     ) -> None:
         if learning_rate <= 0:
@@ -67,9 +61,7 @@ class Optimizer:
             raise ValueError("weight decay must be non-negative")
         self.parameters = dict(parameters)
         self.learning_rate = float(learning_rate)
-        self.row_budget = None if row_budget is None else max(1, int(row_budget))
         self.weight_decay = float(weight_decay)
-        self._row_bounded_step = True
 
     def zero_grad(self) -> None:
         """Clear dense and sparse gradients of every managed parameter.
@@ -87,13 +79,13 @@ class Optimizer:
         """Apply all pending updates.
 
         Returns True when every update this step was **row-bounded** — it can
-        only have moved rows inside the gradient's support (sparse updates
-        within the row budget, and dense SGD/Adagrad updates).  Dense Adam
-        updates and budget-densified steps move rows outside the batch, so
-        they return False; the trainer uses the flag to decide whether
-        touched-rows constraints suffice or every row must be re-constrained.
+        only have moved rows inside the gradient's support (sparse updates,
+        and dense SGD/Adagrad updates).  Dense Adam updates move rows outside
+        the batch, so they return False; the trainer uses the flag to decide
+        whether touched-rows constraints suffice or every row must be
+        re-constrained.
         """
-        self._row_bounded_step = True
+        row_bounded = True
         for name, parameter in self.parameters.items():
             pending = self._pending_sparse(parameter)
             if pending is not None:
@@ -110,8 +102,8 @@ class Optimizer:
                         parameter.grad + self.weight_decay * parameter.data
                     )
                 self._update(name, parameter)
-                self._row_bounded_step &= self.dense_update_is_row_bounded
-        return self._row_bounded_step
+                row_bounded &= self.dense_update_is_row_bounded
+        return row_bounded
 
     def _pending_sparse(
         self, parameter: Parameter
@@ -121,20 +113,13 @@ class Optimizer:
         Mixed contributions (a parameter that received both gather and dense
         gradients in one graph) fall back to the dense path: returning
         ``None`` makes ``step`` read ``parameter.grad``, which folds the
-        sparse segments in.  A coalesced row count above ``row_budget``
-        densifies into an all-rows sparse update.
+        sparse segments in.
         """
         sparse = getattr(parameter, "sparse_grad", None)
         if sparse is None or sparse.is_empty():
             return None
         if getattr(parameter, "dense_grad", None) is not None:
             return None
-        if self.row_budget is not None:
-            # The budget decision only needs the index count — don't pay for
-            # a row coalesce that would be thrown away on fallback.
-            if len(sparse.touched_indices()) > self.row_budget:
-                self._row_bounded_step = False
-                return np.arange(parameter.data.shape[0]), sparse.to_dense()
         return sparse.coalesce()
 
     def _update(self, name: str, parameter: Parameter) -> None:
@@ -183,10 +168,9 @@ class Adagrad(Optimizer):
         parameters: Dict[str, Parameter],
         learning_rate: float = 0.1,
         epsilon: float = 1e-10,
-        row_budget: Optional[int] = None,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, learning_rate, row_budget=row_budget, weight_decay=weight_decay)
+        super().__init__(parameters, learning_rate, weight_decay=weight_decay)
         self.epsilon = epsilon
         self._accumulators = {name: np.zeros_like(p.data) for name, p in self.parameters.items()}
 
@@ -243,10 +227,9 @@ class Adam(Optimizer):
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,
-        row_budget: Optional[int] = None,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, learning_rate, row_budget=row_budget, weight_decay=weight_decay)
+        super().__init__(parameters, learning_rate, weight_decay=weight_decay)
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
@@ -359,15 +342,14 @@ def make_optimizer(
     name: str,
     parameters: Dict[str, Parameter],
     learning_rate: float,
-    row_budget: Optional[int] = None,
     weight_decay: float = 0.0,
 ) -> Optimizer:
     """Factory resolving an optimizer name used in trainer configs."""
     lowered = name.lower()
     if lowered == "sgd":
-        return SGD(parameters, learning_rate, row_budget=row_budget, weight_decay=weight_decay)
+        return SGD(parameters, learning_rate, weight_decay=weight_decay)
     if lowered == "adagrad":
-        return Adagrad(parameters, learning_rate, row_budget=row_budget, weight_decay=weight_decay)
+        return Adagrad(parameters, learning_rate, weight_decay=weight_decay)
     if lowered == "adam":
-        return Adam(parameters, learning_rate, row_budget=row_budget, weight_decay=weight_decay)
+        return Adam(parameters, learning_rate, weight_decay=weight_decay)
     raise ValueError(f"unknown optimizer: {name!r}")

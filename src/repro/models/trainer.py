@@ -109,9 +109,6 @@ class TrainingConfig:
     #: ``False`` selects the dense reference path the sparse engine is
     #: regression-tested against.
     sparse_updates: bool = TRAINING_DEFAULTS["sparse_updates"]
-    #: Max coalesced rows per sparse update before densifying the step
-    #: (``None`` = never densify).
-    row_budget: Optional[int] = TRAINING_DEFAULTS["row_budget"]
     #: Epochs between validation-MRR passes (0 = no validation).
     validate_every: int = TRAINING_DEFAULTS["validate_every"]
     #: Validation checks without a new best filtered MRR before stopping
@@ -231,7 +228,6 @@ class TrainingRun:
             self.config.optimizer,
             model.parameters(),
             self.config.learning_rate,
-            row_budget=self.config.row_budget,
             weight_decay=self.config.weight_decay,
         )
         #: Next epoch to run (0-based); advanced by ``train`` and ``restore``.
@@ -384,9 +380,8 @@ class TrainingRun:
                     touched_entities=touched_entities, touched_relations=touched_relations
                 )
             else:
-                # Dense Adam momentum (or a budget-densified step) moves rows
-                # outside the batch; only an all-rows pass keeps constraints
-                # tight.
+                # Dense Adam momentum moves rows outside the batch; only an
+                # all-rows pass keeps constraints tight.
                 self.model.apply_constraints()
         return value
 

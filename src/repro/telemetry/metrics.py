@@ -1,7 +1,7 @@
 """Counters, gauges and fixed-bucket histograms with an exact, order-free merge.
 
 The registry is the single sink for every operational series in the stack:
-ingest chunk throughput and backpressure stalls, training rows-touched and
+ingest chunk throughput and residency, training rows-touched and
 epoch timings, per-shard evaluation counts, serving queue delay and cache hit
 ratios.  Three design constraints shape it:
 
@@ -97,8 +97,8 @@ class Gauge:
     Merging per-worker gauges cannot preserve "last set" (there is no global
     order between workers), so a merged gauge's ``value`` is defined as the
     max over the merged values — commutative and associative, hence
-    order-free, and the natural reading for the gauges we export (peak queue
-    depth, peak residency).
+    order-free, and the natural reading for the gauges we export (peak
+    residency).
     """
 
     __slots__ = ("name", "_value", "_max", "_updates", "_lock")

@@ -61,12 +61,12 @@ def test_spec_eval_options_reads_the_evaluation_section():
     spec = ExperimentSpec()
     spec.evaluation.batch_size = 9
     spec.evaluation.workers = 2
-    spec.evaluation.score_block_budget = 64
+    spec.evaluation.eval_dtype = "fp32"
     options = spec.eval_options()
     assert options.batch_size == 9
     assert options.workers == 2
     assert options.shard_size == spec.evaluation.shard_size
-    assert options.score_block_budget == 64
+    assert options.eval_dtype == "fp32"
     assert options.mp_start_method is None
 
 

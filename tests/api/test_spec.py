@@ -56,7 +56,7 @@ def test_derived_defaults_are_the_schema_defaults():
     constants all derive from the schema — the drift the spec API was built
     to kill."""
     from repro.eval.ranking import DEFAULT_EVAL_BATCH_SIZE
-    from repro.kg.streaming import DEFAULT_CHUNK_SIZE, DEFAULT_MAX_QUEUE_CHUNKS
+    from repro.kg.streaming import DEFAULT_CHUNK_SIZE
     from repro.models.trainer import TrainingConfig
 
     spec = ExperimentSpec()
@@ -77,7 +77,6 @@ def test_derived_defaults_are_the_schema_defaults():
     )
     assert DEFAULT_EVAL_BATCH_SIZE == schema.EVALUATION_DEFAULTS["batch_size"]
     assert DEFAULT_CHUNK_SIZE == schema.INGEST_DEFAULTS["chunk_size"]
-    assert DEFAULT_MAX_QUEUE_CHUNKS == schema.INGEST_DEFAULTS["max_queue_chunks"]
 
 
 def test_default_spec_equals_default_experiment_config():
@@ -91,7 +90,7 @@ def test_component_configs_read_the_spec_sections():
     spec.dataset.seed = 5
     spec.model.dim = 24
     spec.training.epochs = 3
-    spec.training.row_budget = 64
+    spec.training.checkpoint_dir = "checkpoints"
     spec.evaluation.batch_size = 7
     spec.evaluation.workers = 2
     model = spec.model_config("ConvE")
@@ -289,11 +288,58 @@ def test_evaluation_backend_other_than_numpy_is_refused(value):
 
 
 def test_fingerprints_keep_the_removed_backend_knob_constant():
-    """The removed ``evaluation.backend`` knob is hashed at its one value, so
-    spec fingerprints, and the artifact caches keyed by them, do not move."""
+    """The removed ``evaluation.backend`` and ``ingest.max_queue_chunks``
+    knobs are hashed at their one value, so spec fingerprints, and the
+    artifact caches keyed by them, do not move."""
     assert ExperimentSpec().fingerprint() == "e9ce8e04651513fd"
-    headline = Path(__file__).parents[2] / "examples" / "specs" / "headline_tiny.toml"
-    assert ExperimentSpec.load(headline).fingerprint() == "2ee338ce79f652cb"
+    specs = Path(__file__).parents[2] / "examples" / "specs"
+    shipped = {
+        "full_reference.toml": "e9ce8e04651513fd",
+        "headline_tiny.toml": "2ee338ce79f652cb",
+        "model_comparison.toml": "21e312f28726768f",
+        "quickstart.toml": "baa854d60896bb31",
+        "sweep_tiny.toml": "ac97152c9c7acaa0",
+    }
+    assert sorted(path.name for path in specs.glob("*.toml")) == sorted(shipped)
+    for name, fingerprint in shipped.items():
+        assert ExperimentSpec.load(specs / name).fingerprint() == fingerprint, name
+
+
+@pytest.mark.parametrize("value", [4, 2])
+def test_ingest_max_queue_chunks_loads_and_is_dropped(value):
+    """``ingest.max_queue_chunks`` sized a reader thread's queue and never
+    changed a dataset: any value still loads, and the key is dropped."""
+    plain = ExperimentSpec.loads("[ingest]\nchunk_size = 64\n")
+    spec = ExperimentSpec.loads(f"[ingest]\nchunk_size = 64\nmax_queue_chunks = {value}\n")
+    assert spec == plain
+    assert spec.fingerprint() == plain.fingerprint()
+    assert "max_queue_chunks" not in spec.dumps("toml")
+
+
+@pytest.mark.parametrize(
+    "section, knob, hint",
+    [
+        ("evaluation", "score_block_budget", "evaluation.batch_size = max(1, B // num_entities)"),
+        ("training", "row_budget", "Adam"),
+    ],
+)
+def test_removed_knobs_that_changed_behaviour_are_refused(section, knob, hint):
+    for text, path in (
+        (f"[{section}]\n{knob} = 64\n", f"{section}.{knob}"),
+        (
+            f"[overrides.models.TransE.{section}]\n{knob} = 64\n",
+            f"overrides.models.TransE.{section}.{knob}",
+        ),
+    ):
+        errors = _errors_of(text)
+        assert [error.path for error in errors] == [path]
+        assert f"the {knob} knob was removed" in errors[0].message
+        assert hint in errors[0].message
+
+
+def test_full_reference_spec_is_the_generated_template():
+    reference = Path(__file__).parents[2] / "examples" / "specs" / "full_reference.toml"
+    assert reference.read_text() == spec_template()
 
 
 # ------------------------------------------------------------------ validation errors
@@ -389,7 +435,7 @@ def test_null_override_knob_is_pruned_and_round_trips():
     """A null override means "use the default"; it must not break TOML dumps."""
     spec = ExperimentSpec.loads(
         json.dumps(
-            {"overrides": {"models": {"TransE": {"training": {"row_budget": None}}}}}
+            {"overrides": {"models": {"TransE": {"training": {"checkpoint_dir": None}}}}}
         ),
         "json",
     )
@@ -397,7 +443,7 @@ def test_null_override_knob_is_pruned_and_round_trips():
     assert ExperimentSpec.loads(spec.dumps("toml")) == spec
     # Programmatically constructed None overrides dump cleanly too.
     spec = ExperimentSpec(
-        overrides={"models": {"TransE": {"training": {"row_budget": None, "epochs": 5}}}}
+        overrides={"models": {"TransE": {"training": {"checkpoint_dir": None, "epochs": 5}}}}
     )
     reloaded = ExperimentSpec.loads(spec.dumps("toml"))
     assert reloaded.overrides == {"models": {"TransE": {"training": {"epochs": 5}}}}
@@ -460,11 +506,11 @@ def test_diff_specs_reports_dotted_paths():
     left = ExperimentSpec()
     right = ExperimentSpec()
     right.training.epochs = 3
-    right.training.row_budget = 64
+    right.training.checkpoint_dir = "checkpoints"
     differences = dict((path, (a, b)) for path, a, b in diff_specs(left, right))
     assert differences["training.epochs"] == (schema.TRAINING_DEFAULTS["epochs"], 3)
     # Optional knob unset on the left shows as None.
-    assert differences["training.row_budget"] == (None, 64)
+    assert differences["training.checkpoint_dir"] == (None, "checkpoints")
     assert diff_specs(left, left) == []
 
 

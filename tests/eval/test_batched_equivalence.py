@@ -101,7 +101,7 @@ def test_evaluators_share_a_prebuilt_or_lazy_known_index(toy_dataset):
     scorer = SimpleRuleModel(toy_dataset.train, toy_dataset.num_entities, threshold=0.5)
     triples = _query_rich_triples(toy_dataset)
     first = LinkPredictionEvaluator(toy_dataset)
-    options = EvalOptions(batch_size=3, score_block_budget=64)
+    options = EvalOptions(batch_size=3)
     prebuilt = LinkPredictionEvaluator(toy_dataset, options=options, known_index=first.known_index)
     lazy = LinkPredictionEvaluator(
         toy_dataset, options=options, known_index=lambda: first.known_index

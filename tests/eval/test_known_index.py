@@ -244,20 +244,19 @@ def _work(side, scorer, case):
     case=ranking_blocks(),
     side=st.sampled_from(["tail", "head"]),
     eval_batch_size=st.integers(1, 8),
-    score_block_budget=st.none() | st.integers(1, 60),
     n_workers=st.integers(1, 5),
     shard_size=st.none() | st.integers(1, 4),
 )
 def test_sharded_block_ranks_equal_per_row_mean_tie_ranks(
-    case, side, eval_batch_size, score_block_budget, n_workers, shard_size
+    case, side, eval_batch_size, n_workers, shard_size
 ):
-    """Batch size, block budget and the shard partition (what each worker
-    ranks) never change a rank: every shard equals the per-row oracle."""
+    """Batch size and the shard partition (what each worker ranks) never
+    change a rank: every shard equals the per-row oracle."""
     scorer = _TableScorer(np.random.default_rng(3).integers(0, 3, (5, case[0].shape[1])) * 1.0)
     work, (expected_raw, expected_filtered) = _work(side, scorer, case)
     raw_parts, filtered_parts = [], []
     for start, stop in plan_shards(len(work), n_workers, shard_size):
-        raw, filtered = rank_shard(scorer, work[start:stop], eval_batch_size, score_block_budget)
+        raw, filtered = rank_shard(scorer, work[start:stop], eval_batch_size)
         raw_parts.append(raw)
         filtered_parts.append(filtered)
     assert np.array_equal(np.concatenate(raw_parts), expected_raw)
@@ -269,8 +268,7 @@ def test_sharded_block_ranks_equal_per_row_mean_tie_ranks(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the test-local scorer only ships to workers under fork",
 )
-@pytest.mark.parametrize("score_block_budget", [None, 7])
-def test_worker_pool_block_ranks_equal_per_row_mean_tie_ranks(score_block_budget, capped_workers):
+def test_worker_pool_block_ranks_equal_per_row_mean_tie_ranks(capped_workers):
     rng = np.random.default_rng(11)
     width = 9
     targets = [list(rng.integers(0, width, rng.integers(1, 4))) for _ in range(10)]
@@ -278,9 +276,7 @@ def test_worker_pool_block_ranks_equal_per_row_mean_tie_ranks(score_block_budget
     case = (np.zeros((10, width)), targets, known)
     scorer = _TableScorer(rng.integers(0, 3, (5, width)) * 1.0)
     work, (expected_raw, expected_filtered) = _work("tail", scorer, case)
-    ranks = evaluate_shards(
-        scorer, [work], capped_workers(3), 2, 3, "fork", score_block_budget
-    )["tail"]
+    ranks = evaluate_shards(scorer, [work], capped_workers(3), 2, 3, "fork")["tail"]
     assert np.array_equal(ranks[0], expected_raw)
     assert np.array_equal(ranks[1], expected_filtered)
 

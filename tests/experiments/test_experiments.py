@@ -91,7 +91,6 @@ def test_runner_ingests_streamed_dataset(tmp_path, toy_dataset):
     directory = save_dataset(toy_dataset, tmp_path / "toy")
     spec = _spec()
     spec.ingest.chunk_size = 4
-    spec.ingest.max_queue_chunks = 2
     ingest_runner = Runner(spec)
     dataset = ingest_dataset_into_store(ingest_runner.store, ingest_runner.spec, directory)
     assert dataset.name == "toy"

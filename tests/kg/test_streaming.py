@@ -1,7 +1,7 @@
 """Streamed ingestion must equal the in-memory loader bit-for-bit.
 
-The contract under test: at *any* chunk size, *any* queue depth, gzipped or
-not, the streaming pipeline crystallizes the exact dataset the materializing
+The contract under test: at *any* chunk size, gzipped or not, the
+streaming pipeline crystallizes the exact dataset the materializing
 loader produces — same vocabulary ids, same triple order, same metadata —
 while its incremental statistics and redundancy index match their one-shot
 counterparts, and malformed input fails with the same ``path:line`` position.
@@ -31,12 +31,10 @@ from repro.kg import (
     dataset_statistics,
     ingest_dataset,
     load_dataset,
-    residency_bound,
     save_dataset,
     stream_triple_chunks,
     write_triples_tsv,
 )
-from repro.kg.streaming import bounded_chunk_pipeline
 
 LABELS = [f"n{i}" for i in range(12)]
 label = st.sampled_from(LABELS)
@@ -72,16 +70,13 @@ def assert_bit_identical(reference: Dataset, other: Dataset) -> None:
     valid=st.lists(labelled_triple, max_size=12),
     test=st.lists(labelled_triple, max_size=12),
     chunk_size=st.integers(min_value=1, max_value=17),
-    max_queue_chunks=st.integers(min_value=1, max_value=4),
     gzipped=st.booleans(),
 )
-def test_streamed_dataset_is_bit_identical(train, valid, test, chunk_size, max_queue_chunks, gzipped):
+def test_streamed_dataset_is_bit_identical(train, valid, test, chunk_size, gzipped):
     with tempfile.TemporaryDirectory() as tmp:
         directory = write_dataset_dir(Path(tmp) / "ds", train, valid, test, gzipped=gzipped)
         reference = load_dataset(directory)
-        streamed = ingest_dataset(
-            directory, chunk_size=chunk_size, max_queue_chunks=max_queue_chunks
-        ).dataset
+        streamed = ingest_dataset(directory, chunk_size=chunk_size).dataset
         assert_bit_identical(reference, streamed)
 
 
@@ -129,8 +124,6 @@ def test_chunk_stream_rejects_degenerate_budget(tmp_path):
     write_triples_tsv(path, [("a", "r", "b")])
     with pytest.raises(ValueError):
         list(stream_triple_chunks(path, chunk_size=0))
-    with pytest.raises(ValueError):
-        list(bounded_chunk_pipeline(iter([]), max_queue_chunks=0))
 
 
 def test_ingest_rejects_degenerate_progress_interval(tmp_path):
@@ -145,19 +138,13 @@ def test_peak_residency_is_bounded_even_with_slow_consumer(tmp_path):
     release = threading.Event()
 
     def slow_observer(split, added):
-        release.wait(timeout=0.002)  # let the producer race ahead and fill the queue
+        release.wait(timeout=0.002)  # the parser must not read ahead meanwhile
 
-    chunk_size, max_queue_chunks = 16, 2
-    report = ingest_dataset(
-        directory,
-        chunk_size=chunk_size,
-        max_queue_chunks=max_queue_chunks,
-        observers=(slow_observer,),
-    )
-    bound = residency_bound(chunk_size, max_queue_chunks)
-    assert report.peak_resident_triples <= bound
+    chunk_size = 16
+    report = ingest_dataset(directory, chunk_size=chunk_size, observers=(slow_observer,))
+    assert report.peak_resident_triples <= chunk_size
     assert report.peak_resident_triples < report.total_triples
-    assert report.residency_bound == bound
+    assert report.chunk_size == chunk_size
     assert report.total_triples == 600
 
 

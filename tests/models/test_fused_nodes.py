@@ -103,13 +103,12 @@ def _train(model, score, loss, optimizer, batches):
     return trace
 
 
-def _run(name, loss_name, optimizer_name, sparse, weight_decay, row_budget, norm, margin, grid,
-         seed, oracle):
+def _run(name, loss_name, optimizer_name, sparse, weight_decay, norm, margin, grid, seed, oracle):
     model = _model(name, seed, norm, grid)
     for parameter in model.parameters().values():
         parameter.sparse_updates = sparse
     optimizer = make_optimizer(
-        optimizer_name, model.parameters(), 0.05, row_budget=row_budget, weight_decay=weight_decay
+        optimizer_name, model.parameters(), 0.05, weight_decay=weight_decay
     )
     score = model.score_triples
     if oracle and name in SCORE_ORACLES:
@@ -131,20 +130,18 @@ def _run(name, loss_name, optimizer_name, sparse, weight_decay, row_budget, norm
 @settings(max_examples=3, deadline=None)
 @given(
     weight_decay=st.sampled_from([0.0, 0.01]),
-    row_budget=st.sampled_from([None, 2]),
     norm=st.sampled_from([1, 2]),
     margin=st.sampled_from([0.0, 0.5, 1.0]),
     grid=st.sampled_from([None, 1.0, 8.0]),
     seed=st.integers(0, 2**16),
 )
 def test_three_steps_equal_the_composition(
-    name, loss_name, optimizer_name, sparse, weight_decay, row_budget, norm, margin, grid, seed
+    name, loss_name, optimizer_name, sparse, weight_decay, norm, margin, grid, seed
 ):
     if norm == 2 and grid is not None:
         # An exact zero delta is the L2 norm's singular point (0 ** -0.5).
         grid = None
-    arguments = (name, loss_name, optimizer_name, sparse, weight_decay, row_budget, norm,
-                 margin, grid, seed)
+    arguments = (name, loss_name, optimizer_name, sparse, weight_decay, norm, margin, grid, seed)
     assert _run(*arguments, oracle=False) == _run(*arguments, oracle=True)
 
 

@@ -7,9 +7,6 @@ The contract (see ``docs/training.md``):
   full 10-model zoo (loss curves *and* final parameters).
 * Adam: *lazy* per-row state — a touched row sees exactly the update a dense
   Adam would apply to a parameter stepped only when that row was touched.
-* ``row_budget``: steps coalescing more rows than the budget densify into an
-  all-rows update (for SGD exactly the dense update; for Adam it advances
-  every row's lazy step count).
 """
 
 import numpy as np
@@ -30,13 +27,11 @@ NUM_ROWS = 9
 DIM = 4
 
 
-def _run_steps(optimizer_name, sparse, steps, learning_rate=0.1, row_budget=None):
+def _run_steps(optimizer_name, sparse, steps, learning_rate=0.1):
     """Apply a fixed sequence of gather gradients; return the final table."""
     rng = np.random.default_rng(11)
     parameter = Parameter(rng.normal(size=(NUM_ROWS, DIM)), sparse_updates=sparse)
-    optimizer = make_optimizer(
-        optimizer_name, {"table": parameter}, learning_rate, row_budget=row_budget
-    )
+    optimizer = make_optimizer(optimizer_name, {"table": parameter}, learning_rate)
     for indices, grad in steps:
         parameter.zero_grad()
         parameter.gather(indices).backward(grad)
@@ -61,14 +56,6 @@ def test_sgd_adagrad_sparse_updates_are_bit_identical_to_dense(optimizer_name):
     dense = _run_steps(optimizer_name, sparse=False, steps=steps)
     sparse = _run_steps(optimizer_name, sparse=True, steps=steps)
     assert np.array_equal(dense, sparse)
-
-
-@pytest.mark.parametrize("optimizer_name", ["sgd", "adagrad"])
-def test_row_budget_fallback_is_still_exact_for_sgd_adagrad(optimizer_name):
-    steps = _gather_steps()
-    dense = _run_steps(optimizer_name, sparse=False, steps=steps)
-    budgeted = _run_steps(optimizer_name, sparse=True, steps=steps, row_budget=2)
-    assert np.array_equal(dense, budgeted)
 
 
 def test_lazy_adam_touched_row_matches_dense_adam_on_its_own_schedule():

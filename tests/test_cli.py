@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import GENERATED_DATASETS, build_parser, main
@@ -54,7 +57,6 @@ def test_ingest_subcommand_streams_audits_and_exports(tmp_path, capsys, toy_data
             "ingest",
             "--input", str(directory),
             "--chunk-size", "4",
-            "--max-queue-chunks", "2",
             "--deredundify",
             "--output", str(output),
             "--progress", "--progress-every", "1",
@@ -118,12 +120,45 @@ def test_ingest_missing_directory_errors(tmp_path):
 
 def test_ingest_flags_are_parsed():
     args = build_parser().parse_args(
-        ["ingest", "--input", "somewhere", "--chunk-size", "128", "--max-queue-chunks", "3", "--gzip"]
+        ["ingest", "--input", "somewhere", "--chunk-size", "128", "--gzip"]
     )
     assert args.chunk_size == 128
-    assert args.max_queue_chunks == 3
     assert args.gzip is True
     assert args.deredundify is False
+
+
+QUICKSTART_SPEC = Path(__file__).parents[1] / "examples" / "specs" / "quickstart.toml"
+
+
+@pytest.mark.parametrize(
+    "argv, knob",
+    [
+        (["audit", "--dataset", "wn18", "--scale", "tiny", "--theta", "1.5"], "audit.theta"),
+        (["ingest", "--input", "unused", "--chunk-size", "0"], "ingest.chunk_size"),
+        (["run", str(QUICKSTART_SPEC), "--delta-as-of", "-1"], "deltas.as_of"),
+        (["query", "--anchor", "0", "--relation", "0", "--top-k", "0"], "serving.top_k"),
+        (["serve", "--artifact", "unused", "--port", "70000"], "serving.port"),
+    ],
+)
+def test_generated_flags_get_the_schema_range_checks_on_every_subcommand(argv, knob):
+    """A flag out of its knob's range exits before the subcommand does any work."""
+    with pytest.raises(SystemExit, match=rf"invalid option value\(s\):\n  - {re.escape(knob)}: "):
+        main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--input", "unused", "--max-queue-chunks", "4"],
+        ["train", "--score-block-budget", "100000"],
+        ["train", "--row-budget", "64"],
+    ],
+)
+def test_flags_of_removed_knobs_are_unrecognized(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_train_subcommand_runs_and_reports_metrics(capsys):
@@ -171,7 +206,6 @@ def test_train_lifecycle_flags_are_parsed():
             "train",
             "--optimizer", "sgd",
             "--dense-updates",
-            "--row-budget", "64",
             "--validate-every", "2",
             "--patience", "3",
             "--checkpoint-dir", "ckpts",
@@ -182,13 +216,12 @@ def test_train_lifecycle_flags_are_parsed():
     )
     assert args.optimizer == "sgd"
     assert args.dense_updates is True
-    assert args.row_budget == 64
     assert args.validate_every == 2 and args.patience == 3
     assert args.checkpoint_dir == "ckpts" and args.checkpoint_every == 5
     assert args.resume == "ckpts/checkpoint-epoch-0005.npz"
     assert args.verbose is True
     defaults = build_parser().parse_args(["train"])
-    assert defaults.dense_updates is False and defaults.row_budget is None
+    assert defaults.dense_updates is False
     assert defaults.validate_every == 0 and defaults.patience == 0
     assert defaults.checkpoint_dir is None and defaults.resume is None
 
