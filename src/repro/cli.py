@@ -208,17 +208,23 @@ def _exit_on_errors(errors: Sequence[Any]) -> None:
         )
 
 
-def _check_generated_flags(args: argparse.Namespace) -> None:
-    """Exit unless every generated flag of the chosen subcommand passes its knob's checks.
+def _check_flag_values(args: argparse.Namespace) -> None:
+    """Exit unless every flag of the chosen subcommand passes its range checks.
 
-    The range and choice checks of a spec file, run once after parsing for
-    every subcommand, so no surface accepts a value another refuses.
+    Generated flags get their knob's range and choice checks, as in a spec
+    file; the hand-written ``--as-of`` gets the ``deltas.as_of`` knob's, and
+    ``--progress-every`` must be at least 1.  Run once after parsing, before
+    any dataset is built, so no surface accepts a value another refuses.
     """
     errors = []
     command = getattr(args, "knob_command", None)
     for (section_name, knob_name), value in _parsed_knob_values(args, command).items():
         knob = schema.section(section_name).knob(knob_name)
         errors += check_knob_value(section_name, knob, value)
+    if hasattr(args, "as_of"):
+        errors += check_knob_value("deltas", schema.DELTAS.knob("as_of"), args.as_of)
+    if getattr(args, "progress_every", 1) < 1:
+        errors.append(f"--progress-every: must be >= 1, got {args.progress_every}")
     _exit_on_errors(errors)
 
 
@@ -1174,7 +1180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_generated_flags(args)
+    _check_flag_values(args)
     return args.handler(args)
 
 

@@ -8,15 +8,10 @@ from .redundancy import (
     StreamingPairIndexBuilder,
     analyse_redundancy,
     analyse_redundancy_from_pair_sets,
-    find_duplicate_relations,
-    find_reverse_duplicate_relations,
-    find_symmetric_relations,
-    relation_overlap,
 )
 from .cartesian import (
     CartesianProductPredictor,
     CartesianRelation,
-    cartesian_density,
     find_cartesian_relations,
 )
 from .leakage import LeakageReport, TripleRedundancy, analyse_leakage
@@ -28,10 +23,8 @@ from .categories import (
     category_distribution,
     dataset_relation_categories,
     relation_cardinality,
-    triples_per_category,
 )
 from .deredundancy import (
-    derived_benchmark_suite,
     make_fb15k237_like,
     make_wn18rr_like,
     make_yago_dr_like,
@@ -54,13 +47,8 @@ __all__ = [
     "StreamingPairIndexBuilder",
     "analyse_redundancy",
     "analyse_redundancy_from_pair_sets",
-    "find_duplicate_relations",
-    "find_reverse_duplicate_relations",
-    "find_symmetric_relations",
-    "relation_overlap",
     "CartesianRelation",
     "CartesianProductPredictor",
-    "cartesian_density",
     "find_cartesian_relations",
     "LeakageReport",
     "TripleRedundancy",
@@ -72,12 +60,10 @@ __all__ = [
     "categorize_relations",
     "category_distribution",
     "dataset_relation_categories",
-    "triples_per_category",
     "remove_redundant_relations",
     "make_fb15k237_like",
     "make_wn18rr_like",
     "make_yago_dr_like",
-    "derived_benchmark_suite",
     "SimpleRuleModel",
     "SimpleRulePair",
     "DEFAULT_INTERSECTION_THRESHOLD",

@@ -12,7 +12,7 @@ relations (Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -21,10 +21,6 @@ from ..kg.triples import TripleSet
 
 #: The paper's density threshold for calling a relation a Cartesian product.
 DEFAULT_DENSITY_THRESHOLD = 0.8
-
-#: Relations with a single instance triple are excluded, as in the paper's
-#: Freebase-snapshot analysis (they are trivially "complete").
-DEFAULT_MIN_TRIPLES = 2
 
 
 @dataclass(frozen=True)
@@ -42,28 +38,15 @@ class CartesianRelation:
         return self.num_triples / cells if cells else 0.0
 
 
-def cartesian_density(triples: TripleSet, relation: int) -> float:
-    """``|r| / (|S_r| × |O_r|)`` of one relation."""
-    pairs = triples.pairs_of(relation)
-    if not pairs:
-        return 0.0
-    subjects = {h for h, _ in pairs}
-    objects = {t for _, t in pairs}
-    return len(pairs) / (len(subjects) * len(objects))
-
-
 def find_cartesian_relations(
     triples: Optional[TripleSet] = None,
     density_threshold: float = DEFAULT_DENSITY_THRESHOLD,
-    min_triples: int = DEFAULT_MIN_TRIPLES,
-    min_product_size: int = 4,
-    relations: Optional[Sequence[int]] = None,
     pair_sets: Optional[Dict[int, Set[tuple]]] = None,
 ) -> List[CartesianRelation]:
     """Detect Cartesian product relations in a triple set.
 
-    ``min_product_size`` excludes degenerate relations whose subject × object
-    product is so small (e.g. 1 × 1) that full coverage is meaningless.
+    A relation needs at least 2 subjects and 2 objects, so at least 2 triples
+    and a product of at least 4 cells.
 
     The detector only ever looks at per-relation (subject, object) pair sets,
     so instead of a :class:`TripleSet` it also accepts ``pair_sets`` directly —
@@ -72,29 +55,21 @@ def find_cartesian_relations(
     identical results without a materialized triple container.
     """
     if pair_sets is not None:
-        relations = list(relations) if relations is not None else sorted(pair_sets)
-
-        def pairs_of(relation: int) -> Set[tuple]:
-            return pair_sets.get(relation, set())
-
+        relations, pairs_of = sorted(pair_sets), pair_sets.__getitem__
+    elif triples is not None:
+        relations, pairs_of = triples.relations, triples.pairs_of
     else:
-        if triples is None:
-            raise ValueError("find_cartesian_relations needs triples or pair_sets")
-        relations = list(relations) if relations is not None else triples.relations
-        pairs_of = triples.pairs_of
+        raise ValueError("find_cartesian_relations needs triples or pair_sets")
     found: List[CartesianRelation] = []
     for relation in relations:
         pairs = pairs_of(relation)
-        if len(pairs) < min_triples:
-            continue
         subjects = {h for h, _ in pairs}
         objects = {t for _, t in pairs}
-        product_size = len(subjects) * len(objects)
-        if product_size < min_product_size or len(subjects) < 2 or len(objects) < 2:
+        if len(subjects) < 2 or len(objects) < 2:
             # A relation with a single subject or object trivially "covers" its
             # product; the paper's Cartesian relations are grids, not stars.
             continue
-        density = len(pairs) / product_size
+        density = len(pairs) / (len(subjects) * len(objects))
         if density > density_threshold:
             found.append(
                 CartesianRelation(

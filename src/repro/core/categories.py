@@ -63,31 +63,19 @@ def categorize_relations(
     }
 
 
-def dataset_relation_categories(dataset: Dataset, use_all_splits: bool = True) -> Dict[int, str]:
-    """Relation categories of a dataset (computed over all splits by default).
+def dataset_relation_categories(dataset: Dataset) -> Dict[int, str]:
+    """Relation categories of a dataset's test relations, over all its splits.
 
     The paper categorizes the relations appearing in the test set; the
     statistics are computed over the full dataset so that sparse test
     relations are classified by their overall shape.
     """
-    triples = dataset.all_triples() if use_all_splits else dataset.train
-    return categorize_relations(triples, dataset.test_relations())
+    return categorize_relations(dataset.all_triples(), dataset.test_relations())
 
 
 def category_distribution(categories: Dict[int, str]) -> Dict[str, int]:
     """Number of relations in each category (the §5.3(5) distribution)."""
     counts = {category: 0 for category in CATEGORIES}
     for category in categories.values():
-        counts[category] = counts.get(category, 0) + 1
-    return counts
-
-
-def triples_per_category(
-    test: TripleSet, categories: Dict[int, str]
-) -> Dict[str, int]:
-    """Number of test triples per relation category."""
-    counts = {category: 0 for category in CATEGORIES}
-    for _, relation, _ in test:
-        category = categories.get(relation, "n-m")
         counts[category] = counts.get(category, 0) + 1
     return counts

@@ -21,7 +21,7 @@ redundancy (never the generator metadata), so they apply to any dataset.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..kg.dataset import Dataset
 from ..kg.triples import Triple, TripleSet
@@ -173,17 +173,3 @@ def make_yago_dr_like(
         dedupe_symmetric_train=True,
         report=report,
     )
-
-
-def derived_benchmark_suite(
-    fb15k: Dataset, wn18: Dataset, yago: Dataset
-) -> Dict[str, Dataset]:
-    """All six datasets of the paper's Table 1 from the three raw benchmarks."""
-    return {
-        fb15k.name: fb15k,
-        make_fb15k237_like(fb15k).name: make_fb15k237_like(fb15k),
-        wn18.name: wn18,
-        make_wn18rr_like(wn18).name: make_wn18rr_like(wn18),
-        yago.name: yago,
-        make_yago_dr_like(yago).name: make_yago_dr_like(yago),
-    }

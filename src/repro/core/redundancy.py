@@ -14,7 +14,7 @@ Three kinds of relation-level redundancy are detected from the triples alone
 The paper sets θ1 = θ2 = 0.8 on FB15k; the same defaults are used here and the
 thresholds are explicit parameters so the ablation experiment can sweep them.
 
-Every detector thresholds two overlap-count maps: the same-direction counts
+The report thresholds two overlap-count maps: the same-direction counts
 ``|T_a ∩ T_b|`` and the reversed counts ``|T_a ∩ reverse(T_b)|``, whose
 ``(r, r)`` entry is the symmetry numerator.  The bulk audit
 (:func:`analyse_redundancy`) sweeps an **inverted-index candidate-pair
@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..kg.triples import Triple, TripleSet
 
-#: A relation's pair set, keyed by relation id (built once, shared by every detector).
+#: A relation's pair set, keyed by relation id (built once, shared by both sweeps).
 PairSets = Dict[int, Set[Tuple[int, int]]]
 
 #: The inverted index behind the candidate-pair generator: each (subject,
@@ -113,18 +113,10 @@ class RedundancyReport:
         return found
 
 
-def _pair_overlap(
-    pairs_a: Set[Tuple[int, int]], pairs_b: Set[Tuple[int, int]], reverse_b: bool
-) -> int:
-    if reverse_b:
-        pairs_b = {(t, h) for h, t in pairs_b}
-    return len(pairs_a & pairs_b)
-
-
 def build_pair_sets(
     triples: TripleSet, relations: Optional[Sequence[int]] = None
 ) -> PairSets:
-    """Each relation's (subject, object) pair set, built once for all detectors."""
+    """Each relation's (subject, object) pair set, built once for both sweeps."""
     relations = list(relations) if relations is not None else triples.relations
     return {relation: triples.pairs_of(relation) for relation in relations}
 
@@ -187,20 +179,6 @@ def overlap_counts(
     return counts
 
 
-def _detector_relations(
-    triples: Optional[TripleSet],
-    relations: Optional[Sequence[int]],
-    pair_sets: Optional[PairSets],
-    detector: str,
-) -> List[int]:
-    """The relations a detector scans: ``relations``, else every relation present."""
-    if triples is None and pair_sets is None:
-        raise ValueError(f"{detector} needs triples or pair_sets")
-    if relations is not None:
-        return list(relations)
-    return triples.relations if triples is not None else sorted(pair_sets)
-
-
 def _exceeding_overlaps(
     counts: OverlapCounts,
     pair_sets: PairSets,
@@ -235,102 +213,6 @@ def _exceeding_overlaps(
     return found
 
 
-def _find_overlapping_pairs(
-    triples: Optional[TripleSet],
-    theta_1: float,
-    theta_2: float,
-    reversed_b: bool,
-    relations: Optional[Sequence[int]],
-    pair_sets: Optional[PairSets],
-    pair_index: Optional[PairIndex],
-    detector: str,
-) -> List[RelationOverlap]:
-    """One parameterized sweep behind the duplicate and reverse-duplicate detectors.
-
-    ``pair_index`` (when given alongside ``pair_sets``) must be the inverted
-    index of exactly the relations being scanned.
-    """
-    relations = _detector_relations(triples, relations, pair_sets, detector)
-    if pair_sets is None:
-        pair_sets = build_pair_sets(triples, relations)
-        pair_index = None
-    else:
-        restricted = {r: pair_sets[r] for r in relations}
-        if len(restricted) != len(pair_sets):
-            pair_index = None
-        pair_sets = restricted
-    counts = overlap_counts(pair_sets, reversed_b=reversed_b, index=pair_index)
-    return _exceeding_overlaps(counts, pair_sets, relations, theta_1, theta_2, reversed_b)
-
-
-def relation_overlap(
-    triples: TripleSet, relation_a: int, relation_b: int, reversed_b: bool = False
-) -> RelationOverlap:
-    """Compute the pair-set overlap of two relations (optionally reversing B)."""
-    pairs_a = triples.pairs_of(relation_a)
-    pairs_b = triples.pairs_of(relation_b)
-    return RelationOverlap(
-        relation_a=relation_a,
-        relation_b=relation_b,
-        overlap=_pair_overlap(pairs_a, pairs_b, reversed_b),
-        size_a=len(pairs_a),
-        size_b=len(pairs_b),
-        reversed_b=reversed_b,
-    )
-
-
-def find_duplicate_relations(
-    triples: Optional[TripleSet],
-    theta_1: float = DEFAULT_THETA_1,
-    theta_2: float = DEFAULT_THETA_2,
-    relations: Optional[Sequence[int]] = None,
-    pair_sets: Optional[PairSets] = None,
-    pair_index: Optional[PairIndex] = None,
-) -> List[RelationOverlap]:
-    """Relation pairs that are (near-)duplicates under the θ thresholds."""
-    return _find_overlapping_pairs(
-        triples, theta_1, theta_2, reversed_b=False, relations=relations,
-        pair_sets=pair_sets, pair_index=pair_index, detector="find_duplicate_relations",
-    )
-
-
-def find_reverse_duplicate_relations(
-    triples: Optional[TripleSet],
-    theta_1: float = DEFAULT_THETA_1,
-    theta_2: float = DEFAULT_THETA_2,
-    relations: Optional[Sequence[int]] = None,
-    pair_sets: Optional[PairSets] = None,
-    pair_index: Optional[PairIndex] = None,
-) -> List[RelationOverlap]:
-    """Relation pairs where one holds (approximately) the reversed pairs of the other."""
-    return _find_overlapping_pairs(
-        triples, theta_1, theta_2, reversed_b=True, relations=relations,
-        pair_sets=pair_sets, pair_index=pair_index, detector="find_reverse_duplicate_relations",
-    )
-
-
-def find_symmetric_relations(
-    triples: Optional[TripleSet],
-    threshold: float = DEFAULT_THETA_1,
-    relations: Optional[Sequence[int]] = None,
-    pair_sets: Optional[PairSets] = None,
-) -> List[int]:
-    """Relations that are their own reverse (self-reciprocal)."""
-    relations = _detector_relations(triples, relations, pair_sets, "find_symmetric_relations")
-    if pair_sets is None:
-        pair_sets = build_pair_sets(triples, relations)
-    symmetric: List[int] = []
-    for relation in relations:
-        pairs = pair_sets[relation]
-        if not pairs:
-            continue
-        reversed_pairs = {(t, h) for h, t in pairs}
-        share = len(pairs & reversed_pairs) / len(pairs)
-        if share > threshold:
-            symmetric.append(relation)
-    return symmetric
-
-
 def _report_from_counts(
     pair_sets: PairSets,
     same: OverlapCounts,
@@ -342,8 +224,8 @@ def _report_from_counts(
 
     The maps hold what :func:`overlap_counts` returns over ``pair_sets``,
     same-direction and reversed with ``include_self``.  A relation is
-    symmetric when its ``(r, r)`` count over ``|T_r|`` exceeds θ1, the share
-    :func:`find_symmetric_relations` computes.  Costs O(counted relation
+    symmetric when its ``(r, r)`` count over ``|T_r|``, the share
+    ``|T_r ∩ reverse(T_r)| / |T_r|``, exceeds θ1.  Costs O(counted relation
     pairs + relations); no pair is visited.
     """
     relations = sorted(pair_sets)
@@ -371,16 +253,12 @@ def analyse_redundancy_from_pair_sets(
     pair_sets: PairSets,
     theta_1: float = DEFAULT_THETA_1,
     theta_2: float = DEFAULT_THETA_2,
-    pair_index: Optional[PairIndex] = None,
 ) -> RedundancyReport:
     """:func:`analyse_redundancy` on pre-built pair sets (no triple container).
 
-    Both overlap-count maps come from one sweep each over the inverted index.
-    ``pair_index``, when given, must have been built from exactly
-    ``pair_sets``.
+    Both overlap-count maps come from one sweep each over one inverted index.
     """
-    if pair_index is None:
-        pair_index = build_pair_index(pair_sets)
+    pair_index = build_pair_index(pair_sets)
     return _report_from_counts(
         pair_sets,
         overlap_counts(pair_sets, index=pair_index),
@@ -395,7 +273,7 @@ def analyse_redundancy(
     theta_1: float = DEFAULT_THETA_1,
     theta_2: float = DEFAULT_THETA_2,
 ) -> RedundancyReport:
-    """Run every relation-level detector and classify the overlapping pairs.
+    """Detect every relation-level redundancy and classify the overlapping pairs.
 
     Every relation's pair set and the inverted index are built once and
     shared by the two overlap-count sweeps.  Reverse-duplicate
@@ -414,8 +292,8 @@ class StreamingPairIndexBuilder:
     A :data:`~repro.kg.streaming.ChunkObserver`: hook :meth:`observe` into
     :func:`repro.kg.streaming.ingest_dataset` and every chunk's newly-added
     encoded triples extend the per-relation pair sets, the (subject, object)
-    → relations inverted index, and the two overlap-count maps the detectors
-    threshold.  The audit runs on the union of all splits, and the
+    → relations inverted index, and the two overlap-count maps the report
+    thresholds.  The audit runs on the union of all splits, and the
     per-relation pair dedupe makes cross-split duplicates harmless, so
     :meth:`report` is bit-identical to
     ``analyse_redundancy(dataset.all_triples(), ...)``.

@@ -11,12 +11,9 @@ from .dataset import (
 )
 from .statistics import (
     DatasetStatistics,
-    RelationProfile,
     StreamingStatisticsBuilder,
     dataset_statistics,
     relation_frequency_share,
-    relation_profile,
-    relation_profiles,
 )
 from .sampling import BernoulliNegativeSampler, NegativeSampler, UniformNegativeSampler
 from .io import DatasetIOError, load_dataset, read_triples_tsv, save_dataset, write_triples_tsv
@@ -66,11 +63,8 @@ __all__ = [
     "RelationProvenance",
     "build_dataset_from_labelled_triples",
     "DatasetStatistics",
-    "RelationProfile",
     "dataset_statistics",
     "relation_frequency_share",
-    "relation_profile",
-    "relation_profiles",
     "NegativeSampler",
     "UniformNegativeSampler",
     "BernoulliNegativeSampler",

@@ -1,9 +1,9 @@
-"""Dataset statistics: Table 1 of the paper and per-relation profiles."""
+"""Dataset statistics: Table 1 of the paper and relation frequency shares."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from .dataset import Dataset
 from .triples import Triple, TripleSet
@@ -121,49 +121,6 @@ class StreamingStatisticsBuilder:
             num_valid=self._split_counts["valid"],
             num_test=self._split_counts["test"],
         )
-
-
-@dataclass(frozen=True)
-class RelationProfile:
-    """Cardinality profile of a single relation within a triple set."""
-
-    relation: int
-    num_triples: int
-    num_subjects: int
-    num_objects: int
-    heads_per_tail: float
-    tails_per_head: float
-
-    @property
-    def density(self) -> float:
-        """``|r| / (|S_r| * |O_r|)`` — the Cartesian coverage of §4.3."""
-        cells = self.num_subjects * self.num_objects
-        if cells == 0:
-            return 0.0
-        return self.num_triples / cells
-
-
-def relation_profile(triples: TripleSet, relation: int) -> RelationProfile:
-    """Cardinality profile of ``relation`` in ``triples``."""
-    pairs = triples.pairs_of(relation)
-    subjects = {h for h, _ in pairs}
-    objects = {t for _, t in pairs}
-    num = len(pairs)
-    tails_per_head = num / len(subjects) if subjects else 0.0
-    heads_per_tail = num / len(objects) if objects else 0.0
-    return RelationProfile(
-        relation=relation,
-        num_triples=num,
-        num_subjects=len(subjects),
-        num_objects=len(objects),
-        heads_per_tail=heads_per_tail,
-        tails_per_head=tails_per_head,
-    )
-
-
-def relation_profiles(triples: TripleSet) -> List[RelationProfile]:
-    """Profiles of every relation present in ``triples``."""
-    return [relation_profile(triples, r) for r in triples.relations]
 
 
 def relation_frequency_share(triples: TripleSet, top_k: int = 2) -> float:

@@ -95,10 +95,6 @@ class TripleSet:
         """The set of distinct (subject, object) pairs of ``relation``."""
         return set(self._by_relation.get(relation, ()))
 
-    def triples_of(self, relation: int) -> List[Triple]:
-        """All triples of ``relation`` in insertion order."""
-        return [(h, relation, t) for h, t in self._by_relation.get(relation, ())]
-
     def relation_size(self, relation: int) -> int:
         """Number of instance triples of ``relation`` (``|r|`` in the paper)."""
         return len(self._by_relation.get(relation, ()))
@@ -121,14 +117,6 @@ class TripleSet:
             found.add(t)
         return found
 
-    def subjects_of(self, relation: int) -> Set[int]:
-        """``S_r`` in the paper: the distinct subjects of ``relation``."""
-        return {h for h, _ in self._by_relation.get(relation, ())}
-
-    def objects_of(self, relation: int) -> Set[int]:
-        """``O_r`` in the paper: the distinct objects of ``relation``."""
-        return {t for _, t in self._by_relation.get(relation, ())}
-
     # -- derivation ------------------------------------------------------------
     def filter_relations(self, keep: Iterable[int]) -> "TripleSet":
         """Return a new set containing only triples of the ``keep`` relations."""
@@ -138,13 +126,6 @@ class TripleSet:
     def filter(self, predicate) -> "TripleSet":
         """Return a new set containing the triples satisfying ``predicate``."""
         return TripleSet(t for t in self._triples if predicate(t))
-
-    def merged_with(self, *others: "TripleSet") -> "TripleSet":
-        """Union of this set and ``others`` (duplicates removed)."""
-        merged = TripleSet(self._triples)
-        for other in others:
-            merged.update(other)
-        return merged
 
     def sample(self, count: int, rng: np.random.Generator) -> "TripleSet":
         """Uniformly sample ``count`` triples without replacement."""

@@ -25,7 +25,6 @@ from .registry import (
     CORE_MODELS,
     MODEL_REGISTRY,
     UnknownModelError,
-    available_models,
     make_model,
     resolve_model_class,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "CORE_MODELS",
     "ALL_EMBEDDING_MODELS",
     "UnknownModelError",
-    "available_models",
     "make_model",
     "resolve_model_class",
 ]

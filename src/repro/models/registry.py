@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from .base import KGEModel, ModelConfig
 from .conve import ConvE
@@ -85,10 +85,3 @@ def make_model(
     """Instantiate a model by name."""
     model_class = resolve_model_class(name)
     return model_class(num_entities, num_relations, config)
-
-
-def available_models(subset: Optional[Iterable[str]] = None) -> List[str]:
-    """Validate and canonicalize a model-name subset (default: all models)."""
-    if subset is None:
-        return list(MODEL_REGISTRY)
-    return [resolve_model_class(name).__name__ for name in subset]

@@ -12,7 +12,6 @@ from repro.core import (
     make_wn18rr_like,
     make_yago_dr_like,
     relation_cardinality,
-    triples_per_category,
 )
 from repro.kg import TripleSet
 
@@ -74,8 +73,6 @@ def test_categorize_relations_and_distribution():
     assert categories[1] == "1-n"
     distribution = category_distribution(categories)
     assert distribution["1-1"] == 1 and distribution["1-n"] == 1
-    counts = triples_per_category(ts, categories)
-    assert counts["1-1"] == 6 and counts["1-n"] == 6
 
 
 def test_dataset_relation_categories_cover_test_relations(fb_tiny):

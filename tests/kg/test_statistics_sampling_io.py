@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import find_cartesian_relations, relation_cardinality
 from repro.kg import (
     BernoulliNegativeSampler,
     DatasetIOError,
@@ -12,8 +13,6 @@ from repro.kg import (
     load_dataset,
     read_triples_tsv,
     relation_frequency_share,
-    relation_profile,
-    relation_profiles,
     save_dataset,
     write_triples_tsv,
 )
@@ -32,16 +31,11 @@ def test_dataset_statistics_counts_present_entities(toy_dataset):
 
 def test_relation_profile_density():
     ts = TripleSet([(0, 0, 10), (0, 0, 11), (1, 0, 10), (1, 0, 11)])
-    profile = relation_profile(ts, 0)
-    assert profile.num_subjects == 2
-    assert profile.num_objects == 2
-    assert profile.density == pytest.approx(1.0)
-    assert profile.tails_per_head == pytest.approx(2.0)
-
-
-def test_relation_profiles_cover_all_relations(toy_dataset):
-    profiles = relation_profiles(toy_dataset.train)
-    assert {p.relation for p in profiles} == set(toy_dataset.train.relations)
+    assert relation_cardinality(ts, 0).tails_per_head == pytest.approx(2.0)
+    [grid] = find_cartesian_relations(ts)
+    assert grid.num_subjects == 2
+    assert grid.num_objects == 2
+    assert grid.density == pytest.approx(1.0)
 
 
 def test_relation_frequency_share():

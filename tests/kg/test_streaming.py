@@ -24,7 +24,7 @@ from repro.core import (
     analyse_redundancy_from_pair_sets,
     find_cartesian_relations,
 )
-from repro.core.redundancy import build_pair_index, build_pair_sets
+from repro.core.redundancy import build_pair_sets
 from repro.kg import (
     Dataset,
     DatasetIOError,
@@ -103,9 +103,7 @@ def test_streamed_statistics_and_audit_match_one_shot(train, valid, test, chunk_
 def test_analyse_redundancy_from_pair_sets_matches_triple_path(toy_dataset):
     all_triples = toy_dataset.all_triples()
     pair_sets = build_pair_sets(all_triples)
-    from_pairs = analyse_redundancy_from_pair_sets(
-        pair_sets, 0.8, 0.8, pair_index=build_pair_index(pair_sets)
-    )
+    from_pairs = analyse_redundancy_from_pair_sets(pair_sets, 0.8, 0.8)
     assert from_pairs == analyse_redundancy(all_triples, 0.8, 0.8)
     assert from_pairs.reverse_pairs  # the toy dataset has a known reverse pair
 

@@ -147,6 +147,20 @@ def test_generated_flags_get_the_schema_range_checks_on_every_subcommand(argv, k
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["ingest", "--input", "unused", "--progress-every", "0"], "--progress-every"),
+        (["delta", "apply", "--dataset", "wn18", "--log", "unused", "--as-of", "-1"], "deltas.as_of"),
+        (["delta", "audit", "--dataset", "wn18", "--log", "unused", "--as-of", "-1"], "deltas.as_of"),
+    ],
+)
+def test_hand_written_flags_get_range_checks_before_any_work(argv, named):
+    """``--input`` and ``--log`` name nothing that exists: the range check exits first."""
+    with pytest.raises(SystemExit, match=rf"invalid option value\(s\):\n  - {re.escape(named)}: "):
+        main(argv)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["ingest", "--input", "unused", "--max-queue-chunks", "4"],
