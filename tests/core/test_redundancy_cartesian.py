@@ -125,6 +125,12 @@ def test_cartesian_density_full_grid():
     assert find_cartesian_relations(TripleSet()) == []
 
 
+def test_find_cartesian_relations_needs_triples_or_pair_sets():
+    with pytest.raises(ValueError, match="needs triples or pair_sets"):
+        find_cartesian_relations()
+    assert find_cartesian_relations(pair_sets={}) == []
+
+
 def test_find_cartesian_relations_detects_grid():
     found = find_cartesian_relations(cartesian_kg(coverage=0.9))
     assert [item.relation for item in found] == [0]
@@ -195,11 +201,22 @@ _SMALL_TRIPLES = st.lists(
 )
 
 
+def _buckets_of_direction(report, reversed_b):
+    """The same-direction bucket, or the reversed ones with the self-reversal."""
+    if not reversed_b:
+        return report.duplicate_pairs
+    return report.reverse_pairs, report.reverse_duplicate_pairs, report.symmetric_relations
+
+
+@pytest.mark.parametrize("reversed_b", [False, True])
 @pytest.mark.parametrize("theta", [0.0, 0.5, 0.8])
-def test_inverted_index_matches_brute_force_on_fb_replica(fb_tiny, theta):
+def test_inverted_index_matches_brute_force_on_fb_replica(fb_tiny, reversed_b, theta):
     triples = fb_tiny.all_triples()
     expected = redundancy_report(build_pair_sets(triples), theta, theta)
-    assert analyse_redundancy(triples, theta, theta) == expected
+    found = analyse_redundancy(triples, theta, theta)
+    assert _buckets_of_direction(found, reversed_b) == _buckets_of_direction(
+        expected, reversed_b
+    )
 
 
 @settings(max_examples=30, deadline=None)
