@@ -14,19 +14,25 @@ exploits):
 2. **Workers sweep** — the batched path at ``workers`` in {1, 2, 4} on a
    larger workload, with bit-identity between the sharded and single-process
    results asserted at every worker count.
-3. **Peak memory by batch size** — evaluation's allocation peak at a small
-   ``batch_size`` against the default, ranks asserted identical: the batch
-   size bounds the resident ``(batch_size, |E|)`` score block.
+3. **Peak memory by batch size and by model** — evaluation's allocation peak
+   at a small ``batch_size`` against the default, ranks asserted identical:
+   the batch size bounds the resident ``(batch_size, |E|)`` score block.  At
+   the default batch, a TransE evaluation must peak within the DistMult
+   peak plus four score tiles (``repro.models.translational.TILE_ELEMENTS``
+   float64 elements each), its ranks asserted identical to those of the
+   row-sliced kernels the tests keep as an oracle
+   (``tests/oracles/scoring.py``).
 
 The script is CI's **benchmark regression gate**: it always writes a
 machine-readable report (``BENCH_eval_throughput.json`` by default,
 ``--json PATH`` to override) and exits non-zero when an enforced gate fails.
 The batched-vs-per-triple gate (>= ``BENCH_MIN_BATCHED_SPEEDUP``, default
-1.2x) and the peak-memory gate (small batch below the default batch's peak)
-are always enforced; the 4-worker gate (>= ``BENCH_MIN_WORKER_SPEEDUP``,
-default 1.5x over 1 worker) is enforced only when the machine has at least
-4 CPUs — on fewer cores the sweep still runs and is recorded, but parallel
-speedup is physically unavailable, so the gate reports itself as skipped.
+1.2x) and the two peak-memory gates (small batch below the default batch's
+peak; TransE within DistMult plus four tiles) are always enforced; the
+4-worker gate (>= ``BENCH_MIN_WORKER_SPEEDUP``, default 1.5x over 1 worker)
+is enforced only when the machine has at least 4 CPUs — on fewer cores the
+sweep still runs and is recorded, but parallel speedup is physically
+unavailable, so the gate reports itself as skipped.
 Pin BLAS threads (``OMP_NUM_THREADS=1`` etc.) when gating, as CI does, so the
 single-process baseline is not silently multi-threaded.
 
@@ -48,10 +54,12 @@ import numpy as np
 from repro.eval import EvalOptions, LinkPredictionEvaluator, multiprocessing_available
 from repro.kg import Dataset, TripleSet, Vocabulary
 from repro.models import ModelConfig, make_model
+from repro.models.translational import TILE_ELEMENTS
 from repro.telemetry.bench import bench_main
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
 from oracles.evaluation import evaluate_per_triple  # noqa: E402
+from oracles.scoring import OracleScorer  # noqa: E402
 
 NUM_ENTITIES = 1500
 NUM_RELATIONS = 40
@@ -193,6 +201,11 @@ def measure_worker_sweep(
 #: the default batch of 256 rows.
 MEMORY_BATCH_SIZE = 100_000 // NUM_ENTITIES
 
+#: What a TransE evaluation may allocate beyond a DistMult one: both hold the
+#: same score block and rank the same way, and TransE's kernels add the
+#: temporaries of one tile (about three tile-sized arrays on the head side).
+TILE_ALLOWANCE_BYTES = 4 * TILE_ELEMENTS * np.dtype(np.float64).itemsize
+
 
 def _traced_peak_bytes(fn) -> Tuple[int, object]:
     """Python-allocator peak while running ``fn`` (numpy buffers included)."""
@@ -207,12 +220,21 @@ def _traced_peak_bytes(fn) -> Tuple[int, object]:
 def measure_peak_memory(seed: int = 29, dim: int = 64) -> dict:
     """Peak allocation of evaluation at a small and at the default batch size,
     ranks asserted identical.  Either holds one ``(batch_size, |E|)`` float64
-    score block at a time, so the smaller batch's peak must come in below."""
+    score block at a time, so the smaller batch's peak must come in below.
+
+    TransE is evaluated at the default batch as well, and its ranks are
+    asserted identical to those of the row-sliced oracle kernels.  It holds
+    the same score block as DistMult and ranks it the same way, so its peak
+    may exceed DistMult's only by the temporaries of its score tiles."""
     dataset = fb15k_shaped_dataset(seed)
     model = make_model(
         "DistMult", dataset.num_entities, dataset.num_relations, ModelConfig(dim=dim, seed=seed)
     )
     model.train_mode(False)
+    transe = make_model(
+        "TransE", dataset.num_entities, dataset.num_relations, ModelConfig(dim=dim, seed=seed)
+    )
+    transe.train_mode(False)
     evaluator = LinkPredictionEvaluator(dataset)
 
     small = LinkPredictionEvaluator(
@@ -226,6 +248,10 @@ def measure_peak_memory(seed: int = 29, dim: int = 64) -> dict:
     small_peak, blocked = _traced_peak_bytes(lambda: small.evaluate(model))
     _assert_identical(reference, blocked, "small vs default batch size (memory)")
 
+    evaluator.evaluate(transe)
+    transe_peak, tiled = _traced_peak_bytes(lambda: evaluator.evaluate(transe))
+    _assert_identical(evaluator.evaluate(OracleScorer(transe)), tiled, "TransE tiles vs oracle")
+
     return {
         "entities": dataset.num_entities,
         "test_triples": len(dataset.test),
@@ -234,6 +260,10 @@ def measure_peak_memory(seed: int = 29, dim: int = 64) -> dict:
         "default_batch_peak_bytes": default_peak,
         "small_batch_peak_bytes": small_peak,
         "small_batch_peak_fraction": small_peak / default_peak,
+        "transe_default_batch_peak_bytes": transe_peak,
+        "transe_excess_bytes": transe_peak - default_peak,
+        "tile_allowance_bytes": TILE_ALLOWANCE_BYTES,
+        "transe_excess_fraction_of_allowance": (transe_peak - default_peak) / TILE_ALLOWANCE_BYTES,
     }
 
 
@@ -285,13 +315,20 @@ def build_report() -> Tuple[dict, bool]:
         "enforced": True,
         "passed": memory["small_batch_peak_fraction"] < 1.0,
     }
+    tile_gate = {
+        "name": "transe_peak_within_distmult_plus_tiles",
+        "threshold": 1.0,
+        "value": memory["transe_excess_fraction_of_allowance"],
+        "enforced": True,
+        "passed": memory["transe_excess_fraction_of_allowance"] <= 1.0,
+    }
     report = {
         "benchmark": "eval_throughput",
         "cpu_count": cpu_count,
         "batched_vs_per_triple": throughput,
         "worker_sweep": sweep,
         "peak_memory": memory,
-        "gates": [batched_gate, worker_gate, memory_gate],
+        "gates": [batched_gate, worker_gate, memory_gate, tile_gate],
     }
     return report, all(gate["passed"] for gate in report["gates"])
 
@@ -317,6 +354,12 @@ def _print_report(report: dict) -> None:
         f"{'batch ' + str(memory['small_batch_size']) + ' peak':>32}: "
         f"{memory['small_batch_peak_bytes'] / 1e6:,.1f} MB "
         f"({memory['small_batch_peak_fraction']:.2f}x)"
+    )
+    print(
+        f"{'TransE batch ' + str(memory['default_batch_size']) + ' peak':>32}: "
+        f"{memory['transe_default_batch_peak_bytes'] / 1e6:,.1f} MB "
+        f"({memory['transe_excess_bytes'] / 1e6:+,.2f} MB; "
+        f"allowance {memory['tile_allowance_bytes'] / 1e6:,.2f} MB)"
     )
     print()
     for gate in report["gates"]:
@@ -348,6 +391,11 @@ def test_sharded_sweep_is_bit_identical():
 def test_small_batch_evaluation_peaks_below_the_default_batch():
     memory = measure_peak_memory()
     assert memory["small_batch_peak_bytes"] < memory["default_batch_peak_bytes"], memory
+
+
+def test_transe_evaluation_peaks_within_distmult_plus_tiles():
+    memory = measure_peak_memory()
+    assert memory["transe_excess_bytes"] <= memory["tile_allowance_bytes"], memory
 
 
 if __name__ == "__main__":

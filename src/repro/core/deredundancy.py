@@ -37,7 +37,7 @@ def _linked_pairs(train: TripleSet) -> Set[Tuple[int, int]]:
     return linked
 
 
-def _relations_to_drop(report: RedundancyReport, keep_symmetric: bool) -> Set[int]:
+def _relations_to_drop(report: RedundancyReport) -> Set[int]:
     """Pick one relation to drop from each detected redundant pair.
 
     The smaller relation of a pair is dropped (ties broken by id), mirroring
@@ -54,10 +54,6 @@ def _relations_to_drop(report: RedundancyReport, keep_symmetric: bool) -> Set[in
             drop.add(b)
         else:
             drop.add(a)
-    if not keep_symmetric:
-        # Symmetric relations cannot be dropped wholesale (they have no partner);
-        # their handling is per-triple (deduplicate the two directions).
-        pass
     return drop
 
 
@@ -84,12 +80,11 @@ def remove_redundant_relations(
     theta_2: float = 0.8,
     drop_linked_test_pairs: bool = True,
     dedupe_symmetric_train: bool = False,
-    keep_symmetric: bool = True,
     report: Optional[RedundancyReport] = None,
 ) -> Dataset:
     """Generic de-redundancy transform underlying all three dataset variants."""
     report = report or analyse_redundancy(dataset.all_triples(), theta_1, theta_2)
-    drop = _relations_to_drop(report, keep_symmetric)
+    drop = _relations_to_drop(report)
     keep_relations = [r for r in range(dataset.num_relations) if r not in drop]
     symmetric = set(report.symmetric_relations)
 

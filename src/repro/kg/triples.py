@@ -127,12 +127,6 @@ class TripleSet:
         """Return a new set containing the triples satisfying ``predicate``."""
         return TripleSet(t for t in self._triples if predicate(t))
 
-    def sample(self, count: int, rng: np.random.Generator) -> "TripleSet":
-        """Uniformly sample ``count`` triples without replacement."""
-        count = min(count, len(self._triples))
-        idx = rng.choice(len(self._triples), size=count, replace=False)
-        return TripleSet(self._triples[i] for i in idx)
-
 
 def merge(*triple_sets: TripleSet) -> TripleSet:
     """Union of several :class:`TripleSet` objects."""

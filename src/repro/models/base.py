@@ -56,19 +56,6 @@ class ModelConfig:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
-def iter_row_slices(batch: int, row_elements: int, budget: int = 2_000_000) -> "list[slice]":
-    """Slices over a batch keeping ``rows × row_elements`` temporaries cache-sized.
-
-    The broadcast kernels of the distance-based models materialize a
-    ``(rows, E, d)`` difference tensor; bounding it (~16 MB of float64 at the
-    default budget) keeps the batched path memory-bounded and faster than
-    letting one huge temporary spill to DRAM.  Slicing rows never changes the
-    per-row arithmetic, so results are bit-identical for any budget.
-    """
-    step = max(1, budget // max(1, row_elements))
-    return [slice(start, start + step) for start in range(0, batch, step)]
-
-
 class KGEModel(ScoreComputeMixin, ABC):
     """Abstract base of all embedding models.
 

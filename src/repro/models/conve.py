@@ -16,7 +16,19 @@ from typing import Optional
 import numpy as np
 
 from ..autodiff import Tensor, conv2d
-from .base import KGEModel, ModelConfig, iter_row_slices
+from .base import KGEModel, ModelConfig
+
+
+def iter_row_slices(batch: int, row_elements: int) -> "list[slice]":
+    """Slices over ``batch`` rows of ``row_elements`` each, ~2M elements a slice.
+
+    The bound keeps a slice's temporaries near 16 MB of float64.  The slice
+    height is part of the arithmetic: ``ConvE._hidden_np`` runs BLAS products
+    whose rounding can depend on how many rows they multiply, so changing
+    the bound can change the last bits of ConvE's head scores.
+    """
+    step = max(1, 2_000_000 // max(1, row_elements))
+    return [slice(start, start + step) for start in range(0, batch, step)]
 
 
 def _reshape_height(dim: int, kernel_size: int) -> int:

@@ -8,13 +8,37 @@ margin-ranking loss in the paper's experiments.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..autodiff import Tensor
 from ..autodiff.fused import translation_score
-from .base import KGEModel, ModelConfig, iter_row_slices
+from .base import KGEModel, ModelConfig
+
+#: Element budget of one ``(rows, cols, width)`` broadcast tile of the batched
+#: kernels: 512 KB at fp64, a quarter of a 2 MB L2 cache.  The measurements
+#: behind the value are in docs/performance.md.
+TILE_ELEMENTS = 1 << 16
+
+
+def iter_tiles(num_rows: int, num_entities: int, width: int) -> Iterator[Tuple[slice, slice]]:
+    """``(rows, cols)`` slices tiling a ``(num_rows, num_entities)`` score block.
+
+    The ``(rows, cols, width)`` broadcast of each tile holds at most
+    ``max(TILE_ELEMENTS, width)`` elements.  A tile spans the whole entity
+    range before it takes a second row; a wider row is split into entity
+    tiles, down to single entities when ``width`` alone exceeds the budget.
+    The ``width`` axis is never split, so every score is reduced over its
+    full width exactly as in one untiled broadcast, and the scores are
+    bit-identical at any budget.
+    """
+    budget = max(TILE_ELEMENTS, width)
+    cols = min(num_entities, budget // width)
+    rows = budget // (cols * width)
+    for row_start in range(0, num_rows, rows):
+        for col_start in range(0, num_entities, cols):
+            yield slice(row_start, row_start + rows), slice(col_start, col_start + cols)
 
 
 class TransE(KGEModel):
@@ -49,8 +73,8 @@ class TransE(KGEModel):
         r = ec.table(self.relation)[ec.index(relations)]
         query = h + r
         scores = ec.empty((len(query), self.num_entities))
-        for rows in iter_row_slices(len(query), self.entity.data.size):
-            scores[rows] = -self._distance_np(query[rows, None, :] - entities[None, :, :])
+        for rows, cols in iter_tiles(len(query), self.num_entities, entities.shape[1]):
+            scores[rows, cols] = -self._distance_np(query[rows, None, :] - entities[None, cols, :])
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -59,9 +83,9 @@ class TransE(KGEModel):
         r = ec.table(self.relation)[ec.index(relations)]
         t = entities[ec.index(tails)]
         scores = ec.empty((len(r), self.num_entities))
-        for rows in iter_row_slices(len(r), self.entity.data.size):
-            delta = (entities[None, :, :] + r[rows, None, :]) - t[rows, None, :]
-            scores[rows] = -self._distance_np(delta)
+        for rows, cols in iter_tiles(len(r), self.num_entities, entities.shape[1]):
+            delta = (entities[None, cols, :] + r[rows, None, :]) - t[rows, None, :]
+            scores[rows, cols] = -self._distance_np(delta)
         return scores
 
 
@@ -118,9 +142,9 @@ class TransH(KGEModel):
         w_r = self._unit_normals(ec.table(self.normal), relations)        # (B, d)
         query = self._project_np(h, w_r) + d_r                            # (B, d)
         scores = ec.empty((len(query), self.num_entities))
-        for rows in iter_row_slices(len(query), self.entity.data.size):
-            t_proj = self._project_np(entities[None, :, :], w_r[rows, None, :])
-            scores[rows] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
+        for rows, cols in iter_tiles(len(query), self.num_entities, entities.shape[1]):
+            t_proj = self._project_np(entities[None, cols, :], w_r[rows, None, :])
+            scores[rows, cols] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -132,10 +156,10 @@ class TransH(KGEModel):
         w_r = self._unit_normals(ec.table(self.normal), relations)
         t_proj = self._project_np(t, w_r)                                 # (B, d)
         scores = ec.empty((len(t), self.num_entities))
-        for rows in iter_row_slices(len(t), self.entity.data.size):
-            h_proj = self._project_np(entities[None, :, :], w_r[rows, None, :])
+        for rows, cols in iter_tiles(len(t), self.num_entities, entities.shape[1]):
+            h_proj = self._project_np(entities[None, cols, :], w_r[rows, None, :])
             delta = (h_proj + d_r[rows, None, :]) - t_proj[rows, None, :]
-            scores[rows] = -np.sum(np.abs(delta), axis=-1)
+            scores[rows, cols] = -np.sum(np.abs(delta), axis=-1)
         return scores
 
 
@@ -186,9 +210,9 @@ class TransR(KGEModel):
         m_r = ec.table(self.projection)[relations]                         # (B, k, d)
         query = np.einsum("bkd,bd->bk", m_r, h) + r                        # (B, k)
         scores = ec.empty((len(query), self.num_entities))
-        for rows in iter_row_slices(len(query), self.num_entities * self.relation_dim):
-            t_proj = np.einsum("bkd,ed->bek", m_r[rows], entities)         # (rows, E, k)
-            scores[rows] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
+        for rows, cols in iter_tiles(len(query), self.num_entities, self.relation_dim):
+            t_proj = np.einsum("bkd,ed->bek", m_r[rows], entities[cols])   # (rows, cols, k)
+            scores[rows, cols] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -200,10 +224,10 @@ class TransR(KGEModel):
         m_r = ec.table(self.projection)[relations]
         t_proj = np.einsum("bkd,bd->bk", m_r, t)                           # (B, k)
         scores = ec.empty((len(t), self.num_entities))
-        for rows in iter_row_slices(len(t), self.num_entities * self.relation_dim):
-            h_proj = np.einsum("bkd,ed->bek", m_r[rows], entities)         # (rows, E, k)
+        for rows, cols in iter_tiles(len(t), self.num_entities, self.relation_dim):
+            h_proj = np.einsum("bkd,ed->bek", m_r[rows], entities[cols])   # (rows, cols, k)
             delta = (h_proj + r[rows, None, :]) - t_proj[rows, None, :]
-            scores[rows] = -np.sum(np.abs(delta), axis=-1)
+            scores[rows, cols] = -np.sum(np.abs(delta), axis=-1)
         return scores
 
 
@@ -243,7 +267,12 @@ class TransD(KGEModel):
 
     def _entity_components(self, ec) -> np.ndarray:
         """``(e_p · e)`` for every entity — the dynamic projection coefficients."""
-        return np.sum(ec.table(self.entity_proj) * ec.table(self.entity), axis=-1)
+        entities = ec.table(self.entity)
+        entity_proj = ec.table(self.entity_proj)
+        components = ec.empty(self.num_entities)
+        for _, cols in iter_tiles(1, self.num_entities, entities.shape[1]):
+            components[cols] = np.sum(entity_proj[cols] * entities[cols], axis=-1)
+        return components
 
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         ec = self.score_compute
@@ -257,9 +286,9 @@ class TransD(KGEModel):
         query = h + (np.sum(h_p * h, axis=-1, keepdims=True)) * r_p + r    # (B, d)
         components = self._entity_components(ec)                            # (E,)
         scores = ec.empty((len(query), self.num_entities))
-        for rows in iter_row_slices(len(query), self.entity.data.size):
-            t_proj = entities[None, :, :] + components[None, :, None] * r_p[rows, None, :]
-            scores[rows] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
+        for rows, cols in iter_tiles(len(query), self.num_entities, entities.shape[1]):
+            t_proj = entities[None, cols, :] + components[None, cols, None] * r_p[rows, None, :]
+            scores[rows, cols] = -np.sum(np.abs(query[rows, None, :] - t_proj), axis=-1)
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -274,10 +303,10 @@ class TransD(KGEModel):
         t_proj = t + (np.sum(t_p * t, axis=-1, keepdims=True)) * r_p        # (B, d)
         components = self._entity_components(ec)
         scores = ec.empty((len(t), self.num_entities))
-        for rows in iter_row_slices(len(t), self.entity.data.size):
-            h_proj = entities[None, :, :] + components[None, :, None] * r_p[rows, None, :]
+        for rows, cols in iter_tiles(len(t), self.num_entities, entities.shape[1]):
+            h_proj = entities[None, cols, :] + components[None, cols, None] * r_p[rows, None, :]
             delta = (h_proj + r[rows, None, :]) - t_proj[rows, None, :]
-            scores[rows] = -np.sum(np.abs(delta), axis=-1)
+            scores[rows, cols] = -np.sum(np.abs(delta), axis=-1)
         return scores
 
 
@@ -333,12 +362,12 @@ class RotatE(KGEModel):
         rotated_re = h_re * cos_r - h_im * sin_r                            # (B, d)
         rotated_im = h_re * sin_r + h_im * cos_r
         scores = ec.empty((len(rotated_re), self.num_entities))
-        for rows in iter_row_slices(len(rotated_re), self.entity_re.data.size):
+        for rows, cols in iter_tiles(len(rotated_re), self.num_entities, entities_re.shape[1]):
             delta_sq = (
-                (rotated_re[rows, None, :] - entities_re[None, :, :]) ** 2
-                + (rotated_im[rows, None, :] - entities_im[None, :, :]) ** 2
+                (rotated_re[rows, None, :] - entities_re[None, cols, :]) ** 2
+                + (rotated_im[rows, None, :] - entities_im[None, cols, :]) ** 2
             )
-            scores[rows] = -np.sqrt(np.sum(delta_sq, axis=-1) + 1e-12)
+            scores[rows, cols] = -np.sqrt(np.sum(delta_sq, axis=-1) + 1e-12)
         return scores
 
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -351,17 +380,17 @@ class RotatE(KGEModel):
         t_im = entities_im[tails]
         cos_r, sin_r = self._rotations(relations, ec)
         scores = ec.empty((len(t_re), self.num_entities))
-        for rows in iter_row_slices(len(t_re), self.entity_re.data.size):
+        for rows, cols in iter_tiles(len(t_re), self.num_entities, entities_re.shape[1]):
             rotated_re = (
-                entities_re[None, :, :] * cos_r[rows, None, :]
-                - entities_im[None, :, :] * sin_r[rows, None, :]
-            )                                                               # (rows, E, d)
+                entities_re[None, cols, :] * cos_r[rows, None, :]
+                - entities_im[None, cols, :] * sin_r[rows, None, :]
+            )                                                               # (rows, cols, d)
             rotated_im = (
-                entities_re[None, :, :] * sin_r[rows, None, :]
-                + entities_im[None, :, :] * cos_r[rows, None, :]
+                entities_re[None, cols, :] * sin_r[rows, None, :]
+                + entities_im[None, cols, :] * cos_r[rows, None, :]
             )
             delta_sq = (rotated_re - t_re[rows, None, :]) ** 2 + (rotated_im - t_im[rows, None, :]) ** 2
-            scores[rows] = -np.sqrt(np.sum(delta_sq, axis=-1) + 1e-12)
+            scores[rows, cols] = -np.sqrt(np.sum(delta_sq, axis=-1) + 1e-12)
         return scores
 
     def apply_constraints(

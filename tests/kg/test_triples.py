@@ -3,7 +3,6 @@
 import base64
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,15 +91,6 @@ def test_merge_and_merged_with(triples):
     other = TripleSet([(5, 2, 6), (0, 0, 1)])
     union = merge(triples, other)
     assert len(union) == len(TRIPLES) + 1
-
-
-def test_sample(triples):
-    rng = np.random.default_rng(0)
-    sampled = triples.sample(3, rng)
-    assert len(sampled) == 3
-    assert all(t in triples for t in sampled)
-    oversampled = triples.sample(100, rng)
-    assert len(oversampled) == len(triples)
 
 
 triple_strategy = st.tuples(
