@@ -16,7 +16,6 @@ vice versa) fails CI.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -48,44 +47,23 @@ class EvalOptions:
     #: Multiprocessing start method override (None = platform best).
     mp_start_method: Optional[str] = None
 
-    # -- validation / normalization ----------------------------------------
+    # -- validation ----------------------------------------------------------
     def validation_errors(self) -> List[str]:
-        """Schema-derived validation: ranges and choices from the knob schema."""
-        errors: List[str] = []
-        section = schema.section("evaluation")
-        for knob in section.knobs:
-            value = getattr(self, knob.name)
-            if value is None:
-                if not knob.optional:
-                    errors.append(f"evaluation.{knob.name}: may not be None")
-                continue
-            if knob.choices is not None and value not in knob.choices:
-                errors.append(
-                    f"evaluation.{knob.name}: expected one of "
-                    f"{', '.join(knob.choices)}, got {value!r}"
-                )
-                continue
-            if knob.minimum is not None and value < knob.minimum:
-                errors.append(
-                    f"evaluation.{knob.name}: must be >= {knob.minimum}, got {value!r}"
-                )
-            if knob.maximum is not None and value > knob.maximum:
-                errors.append(
-                    f"evaluation.{knob.name}: must be <= {knob.maximum}, got {value!r}"
-                )
-        return errors
+        """Each ``evaluation`` knob through the check a spec file's values get."""
+        from .spec import check_knob_value
+
+        return [
+            str(error)
+            for knob in schema.section("evaluation").knobs
+            for error in check_knob_value("evaluation", knob, getattr(self, knob.name))
+        ]
 
     def normalized(self) -> "EvalOptions":
-        """A validated copy with integer knobs coerced and clamped sane.
+        """These options, once every knob has passed :meth:`validation_errors`.
 
         Raises :class:`ValueError` listing every schema violation at once.
         """
         errors = self.validation_errors()
         if errors:
             raise ValueError("invalid evaluation options: " + "; ".join(errors))
-        return dataclasses.replace(
-            self,
-            batch_size=max(1, int(self.batch_size)),
-            workers=max(1, int(self.workers)),
-            shard_size=None if self.shard_size is None else max(1, int(self.shard_size)),
-        )
+        return self

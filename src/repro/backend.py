@@ -1,9 +1,10 @@
-"""The evaluation dtype of candidate scoring.
+"""The evaluation dtype of candidate scoring, and the one-query score view.
 
 Every candidate scorer — the embedding models and the AMIE/simple-rule/
-Cartesian predictors — mixes in :class:`ScoreComputeMixin`, whose
-``set_eval_dtype`` knob selects the precision its batched score kernels
-compute in.  The kernels reach their parameter tables and buffers through the
+Cartesian predictors — implements the batched score kernels and mixes in
+:class:`ScoreComputeMixin`, which derives ``score_all_tails`` /
+``score_all_heads`` from them and whose ``set_eval_dtype`` knob selects the
+precision they compute in.  The kernels reach their parameter tables and buffers through the
 scorer's :class:`EvalCompute`, which is a *pass-through* at fp64 — ``table()``
 returns ``parameter.data`` itself and ``export()`` returns its argument — so
 the default path stays bit-identical to the seed's numpy float64 arithmetic.
@@ -103,13 +104,32 @@ class EvalCompute:
 
 
 class ScoreComputeMixin:
-    """Eval dtype selection for candidate scorers.
+    """Eval dtype selection and the one-query view of a candidate scorer.
+
+    A scorer implements the batched kernels ``score_tails_batch(heads,
+    relations)`` and ``score_heads_batch(relations, tails)``, each returning
+    a ``(B, E)`` score matrix; ``score_all_tails`` / ``score_all_heads`` are
+    row 0 of a one-row batch, as float64.
 
     Class-attribute defaults mean existing instances and old pickles behave as
     the reference configuration without any ``__init__`` changes.
     """
 
     _score_dtype_name: str = "fp64"
+
+    def score_all_tails(self, head: int, relation: int) -> np.ndarray:
+        """Scores of ``(head, relation, t)`` for every entity ``t``."""
+        row = self.score_tails_batch(
+            np.array([head], dtype=np.int64), np.array([relation], dtype=np.int64)
+        )
+        return np.asarray(row, dtype=np.float64)[0]
+
+    def score_all_heads(self, relation: int, tail: int) -> np.ndarray:
+        """Scores of ``(h, relation, tail)`` for every entity ``h``."""
+        row = self.score_heads_batch(
+            np.array([relation], dtype=np.int64), np.array([tail], dtype=np.int64)
+        )
+        return np.asarray(row, dtype=np.float64)[0]
 
     def set_eval_dtype(self, eval_dtype: str = "fp64") -> None:
         """Select the dtype the batched score kernels compute in."""

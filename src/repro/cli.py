@@ -55,7 +55,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .api import schema
 from .api.spec import (
@@ -309,6 +309,24 @@ def _load_spec_or_exit(path_text: str) -> ExperimentSpec:
         raise SystemExit(str(error))
 
 
+def _parse_stages_or_exit(text: Optional[str]) -> Optional[List[str]]:
+    """The ``--stages`` list, or exit naming the unknown stages.
+
+    Bad input is refused before anything runs; errors raised *during* stage
+    execution keep their full traceback.
+    """
+    if not text:
+        return None
+    stages = [token.strip() for token in text.split(",") if token.strip()]
+    unknown = [stage for stage in stages if stage not in schema.STAGES]
+    if unknown:
+        raise SystemExit(
+            f"unknown stage(s) {', '.join(unknown)}; "
+            f"expected a subset of: {', '.join(schema.STAGES)}"
+        )
+    return stages
+
+
 def command_run(args: argparse.Namespace) -> int:
     """Execute a spec file through the staged pipeline runner."""
     from .api.pipeline import Runner
@@ -324,19 +342,9 @@ def command_run(args: argparse.Namespace) -> int:
         setattr(getattr(spec, section_name), knob_name, value)
     if spec.telemetry.trace_path or spec.telemetry.profile:
         spec.telemetry.enabled = True
+    stages = _parse_stages_or_exit(args.stages)
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
     runner = Runner(spec, cache_dir=cache_dir, cache_max_bytes=args.cache_max_bytes)
-    stages = None
-    if args.stages:
-        stages = [token.strip() for token in args.stages.split(",") if token.strip()]
-        unknown = [stage for stage in stages if stage not in schema.STAGES]
-        if unknown:
-            # Reject bad --stages input up front; errors raised *during* stage
-            # execution must keep their full traceback.
-            raise SystemExit(
-                f"unknown stage(s) {', '.join(unknown)}; "
-                f"expected a subset of: {', '.join(schema.STAGES)}"
-            )
     report = runner.run(stages=stages)
     print(f"spec {report.spec_name!r} (fingerprint {report.fingerprint})")
     cache_stats = getattr(runner.store, "stats", None)
@@ -386,15 +394,7 @@ def command_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"{args.spec}: {error}")
     except ValueError as error:  # unknown suffix
         raise SystemExit(str(error))
-    stages = None
-    if args.stages:
-        stages = [token.strip() for token in args.stages.split(",") if token.strip()]
-        unknown = [stage for stage in stages if stage not in schema.STAGES]
-        if unknown:
-            raise SystemExit(
-                f"unknown stage(s) {', '.join(unknown)}; "
-                f"expected a subset of: {', '.join(schema.STAGES)}"
-            )
+    stages = _parse_stages_or_exit(args.stages)
     # Caching is the default for sweeps (unlike `run`): grid cells share
     # artifacts across repeats, edits and concurrent processes through the
     # content-addressed store; --no-cache opts back into in-memory stores.

@@ -126,20 +126,6 @@ class SimpleRuleModel(ScoreComputeMixin):
         return predictions
 
     # -- scorer interface for the shared evaluator ----------------------------------------
-    def score_all_tails(self, head: int, relation: int) -> np.ndarray:
-        scores = np.zeros(self.num_entities)
-        predictions = self.predicted_tails(head, relation)
-        if predictions:
-            scores[list(predictions)] = 1.0
-        return scores
-
-    def score_all_heads(self, relation: int, tail: int) -> np.ndarray:
-        scores = np.zeros(self.num_entities)
-        predictions = self.predicted_heads(relation, tail)
-        if predictions:
-            scores[list(predictions)] = 1.0
-        return scores
-
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         """(B, E) indicator scores, built in one preallocated matrix."""
         heads = np.asarray(heads, dtype=np.int64).reshape(-1)

@@ -147,12 +147,6 @@ class CartesianProductPredictor(ScoreComputeMixin):
             row += frequency[relation]
         return row
 
-    def score_all_tails(self, head: int, relation: int) -> np.ndarray:
-        return self._relation_row(relation, "tail")
-
-    def score_all_heads(self, relation: int, tail: int) -> np.ndarray:
-        return self._relation_row(relation, "head")
-
     def _score_batch(self, relations: np.ndarray, side: str) -> np.ndarray:
         relations = np.asarray(relations, dtype=np.int64).reshape(-1)
         scores = np.empty((len(relations), self.num_entities))

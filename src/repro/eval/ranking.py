@@ -26,8 +26,7 @@ The evaluator runs the protocol **batched**, over arrays:
 * unique queries are streamed through the scorer's
   ``score_tails_batch`` / ``score_heads_batch`` contract in configurable
   chunks (``EvalOptions.batch_size``), keeping the ``(B, E)`` score matrices
-  memory-bounded on FB15k-scale runs — scorers without the batched contract
-  transparently fall back to per-query ``score_all_*`` calls;
+  memory-bounded on FB15k-scale runs;
 * each scored block is ranked whole by
   :func:`~repro.eval.sharding.rank_block`: raw and filtered mean-tie ranks
   from vectorized comparison counts, the filter's counts from a CSR gather
@@ -77,15 +76,13 @@ DEFAULT_EVAL_BATCH_SIZE = EVALUATION_DEFAULTS["batch_size"]
 class CandidateScorer(Protocol):
     """What the evaluator needs from a model (embedding, rule-based or baseline).
 
-    Scorers may additionally provide the batched contract
-    (``score_tails_batch(heads, relations)`` / ``score_heads_batch(relations,
-    tails)`` returning ``(B, E)`` matrices); the evaluator uses it when
-    present and falls back to these per-query methods otherwise.
+    Each kernel returns a ``(B, E)`` matrix of candidate scores for ``B``
+    queries; nothing else is called.
     """
 
-    def score_all_tails(self, head: int, relation: int) -> np.ndarray: ...
+    def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray: ...
 
-    def score_all_heads(self, relation: int, tail: int) -> np.ndarray: ...
+    def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)

@@ -222,25 +222,15 @@ def plan_shards(
 
 # ---------------------------------------------------------------------------- ranking kernels
 def score_query_chunk(scorer, queries: np.ndarray, side: str) -> np.ndarray:
-    """``(len(queries), E)`` float64 score matrix, via the batched contract when available.
+    """``(len(queries), E)`` float64 score matrix from the side's batched kernel.
 
-    ``queries`` is an ``(n, 2)`` integer array in the batched methods'
-    argument order: ``(head, relation)`` rows for the tail side,
-    ``(relation, tail)`` rows for the head side.  Scorers without the batched
-    contract fall back to one ``score_all_*`` call per query.
+    ``queries`` is an ``(n, 2)`` integer array in the kernels' argument
+    order: ``(head, relation)`` rows for ``score_tails_batch``,
+    ``(relation, tail)`` rows for ``score_heads_batch``.
     """
-    batch_fn = getattr(
-        scorer, "score_tails_batch" if side == "tail" else "score_heads_batch", None
-    )
-    if batch_fn is not None:
-        scores = batch_fn(
-            np.ascontiguousarray(queries[:, 0]), np.ascontiguousarray(queries[:, 1])
-        )
-        return np.asarray(scores, dtype=np.float64)
-    single_fn = scorer.score_all_tails if side == "tail" else scorer.score_all_heads
-    return np.stack(
-        [np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries.tolist()]
-    )
+    kernel = scorer.score_tails_batch if side == "tail" else scorer.score_heads_batch
+    scores = kernel(np.ascontiguousarray(queries[:, 0]), np.ascontiguousarray(queries[:, 1]))
+    return np.asarray(scores, dtype=np.float64)
 
 
 def gather_runs(

@@ -8,18 +8,13 @@ special-case a model:
   of triples; **higher means more plausible** for every model (distance-based
   models return negated distances).
 * ``score_tails_batch(heads, relations)`` / ``score_heads_batch(relations,
-  tails)`` — the **batched scoring contract**: one ``(B, E)`` matrix of
-  candidate scores for ``B`` link-prediction queries at once.  This is the
-  primary surface of the ranking protocol; every model in the zoo overrides
-  both with a truly vectorized kernel, and the base class provides a
-  brute-force fallback (one ``score_triples_np`` sweep per query) so
-  third-party scorers that only implement the single-triple contract keep
-  working.
+  tails)`` — the **scorer contract**: one ``(B, E)`` matrix of candidate
+  scores for ``B`` link-prediction queries at once.  Evaluation and serving
+  call nothing else; both are abstract, so every model ships a vectorized
+  kernel for each side.
 * ``score_all_tails(h, r)`` / ``score_all_heads(r, t)`` — single-query score
-  vectors.  When a subclass ships a vectorized batched kernel these delegate
-  to it as a one-row batch (so per-query callers never pay the brute-force
-  sweep twice); only scorers implementing nothing but the single-triple
-  contract fall back to the original ``score_triples`` sweep.
+  vectors: row 0 of a one-row batch, from
+  :class:`~repro.backend.ScoreComputeMixin`.
 * ``set_eval_dtype(eval_dtype)`` — selects the dtype the batched kernels
   compute in (:mod:`repro.backend`); the default fp64 is bit-identical to the
   seed implementation.
@@ -60,7 +55,8 @@ class KGEModel(ScoreComputeMixin, ABC):
     """Abstract base of all embedding models.
 
     Sub-classes register their trainable tensors through
-    :meth:`register_parameter` and implement :meth:`score_triples`.
+    :meth:`register_parameter` and implement :meth:`score_triples`,
+    :meth:`score_tails_batch` and :meth:`score_heads_batch`.
     """
 
     #: Loss family the trainer uses unless the config overrides it:
@@ -130,91 +126,13 @@ class KGEModel(ScoreComputeMixin, ABC):
         """Plain-numpy scores (no gradient bookkeeping kept by the caller)."""
         return self.score_triples(np.asarray(heads), np.asarray(relations), np.asarray(tails)).data
 
-    def _overrides(self, method_name: str) -> bool:
-        """True when this subclass replaced the base implementation."""
-        return getattr(type(self), method_name) is not getattr(KGEModel, method_name)
-
+    @abstractmethod
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
-        """Scores of ``(h_i, r_i, t)`` for every entity ``t`` — shape ``(B, E)``.
+        """Scores of ``(h_i, r_i, t)`` for every entity ``t`` — shape ``(B, E)``."""
 
-        Subclasses override this with vectorized kernels.  The default prefers
-        an overridden :meth:`score_all_tails` (one tuned sweep per query) and
-        only falls back to brute-force ``score_triples_np`` sweeps for scorers
-        that implement nothing but the single-triple contract.
-        """
-        heads = np.asarray(heads, dtype=np.int64).reshape(-1)
-        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
-        if self._overrides("score_all_tails"):
-            rows = [self.score_all_tails(int(h), int(r)) for h, r in zip(heads, relations)]
-        else:
-            candidates = np.arange(self.num_entities)
-            rows = [
-                self.score_triples_np(
-                    np.full(self.num_entities, h, dtype=np.int64),
-                    np.full(self.num_entities, r, dtype=np.int64),
-                    candidates,
-                )
-                for h, r in zip(heads, relations)
-            ]
-        if not rows:
-            return self.score_compute.export(np.empty((0, self.num_entities)))
-        return self.score_compute.export(np.stack(rows))
-
+    @abstractmethod
     def score_heads_batch(self, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Scores of ``(h, r_i, t_i)`` for every entity ``h`` — shape ``(B, E)``.
-
-        Same delegation policy as :meth:`score_tails_batch`, for the head side.
-        """
-        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
-        tails = np.asarray(tails, dtype=np.int64).reshape(-1)
-        if self._overrides("score_all_heads"):
-            rows = [self.score_all_heads(int(r), int(t)) for r, t in zip(relations, tails)]
-        else:
-            candidates = np.arange(self.num_entities)
-            rows = [
-                self.score_triples_np(
-                    candidates,
-                    np.full(self.num_entities, r, dtype=np.int64),
-                    np.full(self.num_entities, t, dtype=np.int64),
-                )
-                for r, t in zip(relations, tails)
-            ]
-        if not rows:
-            return self.score_compute.export(np.empty((0, self.num_entities)))
-        return self.score_compute.export(np.stack(rows))
-
-    def score_all_tails(self, head: int, relation: int) -> np.ndarray:
-        """Scores of ``(head, relation, t)`` for every entity ``t``.
-
-        Delegates to an overridden :meth:`score_tails_batch` as a one-row
-        batch, so per-query callers of a model with a vectorized kernel never
-        pay the brute-force sweep.  Scorers without a batched kernel keep the
-        original ``score_triples_np`` sweep.
-        """
-        if self._overrides("score_tails_batch"):
-            row = self.score_tails_batch(
-                np.array([head], dtype=np.int64), np.array([relation], dtype=np.int64)
-            )
-            return np.asarray(row, dtype=np.float64)[0]
-        candidates = np.arange(self.num_entities)
-        heads = np.full(self.num_entities, head, dtype=np.int64)
-        relations = np.full(self.num_entities, relation, dtype=np.int64)
-        return self.score_triples_np(heads, relations, candidates)
-
-    def score_all_heads(self, relation: int, tail: int) -> np.ndarray:
-        """Scores of ``(h, relation, tail)`` for every entity ``h``.
-
-        Same delegation policy as :meth:`score_all_tails`, for the head side.
-        """
-        if self._overrides("score_heads_batch"):
-            row = self.score_heads_batch(
-                np.array([relation], dtype=np.int64), np.array([tail], dtype=np.int64)
-            )
-            return np.asarray(row, dtype=np.float64)[0]
-        candidates = np.arange(self.num_entities)
-        relations = np.full(self.num_entities, relation, dtype=np.int64)
-        tails = np.full(self.num_entities, tail, dtype=np.int64)
-        return self.score_triples_np(candidates, relations, tails)
+        """Scores of ``(h, r_i, t_i)`` for every entity ``h`` — shape ``(B, E)``."""
 
     # -- constraints ------------------------------------------------------------------
     def apply_constraints(

@@ -165,11 +165,6 @@ class ConvE(KGEModel):
         finally:
             self.training = was_training
 
-    def score_all_tails(self, head: int, relation: int) -> np.ndarray:
-        """1-N scoring: compute the hidden vector once, match every entity."""
-        hidden = self._hidden_np(np.array([head]), np.array([relation]))[0]
-        return self.entity.data @ hidden + self.entity_bias.data
-
     def score_tails_batch(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         """1-N scoring: one hidden vector per query, matched against every entity.
 

@@ -14,9 +14,8 @@ Three layers, each usable on its own:
 * :mod:`repro.serve.server` — a JSON-lines TCP front end speaking the
   versioned :mod:`repro.api` wire format.
 
-Attributes resolve lazily (PEP 562): :mod:`repro.rules` imports only the
-leaf cache module, and the artifact layer's model-registry import happens
-on first use — no import cycles.
+Attributes resolve lazily (PEP 562): the artifact layer's model-registry
+import happens on first use — no import cycles.
 """
 
 from __future__ import annotations

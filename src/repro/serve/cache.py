@@ -1,25 +1,18 @@
-"""Bounded LRU cache of per-query score vectors, shared across subsystems.
+"""The serving engine's bounded LRU cache of per-query score rows.
 
-Two consumers existed before this module and each had its own ad-hoc cache:
-the rule predictor memoized repeated ``(h, r)`` score vectors in an
-**unbounded** per-call dict, and the serving design needs a hot-query cache
-in front of the micro-batching engine.  :class:`ScoreCache` is the shared
-generalization: a thread-safe LRU keyed by ``(side, a, b)`` score keys (any
-hashable works), with an eviction bound and hit/miss/eviction counters so
-operators can size it from observed traffic.
+:class:`~repro.serve.engine.QueryEngine` keeps every score row it computes
+in a :class:`ScoreCache`: a thread-safe LRU keyed by the query's
+``(side, a, b)`` score key, with an eviction bound and hit/miss/eviction
+counters so operators can size it from observed traffic.
 
-The cache stores score *vectors* (or any value) by reference; entries are
-treated as immutable by every consumer — the engine slices and compares
-cached rows, it never writes into them.
+The cache stores rows by reference; the engine treats them as immutable —
+it slices and compares cached rows, it never writes into them.
 
-The module is a leaf (stdlib only, plus the equally leaf-like
-:mod:`repro.telemetry`) so the rule predictor can import it without dragging
-in the serving engine.  A cache constructed with a ``name`` mirrors its
-hit/miss/eviction counters into the global metrics registry as
-``cache.{name}.hits|misses|evictions`` — the telemetry handle is fetched at
-each operation (never captured at construction), so counts land in whatever
-registry is current, surviving :func:`repro.telemetry.scoped` swaps and
-pickling into evaluation workers.
+The counters are mirrored into the global metrics registry as
+``cache.serve.hits|misses|evictions|invalidations``.  The telemetry handle
+is fetched at each operation (never captured at construction), so counts
+land in whatever registry is current, surviving :func:`repro.telemetry.scoped`
+swaps.
 """
 
 from __future__ import annotations
@@ -27,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional
 
 from ..telemetry import get_telemetry
 
@@ -76,16 +69,14 @@ class ScoreCache:
     def __init__(
         self,
         maxsize: int = DEFAULT_CACHE_ENTRIES,
-        name: Optional[str] = None,
         version: Optional[str] = None,
     ) -> None:
         self.maxsize = max(0, int(maxsize))
-        self.name = name
         #: Optional content-version token (e.g. the artifact or dataset
         #: snapshot fingerprint scores were computed against).  It is mixed
         #: into every storage key, so entries cached for one version can
-        #: never answer lookups made under another — even through a pickled
-        #: or shared handle that missed an :meth:`invalidate` call.
+        #: never answer lookups made under another — even through a shared
+        #: handle that missed an :meth:`invalidate` call.
         self.version = version
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
@@ -116,11 +107,9 @@ class ScoreCache:
 
     def _emit(self, outcome: str, amount: int = 1) -> None:
         """Mirror one counter tick into the current telemetry registry."""
-        if self.name is None:
-            return
         telemetry = get_telemetry()
         if telemetry.enabled:
-            telemetry.counter(f"cache.{self.name}.{outcome}").add(amount)
+            telemetry.counter(f"cache.serve.{outcome}").add(amount)
 
     # -- core operations ----------------------------------------------------
     def get(self, key: Hashable) -> Optional[Any]:
@@ -155,42 +144,6 @@ class ScoreCache:
                 evicted += 1
         if evicted:
             self._emit("evictions", evicted)
-
-    def get_or_put(self, key: Hashable, factory) -> Tuple[Any, bool]:
-        """``(value, was_hit)``; on a miss the factory's value is inserted."""
-        value = self.get(key)
-        if value is not None:
-            return value, True
-        value = factory()
-        self.put(key, value)
-        return value, False
-
-    # -- pickling -----------------------------------------------------------
-    # Scorers owning a cache (e.g. the rule predictor) ship to evaluation
-    # workers by pickle; the lock is recreated, entries and counters travel.
-    def __getstate__(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "maxsize": self.maxsize,
-                "name": self.name,
-                "version": self.version,
-                "entries": list(self._entries.items()),
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "invalidations": self._invalidations,
-            }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.maxsize = state["maxsize"]
-        self.name = state.get("name")
-        self.version = state.get("version")
-        self._entries = OrderedDict(state["entries"])
-        self._lock = threading.Lock()
-        self._hits = state["hits"]
-        self._misses = state["misses"]
-        self._evictions = state["evictions"]
-        self._invalidations = state.get("invalidations", 0)
 
     # -- bookkeeping --------------------------------------------------------
     def clear(self) -> None:

@@ -16,7 +16,7 @@ evaluator streams) into a long-lived answering service for
   engine approaches the evaluator's bulk throughput, while a lone query is
   scored as soon as the loop is free.
 * **Caching.**  Score rows are cached by the query's ``score_key`` in a
-  bounded :class:`repro.serve.cache.ScoreCache` shared-LRU, so repeated and
+  bounded :class:`repro.serve.cache.ScoreCache` LRU, so repeated and
   overlapping queries (the common case for a completion service: many
   ``k``/``filtered`` variants of the same ``(h, r)``) skip scoring entirely.
   Cached rows are immutable: answering only reads them.
@@ -165,7 +165,7 @@ class QueryEngine:
                 f"but the scorer has {self.num_entities}"
             )
         self.max_batch = max(1, int(max_batch))
-        self.cache = ScoreCache(cache_entries, name="serve", version=version)
+        self.cache = ScoreCache(cache_entries, version=version)
         #: Parked requests: (query, future, enqueue perf_counter timestamp).
         self._pending: List[
             Tuple[Query, "asyncio.Future[Tuple[np.ndarray, int]]", float]
@@ -370,7 +370,7 @@ class EngineClient:
     the engine exactly like concurrent coroutines.
 
     It also implements the evaluator's :class:`CandidateScorer` contract —
-    ``score_all_tails`` / ``score_all_heads`` and the batched variants — by
+    the batched kernels ``score_tails_batch`` / ``score_heads_batch`` — by
     reconstructing full score rows from ``k = |E|`` engine answers.  That
     makes ``evaluate_model(EngineClient(engine), ...)`` a *client of the
     serving protocol*: the regression suite runs the full evaluation through
@@ -434,12 +434,6 @@ class EngineClient:
         if side == "tail":
             return Query.tail(a, b, k=self.engine.num_entities, with_ranks=False)
         return Query.head(a, b, k=self.engine.num_entities, with_ranks=False)
-
-    def score_all_tails(self, head: int, relation: int) -> np.ndarray:
-        return self._full_row(self.query(self._row_query("tail", head, relation)))
-
-    def score_all_heads(self, relation: int, tail: int) -> np.ndarray:
-        return self._full_row(self.query(self._row_query("head", relation, tail)))
 
     def _score_batch(self, side: str, first: Any, second: Any) -> np.ndarray:
         queries = [

@@ -81,6 +81,13 @@ def test_normalized_lists_every_violation_at_once():
     assert "evaluation.eval_dtype" in message
 
 
+@pytest.mark.parametrize("knob, value", [("batch_size", 2.5), ("workers", True)])
+def test_normalized_refuses_what_a_spec_refuses(knob, value):
+    """The spec's type check applies: no truncated float, no boolean count."""
+    with pytest.raises(ValueError, match=rf"evaluation\.{knob}: expected an integer"):
+        EvalOptions(**{knob: value}).normalized()
+
+
 def test_normalized_passes_through_valid_options():
     options = EvalOptions(batch_size=4, workers=2, shard_size=5)
     assert options.normalized() == options

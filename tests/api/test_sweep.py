@@ -226,6 +226,16 @@ def test_cli_sweep_rejects_bad_input(tmp_path, capsys):
         main(["sweep", str(good), "--no-cache", "--stages", "train,fly"])
 
 
+def test_cli_sweep_refuses_unknown_stages_before_any_cell_runs(tmp_path, monkeypatch):
+    def run_no_cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran despite an unknown stage")
+
+    monkeypatch.setattr("repro.api.sweep.run_sweep", run_no_cell)
+    path = _write_sweep(tmp_path, _BASE)
+    with pytest.raises(SystemExit, match="unknown stage"):
+        main(["sweep", str(path), "--no-cache", "--stages", "warp"])
+
+
 def test_cli_run_cache_dir_round_trip(tmp_path, capsys):
     spec_path = _write_sweep(tmp_path, _BASE)
     cache = tmp_path / "cache"

@@ -152,39 +152,3 @@ def test_each_unique_query_scored_exactly_once(toy_dataset, eval_batch_size):
     assert len(scorer.head_queries) == len(set(scorer.head_queries)) == len(unique_head_queries)
     assert set(scorer.tail_queries) == unique_tail_queries
     assert set(scorer.head_queries) == unique_head_queries
-
-
-class _ScalarOnlyScorer:
-    """A third-party scorer implementing only the single-query contract."""
-
-    name = "ScalarOnly"
-
-    def __init__(self, triples, num_entities):
-        self.num_entities = num_entities
-        self.tails, self.heads = {}, {}
-        for h, r, t in triples:
-            self.tails.setdefault((h, r), set()).add(t)
-            self.heads.setdefault((r, t), set()).add(h)
-
-    def score_all_tails(self, head, relation):
-        scores = np.zeros(self.num_entities)
-        for tail in self.tails.get((head, relation), ()):
-            scores[tail] = 1.0
-        return scores
-
-    def score_all_heads(self, relation, tail):
-        scores = np.zeros(self.num_entities)
-        for head in self.heads.get((relation, tail), ()):
-            scores[head] = 1.0
-        return scores
-
-
-def test_scalar_only_scorers_still_work(toy_dataset):
-    scorer = _ScalarOnlyScorer(toy_dataset.all_triples(), toy_dataset.num_entities)
-    evaluator = LinkPredictionEvaluator(toy_dataset)
-    triples = _query_rich_triples(toy_dataset)
-    reference = evaluate_per_triple(evaluator, scorer, test_triples=triples)
-    batched = evaluator.evaluate(scorer, test_triples=triples)
-    _assert_identical_results(reference, batched)
-    filtered = batched.filtered_metrics()
-    assert filtered.hits_at_1 == pytest.approx(1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.evaluation import rank_with_mean_ties
+from oracles.evaluation import StackedRowsScorer, rank_with_mean_ties
 
 from repro.eval import (
     LinkPredictionEvaluator,
@@ -87,7 +87,7 @@ def test_property_oracle_rank_equals_mean_tie_ranks(scores, data):
 
 
 # ------------------------------------------------------------------ the protocol
-class OracleScorer:
+class OracleScorer(StackedRowsScorer):
     """Knows the training set: scores observed completions 1, everything else 0."""
 
     name = "Oracle"
@@ -193,7 +193,7 @@ def test_property_random_scorer_ranks_within_bounds(num_entities, seed):
     """Ranks are always within [1, num_entities] and filtered ≤ raw."""
     rng = np.random.default_rng(seed)
 
-    class RandomScorer:
+    class RandomScorer(StackedRowsScorer):
         name = "Random"
 
         def score_all_tails(self, head, relation):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.evaluation import StackedRowsScorer
 
 from repro.api import EvalOptions
 from repro.core.baselines import SimpleRuleModel
@@ -92,9 +93,8 @@ def test_plan_shards_is_a_deterministic_contiguous_partition(
 
 
 # ---------------------------------------------------------------------------- merge property
-class _TieHeavyScorer:
-    """Few distinct score values => massive ties; no batched contract, so the
-    per-query fallback inside :func:`rank_shard` is exercised too."""
+class _TieHeavyScorer(StackedRowsScorer):
+    """Few distinct score values => massive ties."""
 
     name = "TieHeavy"
 

@@ -1,14 +1,10 @@
-"""Mutual delegation between per-query and batched scoring surfaces.
+"""The one scorer contract: batched kernels, and ``score_all_*`` as their view.
 
-Regression suite for the delegation policy in :class:`KGEModel`:
-
-* ``score_all_tails`` / ``score_all_heads`` on a model with vectorized batch
-  kernels must route through those kernels as one-row batches — never through
-  the brute-force ``score_triples_np`` sweep;
-* the base batch methods on a scorer that only overrides the per-query
-  sweeps must route through those sweeps;
-* a scorer implementing nothing but ``score_triples`` still works via the
-  brute-force fallback, and both directions agree numerically.
+Every scorer — the ten embedding models and the AMIE, simple-rule and
+Cartesian predictors — implements ``score_tails_batch`` /
+``score_heads_batch``; ``score_all_tails`` / ``score_all_heads`` are row 0 of
+a one-row batch, never the brute-force ``score_triples_np`` sweep.  An
+embedding model without the kernels cannot be built.
 """
 
 from __future__ import annotations
@@ -16,19 +12,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.baselines import SimpleRuleModel
+from repro.core.cartesian import CartesianProductPredictor
+from repro.kg import TripleSet
 from repro.models import ALL_EMBEDDING_MODELS, ModelConfig, make_model
 from repro.models.base import KGEModel
+from repro.rules import AmieConfig, AmieMiner, RuleBasedPredictor
 
 
-def build(name: str, seed: int = 0) -> KGEModel:
+def _predictor_train() -> TripleSet:
+    """A reverse pair (0, 1), a near-duplicate of 0 (2), a 3x3 grid (3)."""
+    triples = [(i, 0, (i + 4) % 10) for i in range(10)]
+    triples += [((i + 4) % 10, 1, i) for i in range(10)]
+    triples += [(i, 2, (i + 4) % 10) for i in range(9)]
+    triples += [(s, 3, o) for s in (20, 21, 22) for o in (23, 24, 25)]
+    triples += [(i, 4, i + 10) for i in range(10)]
+    return TripleSet(triples)
+
+
+PREDICTORS = {
+    "AMIE": lambda train: RuleBasedPredictor(
+        AmieMiner(train, AmieConfig()).mine().rules, train, 30
+    ),
+    "SimpleModel": lambda train: SimpleRuleModel(train, 30),
+    "CartesianProduct": lambda train: CartesianProductPredictor(train, 30),
+}
+
+ALL_SCORERS = list(ALL_EMBEDDING_MODELS) + list(PREDICTORS)
+
+
+def build(name: str, seed: int = 0):
+    if name in PREDICTORS:
+        return PREDICTORS[name](_predictor_train())
     extra = {"embedding_height": 4} if name == "ConvE" else {}
     model = make_model(name, 30, 5, ModelConfig(dim=16, seed=seed, extra=extra))
     model.train_mode(False)
     return model
 
 
-# ---------------------------------------------------------------------------- batched models
-@pytest.mark.parametrize("name", ALL_EMBEDDING_MODELS)
+# ---------------------------------------------------------------------------- one-row view
+@pytest.mark.parametrize("name", ALL_SCORERS)
 def test_score_all_is_the_one_row_batch(name):
     """Per-query sweeps equal row 0 of the batched kernel, bitwise."""
     model = build(name)
@@ -66,9 +89,8 @@ def test_score_all_routes_through_batch_kernel_not_brute_force(name):
     model.score_heads_batch = counted_heads.__get__(model)
     model.score_triples_np = counted_np.__get__(model)
 
-    # Instance attributes shadow the class lookup used by _overrides, but the
-    # delegation decision reads the *class*; call the unbound base methods so
-    # the counted instance wrappers observe the routing.
+    # Call the unbound base methods so the counted instance wrappers observe
+    # the routing.
     KGEModel.score_all_tails(model, 1, 1)
     KGEModel.score_all_heads(model, 1, 1)
     if type(model).score_tails_batch is not KGEModel.score_tails_batch:
@@ -79,69 +101,22 @@ def test_score_all_routes_through_batch_kernel_not_brute_force(name):
         assert calls["brute"] == 0
 
 
-# ---------------------------------------------------------------------------- minimal scorers
-class _SweepOnlyModel(KGEModel):
-    """Overrides only the per-query sweeps; batch defaults must delegate."""
-
-    def __init__(self, num_entities, num_relations, config=None):
-        super().__init__(num_entities, num_relations, config)
-        self.table = self.rng.integers(0, 9, size=(8, self.num_entities)).astype(
-            np.float64
-        )
-
-    def score_triples(self, heads, relations, tails):  # pragma: no cover - unused
-        raise AssertionError("batched surfaces must not fall back to score_triples")
-
-    def score_all_tails(self, head: int, relation: int) -> np.ndarray:
-        return self.table[(head + relation) % len(self.table)]
-
-    def score_all_heads(self, relation: int, tail: int) -> np.ndarray:
-        return self.table[(relation + 2 * tail) % len(self.table)]
+@pytest.mark.parametrize("name", ALL_SCORERS)
+def test_empty_batch_returns_empty_matrix(name):
+    model = build(name)
+    none = np.array([], dtype=np.int64)
+    assert model.score_tails_batch(none, none).shape == (0, 30)
+    assert model.score_heads_batch(none, none).shape == (0, 30)
 
 
+# ---------------------------------------------------------------------------- no kernels
 class _TripleOnlyModel(KGEModel):
-    """Implements nothing but score_triples: every surface brute-forces."""
+    """Implements ``score_triples`` and neither batched kernel."""
 
-    def __init__(self, num_entities, num_relations, config=None):
-        super().__init__(num_entities, num_relations, config)
-        self.entity = self.rng.normal(size=(self.num_entities,))
-
-    def score_triples(self, heads, relations, tails):
-        from repro.autodiff import Tensor
-
-        scores = self.entity[np.asarray(heads)] - self.entity[np.asarray(tails)]
-        return Tensor(scores + np.asarray(relations))
+    def score_triples(self, heads, relations, tails):  # pragma: no cover - never built
+        raise AssertionError("a model without batched kernels must not be built")
 
 
-def test_batch_default_delegates_to_overridden_sweeps():
-    model = _SweepOnlyModel(12, 3, ModelConfig(dim=4, seed=0))
-    heads = np.array([0, 5, 11])
-    relations = np.array([2, 0, 1])
-    batch = model.score_tails_batch(heads, relations)
-    expected = np.stack(
-        [model.score_all_tails(int(h), int(r)) for h, r in zip(heads, relations)]
-    )
-    np.testing.assert_array_equal(batch, expected)
-    batch_heads = model.score_heads_batch(relations, heads)
-    expected_heads = np.stack(
-        [model.score_all_heads(int(r), int(t)) for r, t in zip(relations, heads)]
-    )
-    np.testing.assert_array_equal(batch_heads, expected_heads)
-
-
-def test_triple_only_model_brute_forces_consistently():
-    model = _TripleOnlyModel(9, 2, ModelConfig(dim=4, seed=1))
-    row = model.score_all_tails(4, 1)
-    candidates = np.arange(9)
-    expected = model.score_triples_np(
-        np.full(9, 4, dtype=np.int64), np.full(9, 1, dtype=np.int64), candidates
-    )
-    np.testing.assert_array_equal(row, expected)
-    batch = model.score_tails_batch(np.array([4]), np.array([1]))
-    np.testing.assert_array_equal(batch[0], expected)
-
-
-def test_empty_batch_returns_empty_matrix():
-    model = _SweepOnlyModel(12, 3, ModelConfig(dim=4, seed=0))
-    empty = model.score_tails_batch(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-    assert empty.shape == (0, 12)
+def test_a_model_without_batched_kernels_cannot_be_built():
+    with pytest.raises(TypeError, match="score_tails_batch"):
+        _TripleOnlyModel(9, 2, ModelConfig(dim=4, seed=1))

@@ -4,6 +4,9 @@ This is the form the batched evaluator replaced: one ``score_all_*`` call
 and one filter-mask copy per triple and side, ranked with the mean-tie rule
 below.  The identity tests and the evaluation throughput gate compare
 :class:`repro.eval.LinkPredictionEvaluator` against it.
+
+:class:`StackedRowsScorer` gives a test scorer written one query at a time
+the batched kernels the evaluator calls.
 """
 
 from __future__ import annotations
@@ -14,6 +17,21 @@ import numpy as np
 
 from repro.eval.ranking import SIDES, EvaluationResult, RankRecord
 from repro.kg.known_index import as_triple_array
+
+
+class StackedRowsScorer:
+    """Batched kernels that stack a subclass's ``score_all_*`` rows."""
+
+    def score_tails_batch(self, heads, relations) -> np.ndarray:
+        return _stack_rows(self.score_all_tails, heads, relations)
+
+    def score_heads_batch(self, relations, tails) -> np.ndarray:
+        return _stack_rows(self.score_all_heads, relations, tails)
+
+
+def _stack_rows(row_of, first, second) -> np.ndarray:
+    pairs = zip(np.asarray(first).tolist(), np.asarray(second).tolist())
+    return np.stack([np.asarray(row_of(a, b), dtype=np.float64) for a, b in pairs])
 
 
 def rank_with_mean_ties(scores: np.ndarray, target_index: int, mask: np.ndarray) -> float:

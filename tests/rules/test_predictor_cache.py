@@ -1,13 +1,14 @@
-"""The rule predictor's score cache is the shared bounded LRU (satellite)."""
+"""The rule predictor keeps no score rows: it pickles for evaluation workers,
+and an evaluation does not grow its pickle."""
 
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.kg import TripleSet
+from repro.eval import evaluate_model
+from repro.kg import TripleSet, wn18_like
 from repro.rules import AmieConfig, AmieMiner, RuleBasedPredictor
-from repro.serve import ScoreCache
 
 
 @pytest.fixture()
@@ -21,50 +22,19 @@ def predictor() -> RuleBasedPredictor:
     return RuleBasedPredictor(report.rules, kg, num_entities=130)
 
 
-def test_predictor_uses_the_shared_lru_implementation(predictor):
-    assert isinstance(predictor._score_cache, ScoreCache)
-    assert predictor._score_cache.maxsize == RuleBasedPredictor.CACHE_ENTRIES == 512
-
-
-def test_scores_are_cached_across_calls(predictor):
-    heads = np.array([0, 0, 1])
-    relations = np.array([0, 0, 0])
-    tails = np.array([100, 101, 101])
-    first = predictor.score_triples_np(heads, relations, tails)
-    stats = predictor.cache_stats
-    # Two distinct (h, r) queries: (0, 0) missed then hit, (1, 0) missed.
-    assert stats.misses == 2 and stats.hits == 1
-
-    second = predictor.score_triples_np(heads, relations, tails)
-    after = predictor.cache_stats
-    assert after.misses == 2                     # nothing recomputed
-    assert after.hits == stats.hits + 3
-    assert np.array_equal(first, second)
-
-
-def test_cached_scores_match_uncached_scoring(predictor):
-    heads = np.array([5, 5, 12])
-    relations = np.array([0, 0, 1])
-    tails = np.array([105, 106, 0])
-    scores = predictor.score_triples_np(heads, relations, tails)
-    for value, (h, r, t) in zip(scores, zip(heads, relations, tails)):
-        assert value == predictor.score_all_tails(int(h), int(r))[int(t)]
-    # And again, now answered from cache.
-    assert np.array_equal(scores, predictor.score_triples_np(heads, relations, tails))
-
-
-def test_cache_residency_is_bounded(predictor):
-    predictor._score_cache.maxsize = 4           # shrink to force evictions
-    heads = np.arange(10)
-    predictor.score_triples_np(heads, np.zeros(10, dtype=int), np.zeros(10, dtype=int))
-    assert len(predictor._score_cache) <= 4
-    assert predictor.cache_stats.evictions >= 6
-
-
 def test_predictor_still_pickles_for_sharded_eval(predictor):
-    predictor.score_triples_np(np.array([0]), np.array([0]), np.array([100]))
+    predictor.score_tails_batch(np.array([0]), np.array([0]))
     clone = pickle.loads(pickle.dumps(predictor))
     assert np.array_equal(
         clone.score_all_tails(0, 0), predictor.score_all_tails(0, 0)
     )
-    assert clone.cache_stats.misses == predictor.cache_stats.misses
+
+
+def test_evaluation_leaves_no_score_row_in_the_pickle():
+    dataset = wn18_like("tiny")
+    report = AmieMiner(dataset.train, AmieConfig()).mine()
+    predictor = RuleBasedPredictor(report.rules, dataset.train, dataset.num_entities)
+    before = len(pickle.dumps(predictor))
+    evaluate_model(predictor, dataset)
+    grown = len(pickle.dumps(predictor)) - before
+    assert grown < dataset.num_entities * np.dtype(np.float64).itemsize

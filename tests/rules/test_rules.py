@@ -1,6 +1,5 @@
 """Tests for the AMIE-style miner, rule statistics and rule-based prediction."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,8 +157,7 @@ def test_predictor_scores_zero_without_applicable_rules(reverse_kg):
 def test_predictor_pointwise_scores(reverse_kg):
     report = AmieMiner(reverse_kg, AmieConfig()).mine()
     predictor = RuleBasedPredictor(report.rules, reverse_kg, num_entities=130)
-    scores = predictor.score_triples_np(np.array([105]), np.array([1]), np.array([5]))
-    assert scores[0] > 0.5
+    assert predictor.score_all_tails(105, 1)[5] > 0.5
 
 
 def test_predictor_uses_path_rules():

@@ -1,6 +1,5 @@
-"""The shared bounded LRU score cache: semantics, counters, pickling."""
+"""The serving engine's bounded LRU score cache: semantics, counters, versions."""
 
-import pickle
 import threading
 
 import numpy as np
@@ -53,21 +52,6 @@ def test_maxsize_zero_disables_storage_entirely():
     assert stats.misses == 2 and stats.hits == 0 and stats.evictions == 0
 
 
-def test_get_or_put_reports_hit_state_and_calls_factory_once():
-    cache = ScoreCache(maxsize=4)
-    calls = []
-
-    def factory():
-        calls.append(1)
-        return "value"
-
-    value, was_hit = cache.get_or_put("k", factory)
-    assert (value, was_hit) == ("value", False)
-    value, was_hit = cache.get_or_put("k", factory)
-    assert (value, was_hit) == ("value", True)
-    assert len(calls) == 1
-
-
 def test_clear_drops_entries_but_keeps_lifetime_counters():
     cache = ScoreCache(maxsize=4)
     cache.put("a", 1)
@@ -75,20 +59,6 @@ def test_clear_drops_entries_but_keeps_lifetime_counters():
     cache.clear()
     assert len(cache) == 0
     assert cache.stats.hits == 1
-
-
-def test_cache_pickles_with_entries_and_counters():
-    cache = ScoreCache(maxsize=3)
-    cache.put("a", np.arange(4))
-    cache.get("a")
-    cache.get("missing")
-    restored = pickle.loads(pickle.dumps(cache))
-    assert np.array_equal(restored.get("a"), np.arange(4))
-    stats = restored.stats
-    assert stats.misses == 1 and stats.maxsize == 3
-    # The restored lock is functional: operations still work.
-    restored.put("b", 2)
-    assert restored.get("b") == 2
 
 
 def test_concurrent_access_is_safe():
@@ -139,14 +109,3 @@ def test_invalidate_drops_entries_and_rekeys():
     # Invalidation without a new version just clears under the same key space.
     assert cache.invalidate() == 1
     assert cache.version == "v2" and len(cache) == 0
-
-
-def test_version_and_invalidations_survive_pickle():
-    cache = ScoreCache(maxsize=4, version="v1")
-    cache.put("a", 1)
-    cache.invalidate("v2")
-    cache.put("a", 2)
-    restored = pickle.loads(pickle.dumps(cache))
-    assert restored.version == "v2"
-    assert restored.get("a") == 2
-    assert restored._invalidations == 1
